@@ -39,7 +39,6 @@ from .subgroup import (
 )
 from .series import (
     GammaScaffold,
-    SandwichOnly,
     SandwichReport,
     SeriesKind,
     SeriesTable,

@@ -2,8 +2,7 @@
 
 Each claim has a stable identifier, a mathematical one-line statement, a
 supported level range and a runner returning a VerificationResult whose
-status is "pass", "fail" or "sandwich-only" (both inclusions certified in
-place of an exact term).  Runners are pure functions of the level, so
+status is "pass" or "fail".  Runners are pure functions of the level, so
 independent claims may run in a thread pool; reports are assembled in
 identifier order for deterministic output.
 """
@@ -20,7 +19,6 @@ from .oracle import build_oracle, compare_multiplication_tables, oracle_index_of
 from .series import (
     SeriesKind,
     commutator_identity_checks,
-    exact_power_subgroup,
     gamma_n_subgroups,
     lcs_generator_check,
     power_series,
@@ -43,7 +41,6 @@ from .subgroup import (
 
 PASS = "pass"
 FAIL = "fail"
-SANDWICH = "sandwich-only"
 
 
 @dataclass
@@ -55,10 +52,10 @@ class VerificationResult:
 
     @property
     def passed(self) -> bool:
-        return self.status in (PASS, SANDWICH)
+        return self.status == PASS
 
     def line(self) -> str:
-        mark = {PASS: "PASS", FAIL: "FAIL", SANDWICH: "SANDW"}[self.status]
+        mark = {PASS: "PASS", FAIL: "FAIL"}[self.status]
         summary = self.details.get("summary", "")
         return f"{mark:5s}  {self.claim_id:24s} k={self.k}  {summary}"
 
@@ -211,22 +208,11 @@ def _run_exponent(k: int) -> VerificationResult:
                   and not (xy ** (e // 2)).is_identity()
                   and xy ** (e // 2) == ctx.c(ctx.n) ** 2)
     orders_ok = (ctx.x().order() == 1 << k and ctx.y().order() == 4)
-    maxo = 0
-    if k <= 2:
-        for g in ctx.all_elements():
-            maxo = max(maxo, g.order())
-    else:
-        import random
-        rng = random.Random(0xE0 + k)
-        for t in range(ctx.tmod):
-            xs = ctx.x() ** t
-            for _ in range(1500):
-                h = ctx.element(0, rng.getrandbits(ctx.n), rng.getrandbits(ctx.d))
-                maxo = max(maxo, (xs * h).order())
-    scope = "exhaustive" if k <= 2 else "witness plus coset sampling"
+    # the exponent is 2^i for the first trivial 2-power subgroup P_i
+    maxo = 1 << (series(ctx, SeriesKind.POWER).length + 1)
     ok = witness_ok and orders_ok and maxo == e
     return _ok("lemma-exponent", k, ok,
-               f"exponent {e} ({scope}), witness x*y of order {e}",
+               f"exponent {e} (first trivial 2-power subgroup), witness x*y of order {e}",
                max_order=maxo)
 
 
@@ -390,27 +376,24 @@ def _run_p_power(k: int) -> VerificationResult:
     ctx = get_context(k)
     z = centre_block_subgroup(ctx)
     gam = series(ctx, SeriesKind.GAMMA)
-    details = {}
-    if k <= 2:
-        tbl = series(ctx, SeriesKind.POWER)
-        ok = tbl.term(k + 2).is_trivial()
-        sq = tbl.term(1)
-        ok = ok and gamma_n_subgroups(ctx, 1).gamma_n.contains_subgroup(sq)
-        ok = ok and ctx.log_order - sq.log_order >= 2
-        ok = ok and sq.contains_subgroup(gam.term(4))
-        details["power_logs"] = [s.log_order for s in tbl.terms]
-        status = PASS if ok else FAIL
-    else:
-        ok = True
+    tbl = series(ctx, SeriesKind.POWER)
+    sq = tbl.term(1)
+    ok = (tbl.term(k + 2).is_trivial()
+          and gamma_n_subgroups(ctx, 1).gamma_n.contains_subgroup(sq)
+          and ctx.log_order - sq.log_order >= 2
+          and sq.contains_subgroup(gam.term(4)))
+    details = {"power_logs": [s.log_order for s in tbl.terms]}
+    if k >= 3:
         sw = []
         for i in range(1, k + 1):
             rep = power_series(ctx, i)
             sw.append({"i": i, "lower_log": rep.lower.log_order,
+                       "exact_log": rep.exact.log_order,
                        "upper_log": rep.upper.log_order,
                        "verified": rep.verified})
             ok = ok and rep.verified
         details["sandwiches"] = sw
-        status = SANDWICH if ok else FAIL
+    status = PASS if ok else FAIL
     # scaffold-intersection indices: limit formula within the faithful window
     win = []
     for s in range(1, k + 1):
@@ -430,7 +413,7 @@ def _run_p_power(k: int) -> VerificationResult:
         if lhs != rhs:
             status = FAIL
     details["summary"] = ("exact power terms verified" if k <= 2 else
-                          "sandwich inclusions verified for every power index")
+                          "exact power terms verified inside certified sandwiches")
     return VerificationResult("thm-p-power", k, status, details)
 
 
@@ -511,7 +494,7 @@ _register("lemma-cm2k", "the double chain c_(m, 2^k) lies 2^k + m + 1 deep for e
 _register("prop-lcs-class", "nilpotency class is 2^(k+1) - 1", 1, 3, _run_lcs_class)
 _register("prop-lcs-layers", "stated generator lists and layer shapes; layer logs sum to the group log", 1, 3, _run_lcs_layers)
 _register("remark-index", "centre-block index along the lower central series matches the limit formula in the faithful window", 1, 3, _run_remark_index)
-_register("lemma-exponent", "group exponent is 2^(k+2), witnessed by x*y", 1, 3, _run_exponent)
+_register("lemma-exponent", "group exponent is 2^(k+2), witnessed by x*y", 1, 4, _run_exponent)
 _register("prop-lower2", "lower 2-series length and closed forms", 1, 3, _run_lower2)
 _register("prop-dimension", "dimension series length, closed form and product form", 1, 3, _run_dimension)
 _register("lemma-gamma-sq", "scaffold subgroups square into their successors", 1, 3, _run_gamma_sq)
@@ -522,7 +505,7 @@ _register("eq-power-expansion", "power expansion congruences with certified erro
 _register("zij-table", "pair commutator table: symmetry, support and weight", 1, 3, _run_zij_table)
 _register("thm-m-density", "construction-series density of the centre block at top level", 1, 3, _run_m_density)
 _register("thm-ld-complement", "complement density along the lower 2- and dimension series", 1, 3, _run_ld_complement)
-_register("thm-p-power", "2-power subgroups: exact terms or certified sandwiches with scaffold indices", 1, 3, _run_p_power)
+_register("thm-p-power", "2-power subgroups: exact terms inside certified sandwiches, with scaffold indices", 1, 4, _run_p_power)
 _register("thm-f-sandwich", "Frattini term between its stated bounds, one level down", 2, 3, _run_f_sandwich)
 _register("wreath-quotient", "quotient by the centre block is the wreath product", 1, 3, _run_wreath)
 _register("h-generation", "normal closure of y equals the span of the chain commutators", 1, 3, _run_h_generation)
@@ -531,7 +514,6 @@ _register("h-generation", "normal closure of y equals the span of the chain comm
 # convenience selector spellings
 SELECTOR_ALIASES = {
     "power-series": "thm-p-power",
-    "lemma-exp2": "lemma-exp2",
 }
 
 

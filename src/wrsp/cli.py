@@ -15,7 +15,7 @@ from .claims import run_claims, select_claims
 from .engine import get_context, parse_element
 from .oracle import build_oracle, compare_multiplication_tables
 from .presentation import export_presentation, verify_presentation
-from .series import SandwichOnly, SeriesKind, series
+from .series import SeriesKind, series
 from .spectra import DensitySequence, density_sequence, invariant_subspace
 from .subgroup import (base_and_centre_subgroup, centre_block_subgroup,
                        full_group, trivial_subgroup)
@@ -73,12 +73,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
-    ctx = get_context(args.k)
-    try:
-        table = series(ctx, SeriesKind(args.kind))
-    except SandwichOnly as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    table = series(get_context(args.k), SeriesKind(args.kind))
     text = _series_csv(table) if args.format == "csv" else _series_json(table)
     _write(text, args.out)
     return 0
@@ -122,11 +117,7 @@ def cmd_density(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_ERROR
         target, label = sub.span, sub.label
-    try:
-        table = series(ctx, SeriesKind(args.kind))
-    except SandwichOnly as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    table = series(ctx, SeriesKind(args.kind))
     seq: DensitySequence = density_sequence(target, table, target_label=label)
     text = "\n".join(seq.to_csv_lines()) + "\n" if args.format == "csv" else seq.to_json()
     _write(text, args.out)

@@ -5,19 +5,34 @@ Frattini series, the dimension subgroup series, the 2-power series and the
 construction series given by the kernels of the level projections.  Power
 terms inside the recurrences are always evaluated modulo a subgroup that
 contains the relevant derived subgroup, so closing generator powers is
-exact; the raw 2-power series has no such reduction and is computed
-exhaustively where feasible (levels 1 and 2) and as a certified sandwich at
-level 3.
+exact.
+
+The raw 2-power subgroups P_i = <g^e : g in G>, e = 2**i, have no such
+reduction; they are built in closed form at every level.  Write g = w z
+with w = (t, a, 0) and z = (0, 0, z) in the centre block Z, which is
+abelian, normal and centralised by the trivial-top part H.  Then
+
+    (w z)^e = w^e N_{t,e}(z),   N_{t,e}(z) = sum_{j<e} shift^(t j)(z),
+
+and the norm map N_{t,e} is GF(2)-linear, so P_i is generated by the powers
+w^e and the images of N.  Conjugating w by a base element b gives
+(t, a + (1 + shift^t) b, z') for some z'; its e-th power differs from that
+of (t, a + (1 + shift^t) b, 0) by a norm image, so the normal closure needs
+one w per class of a modulo the image of 1 + shift^t.  In GF(2)[x]/(1+x)^n
+that image is the ideal ((1+x)^(2^v)), v the 2-adic valuation of t, and
+the rows a < 2^(2^v) (degree below 2^v) are a complement to it.  For t = 0
+the norm vanishes and w lies in H, whose exponent is 4: its squares are
+spanned by the squares of single and paired base generators, and its
+fourth powers are trivial.
 """
 
 from __future__ import annotations
 
-import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .engine import Element, GroupContext, commutator, get_context
+from .engine import Element, GroupContext, _apply_chunks, commutator, get_context
 from .subgroup import (
     LayerShape,
     Subgroup,
@@ -52,10 +67,6 @@ FIRST_INDEX = {
     SeriesKind.POWER: 0,
     SeriesKind.M: 0,
 }
-
-
-class SandwichOnly(RuntimeError):
-    """Signal that only a certified sandwich is available, not an exact term."""
 
 
 @dataclass(frozen=True)
@@ -125,11 +136,6 @@ def _cached(key, builder):
 
 def series(ctx: GroupContext, kind: SeriesKind) -> SeriesTable:
     kind = SeriesKind(kind)
-    if kind is SeriesKind.POWER and ctx.k >= 3:
-        raise SandwichOnly(
-            "sandwich-only: the raw 2-power series is exact through level 2; "
-            "use power_series for certified sandwiches at level 3"
-        )
     return _cached((ctx.k, kind), lambda: _build_series(ctx, kind))
 
 
@@ -204,8 +210,6 @@ def _dimension_terms(ctx: GroupContext) -> list[Subgroup]:
 
 
 def _power_terms(ctx: GroupContext) -> list[Subgroup]:
-    if ctx.k > 2:
-        raise SandwichOnly("sandwich-only: exhaustive power terms stop at level 2")
     terms = [full_group(ctx)]
     i = 1
     while not terms[-1].is_trivial():
@@ -215,26 +219,44 @@ def _power_terms(ctx: GroupContext) -> list[Subgroup]:
 
 
 def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
-    """The subgroup generated by all 2**i-th powers, by exhaustive sweep."""
+    """The subgroup generated by all 2**i-th powers, in closed form.
+
+    With e = 2**i it is the normal closure of three sets (see the module
+    docstring for the argument):
+
+    (a) w^e for w = (t, a, 0), t != 0 and a < 2^(2^v), v the 2-adic
+        valuation of t: one representative per class of (t, a) under
+        conjugation by the base, since a + (1 + shift^t) b ranges over a
+        coset of the ideal ((1+x)^(2^v));
+    (b) the images N_{t,e}(bit) of the central basis under the norm map,
+        from the identity (w z)^e = w^e N_{t,e}(z); they are computed from
+        the central shift tables by doubling, N_{t,2m} = N_{t,m} +
+        shift^(t m) N_{t,m}, without group multiplication;
+    (c) for e = 2 only, the squares of the single and paired base
+        generators, which span the squares of the trivial-top part; its
+        exponent is 4, so for e >= 4 this set is empty.
+    """
     if i < 1:
         raise ValueError("power index must be >= 1")
-    if ctx.k > 2:
-        raise SandwichOnly("sandwich-only: exhaustive power terms stop at level 2")
-    e = 1 << i
-    gens = [g ** e for g in full_group(ctx).igs]
-    gens = [g for g in gens if not g.is_identity()]
-    sub = normal_closure(gens) if gens else trivial_subgroup(ctx)
-    while True:
-        missing = []
-        for g in ctx.all_elements():
-            q = g ** e
-            if not sub.contains(q):
-                missing.append(q)
-                if len(missing) >= 32:
-                    break
-        if not missing:
-            return sub
-        sub = normal_closure(list(sub.igs) + missing)
+
+    def build():
+        e = 1 << i
+        gens = []
+        for t in range(1, ctx.tmod):
+            # t & -t == 2^v2(t), so a runs over the class representatives
+            gens += [ctx.element(t, a, 0) ** e for a in range(1 << (t & -t))]
+            for b in range(ctx.d):
+                v = 1 << b
+                for j in range(i):
+                    v ^= _apply_chunks(ctx._ztabs[(t << j) & ctx.tmask], v)
+                gens.append(ctx.central_from_mask(v))
+        if e == 2:
+            gens += [ctx.element(0, (1 << u) | (1 << w), 0) ** 2
+                     for u in range(ctx.n) for w in range(u, ctx.n)]
+        gens = [g for g in gens if not g.is_identity()]
+        return normal_closure(gens) if gens else trivial_subgroup(ctx)
+
+    return _cached((ctx.k, "power", i), build)
 
 
 def _m_terms(ctx: GroupContext) -> list[Subgroup]:
@@ -429,27 +451,29 @@ def gamma_n_subgroups(ctx: GroupContext, n: int) -> GammaScaffold:
 
 @dataclass
 class SandwichReport:
-    """Certified inclusions lower <= target <= upper for a power term."""
+    """Certified inclusions lower <= exact <= upper for a power term."""
 
-    level: int          # the power index i, target = the 2**i-th power subgroup
+    level: int          # the power index i, exact = the 2**i-th power subgroup
     lower: Subgroup
+    exact: Subgroup
     upper: Subgroup
     lower_in_upper: bool
     gamma_in_lower: bool
-    notes: dict = field(default_factory=dict)
+    exact_in_sandwich: bool
 
     @property
     def verified(self) -> bool:
-        return self.lower_in_upper and self.gamma_in_lower
+        return self.lower_in_upper and self.gamma_in_lower and self.exact_in_sandwich
 
 
 def power_series(ctx: GroupContext, i: int):
-    """Exact power subgroup through level 2, certified sandwich at level 3.
+    """Exact power subgroup through level 2; from level 3 on, the exact term
+    checked against a certified sandwich.
 
     The sandwich lower bound is the normal closure of 2**i-th powers of a
     structured family of elements (so it sits inside the power subgroup),
-    grown until it swallows the lower central term with index 2**(i+1); the
-    upper bound is the scaffold subgroup gamma_i.
+    checked to contain the lower central term with index 2**(i+1); the upper
+    bound is the scaffold subgroup gamma_i.
     """
     if i < 1:
         raise ValueError("power index must be >= 1")
@@ -462,7 +486,6 @@ def power_series(ctx: GroupContext, i: int):
         e = 1 << i
         gamma_tbl = series(ctx, SeriesKind.GAMMA)
         gamma_deep = gamma_tbl.term(min(1 << (i + 1), 2 * ctx.n + 1))
-        rng = random.Random(0x5EED0 + 16 * ctx.k + i)
         base_gens = [ctx.base_gen(j) for j in range(ctx.n)]
         fam = list(full_group(ctx).igs)
         for s in range(ctx.tmod):
@@ -472,27 +495,17 @@ def power_series(ctx: GroupContext, i: int):
         gens = [g ** e for g in fam]
         gens = [g for g in gens if not g.is_identity()]
         lower = normal_closure(gens) if gens else trivial_subgroup(ctx)
-        rounds = 0
-        while not lower.contains_subgroup(gamma_deep) and rounds < 12:
-            extra = []
-            for _ in range(200):
-                g = ctx.random_element(rng)
-                q = g ** e
-                if not q.is_identity() and not lower.contains(q):
-                    extra.append(q)
-            if not extra:
-                break
-            lower = normal_closure(list(lower.igs) + extra)
-            rounds += 1
+        exact = exact_power_subgroup(ctx, i)
         upper = gamma_n_subgroups(ctx, i).gamma_n
         return SandwichReport(
             level=i,
             lower=lower,
+            exact=exact,
             upper=upper,
             lower_in_upper=upper.contains_subgroup(lower),
             gamma_in_lower=lower.contains_subgroup(gamma_deep),
-            notes={"growth_rounds": rounds, "lower_log": lower.log_order,
-                   "upper_log": upper.log_order},
+            exact_in_sandwich=(exact.contains_subgroup(lower)
+                               and upper.contains_subgroup(exact)),
         )
 
     return _cached((ctx.k, "power_sandwich", i), build)

@@ -94,10 +94,10 @@ def test_verify_claim_prefix_level2():
     assert out.count("PASS") == 3
 
 
-def test_verify_power_series_alias_is_sandwich_only():
+def test_verify_power_series_alias_passes():
     code, out, _ = run_cli(["verify", "--k", "3", "--claims", "power-series"])
     assert code == 0
-    assert "SANDW" in out and "thm-p-power" in out
+    assert out.startswith("PASS   thm-p-power")
 
 
 def test_density_trivial_target():
@@ -118,7 +118,7 @@ def test_usage_errors():
     assert run_cli(["verify", "--k", "2", "--claims", "bogus"])[0] == 2
     assert run_cli(["verify", "--k", "7", "--all"])[0] == 2
     assert run_cli(["series", "--k", "2"])[0] == 2
-    assert run_cli(["series", "--k", "3", "--kind", "power"])[0] == 2
+    assert run_cli(["series", "--k", "4", "--kind", "power"])[0] == 2
     assert run_cli(["density", "--k", "2", "--kind", "m", "--target", "seed"])[0] == 2
     assert run_cli(["no-such-command"])[0] == 2
 

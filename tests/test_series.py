@@ -1,10 +1,11 @@
 """Filtration series: lengths, closed forms, scaffolds and identities."""
 
+import random
+
 import pytest
 
-from wrsp.engine import get_context
+from wrsp.engine import WreathElement, get_context
 from wrsp.series import (
-    SandwichOnly,
     SeriesKind,
     commutator_identity_checks,
     double_product_rhs,
@@ -166,9 +167,61 @@ def test_power_series_exact(k):
     assert exact_power_subgroup(ctx, 1) == sq
 
 
-def test_power_series_sandwich_signal(ctx3):
-    with pytest.raises(SandwichOnly):
-        series(ctx3, SeriesKind.POWER)
+# log orders of the 2-power subgroups P_0 = G, P_1, ... down to the trivial one
+POWER_LOGS = {
+    3: [47, 45, 38, 13, 1, 0],
+    4: [156, 154, 147, 122, 25, 1, 0],
+}
+
+
+@pytest.mark.parametrize("k", sorted(POWER_LOGS))
+def test_power_series_exact_logs(k):
+    tbl = series(get_context(k), SeriesKind.POWER)
+    assert [s.log_order for s in tbl.terms] == POWER_LOGS[k]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_power_subgroup_matches_exhaustive_sweep(k):
+    # reference: the subgroup generated by every 2**i-th power in the group
+    ctx = get_context(k)
+    powers = [set() for _ in range(k + 2)]  # powers[i - 1]: all 2**i-th powers
+    for g in ctx.all_elements():
+        for got in powers:
+            g = g * g
+            got.add(g)
+    for i, got in enumerate(powers, start=1):
+        assert close(got) == exact_power_subgroup(ctx, i), (k, i)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_power_class_representatives(k):
+    # on the wreath quotient, conjugation by the base sends (t, a) to
+    # (t, a + (1 + shift^t) b); every class holds exactly one a < 2^(2^v2(t))
+    ctx = get_context(k)
+    base = [WreathElement(ctx, 0, b) for b in range(1 << ctx.n)]
+    for t in range(1, ctx.tmod):
+        bound = 1 << (t & -t)
+        seen = set()
+        for a in range(1 << ctx.n):
+            if a in seen:
+                continue
+            w = WreathElement(ctx, t, a)
+            orbit = {(b.inverse() * w * b).a for b in base}
+            assert len([r for r in orbit if r < bound]) == 1, (k, t, a)
+            seen |= orbit
+        assert len(seen) == 1 << ctx.n
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_random_powers_lie_in_power_subgroups(k):
+    ctx = get_context(k)
+    terms = series(ctx, SeriesKind.POWER).terms
+    rng = random.Random(0x90 + k)
+    for _ in range(200):
+        g = ctx.random_element(rng)
+        for i, sub in enumerate(terms[1:], start=1):
+            g = g * g
+            assert sub.contains(g), (k, i)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
