@@ -37,6 +37,7 @@ from .subgroup import (
     pair_block_subgroup,
     trivial_subgroup,
 )
+# the function series() is not re-exported: wrsp.series stays the submodule
 from .series import (
     GammaScaffold,
     SandwichReport,
@@ -49,7 +50,6 @@ from .series import (
     power_series,
     projection_kernel,
     projection_map,
-    series,
     stated_gamma_generators,
     expected_gamma_layer,
 )

@@ -2,15 +2,13 @@
 
 Each claim has a stable identifier, a mathematical one-line statement, a
 supported level range and a runner returning a VerificationResult whose
-status is "pass" or "fail".  Runners are pure functions of the level, so
-independent claims may run in a thread pool; reports are assembled in
-identifier order for deterministic output.
+status is "pass" or "fail".  Runners are pure functions of the level; they
+run one after another and reports are assembled in identifier order for
+deterministic output.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -536,19 +534,11 @@ def select_claims(selectors: list[str] | None, k: int) -> list[str]:
     return sorted(out)
 
 
-def run_claims(k: int, claim_ids: list[str], workers: int | None = None) -> list[VerificationResult]:
-    if workers is None:
-        workers = int(os.environ.get("WRSP_THREADS", "0")) or 1
-
-    def run_one(cid: str) -> VerificationResult:
+def run_claims(k: int, claim_ids: list[str]) -> list[VerificationResult]:
+    results = []
+    for cid in claim_ids:
         try:
-            return CLAIMS[cid].runner(k)
+            results.append(CLAIMS[cid].runner(k))
         except Exception as exc:  # a crashed runner is a failed claim
-            return VerificationResult(cid, k, FAIL, {"summary": f"error: {exc}"})
-
-    if workers <= 1:
-        results = [run_one(cid) for cid in claim_ids]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, claim_ids))
+            results.append(VerificationResult(cid, k, FAIL, {"summary": f"error: {exc}"}))
     return sorted(results, key=lambda r: r.claim_id)

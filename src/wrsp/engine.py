@@ -13,10 +13,14 @@ has a unique normal form (t, a, z):
         the C(n, 2) pair commutators c_{i,j} (i < j) in lexicographic order
 
 Multiplication moves the right factor's x-power past the left factor's base
-and central parts.  Conjugation by x shifts every index by one; wrapping
-index n-1 back to 0 reorders the base product and deposits pair commutators,
-which is the "wrap" correction below.  Reordering the two base rows against
-each other deposits the bilinear correction corr.
+and central parts.  Reordering two base rows against each other deposits
+the bilinear correction corr.  Conjugation by x^t shifts every index by t
+mod n.  Split the base row at cut = n - t into lo = a mod 2^cut and
+hi = a >> cut.  The shifted word is the row lo << t followed by the row hi
+of wrapped bits, every one of which lies below every shifted bit, so
+restoring increasing index order is the sort of those two rows:
+
+    x^-t (a, z) x^t = ((lo << t) | hi,  shift^t(z) + corr(lo << t, hi)).
 
 All vectors are packed into Python ints (bit i of a is the i-th base
 exponent, bit j of z the j-th central coordinate).
@@ -66,13 +70,13 @@ def _apply_chunks(tabs: list[list[int]], v: int) -> int:
 
 
 class GroupContext:
-    """Parameters, lookup tables and named-commutator cache for one level."""
+    """Parameters, lookup tables, named-commutator caches and the memo of
+    derived subgroups, series and reports for one level."""
 
     __slots__ = (
         "k", "n", "num_pairs", "d", "tmod", "tmask", "amask", "zmask",
         "log_order", "total_positions", "pair_bit",
-        "_ztabs", "_wrap_tabs", "_wtab", "_pairtabs",
-        "_c_cache", "_cij_cache", "_subgroup_cache",
+        "_ztabs", "_pairtabs", "_c_cache", "_cij_cache", "_memo",
     )
 
     def __init__(self, k: int, allow_large: bool = False):
@@ -118,36 +122,15 @@ class GroupContext:
             self._ztabs.append(_linear_chunk_tables([1 << p for p in perm]))
             perm = [zshift[p] for p in perm]
 
-        # wrap correction: when the base top bit crosses the boundary after a
-        # shift, every other occupied base slot i deposits the pair {0, i+1}
-        self._wrap_tabs = _linear_chunk_tables(
-            [1 << pair_bit[0][i + 1] for i in range(n - 1)]
-        )
-
         # pair part of corr: right-row bit i against left-row bits j > i
         self._pairtabs = []
         for i in range(n):
             images = [1 << pair_bit[i][j] if j > i else 0 for j in range(n)]
             self._pairtabs.append(_linear_chunk_tables(images))
 
-        # full conjugation tables for small widths
-        if n <= 8:
-            wtab = [[0] * (1 << n) for _ in range(self.tmod)]
-            step = self._ztabs[1]
-            for a in range(1 << n):
-                w = 0
-                cur = a
-                for t in range(1, self.tmod):
-                    w = _apply_chunks(step, w) ^ self._wrap(cur)
-                    cur = self._rot(cur, 1)
-                    wtab[t][a] = w
-            self._wtab = wtab
-        else:
-            self._wtab = None
-
         self._c_cache: list = []
         self._cij_cache: dict = {}
-        self._subgroup_cache: dict = {}
+        self._memo: dict = {}
 
     # -- packed coordinate operations ------------------------------------
 
@@ -157,23 +140,15 @@ class GroupContext:
         n = self.n
         return ((a << t) | (a >> (n - t))) & self.amask
 
-    def _wrap(self, a: int) -> int:
-        if not (a >> (self.n - 1)) & 1:
-            return 0
-        return _apply_chunks(self._wrap_tabs, a & (self.amask >> 1))
-
     def conj_by_x_power(self, a: int, z: int, t: int) -> tuple[int, int]:
-        """Coordinates of x^-t (a, z) x^t."""
+        """Coordinates of x^-t (a, z) x^t, in closed form (module docstring)."""
         t &= self.tmask
         if t == 0:
             return a, z
-        if self._wtab is not None:
-            return self._rot(a, t), _apply_chunks(self._ztabs[t], z) ^ self._wtab[t][a]
-        step = self._ztabs[1]
-        for _ in range(t):
-            z = _apply_chunks(step, z) ^ self._wrap(a)
-            a = self._rot(a, 1)
-        return a, z
+        cut = self.n - t
+        lo = (a & ((1 << cut) - 1)) << t
+        hi = a >> cut
+        return lo | hi, _apply_chunks(self._ztabs[t], z) ^ self.corr(lo, hi)
 
     def corr(self, a_left: int, a_right: int) -> int:
         """Central deposit from sorting the concatenation of two base rows."""
@@ -298,6 +273,13 @@ class GroupContext:
         if i < 1 or j < 1:
             raise ValueError("chain indices must be >= 1")
         return commutator(self.c(i), self.c(j))
+
+    def cached(self, key, build):
+        """The memo entry for key, made by build() on first use."""
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build()
+        return got
 
     def __repr__(self) -> str:
         return f"GroupContext(k={self.k})"

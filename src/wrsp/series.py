@@ -28,7 +28,6 @@ fourth powers are trivial.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -120,23 +119,9 @@ class SeriesTable:
         return rows
 
 
-_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def _cached(key, builder):
-    with _CACHE_LOCK:
-        got = _CACHE.get(key)
-    if got is not None:
-        return got
-    val = builder()
-    with _CACHE_LOCK:
-        return _CACHE.setdefault(key, val)
-
-
 def series(ctx: GroupContext, kind: SeriesKind) -> SeriesTable:
     kind = SeriesKind(kind)
-    return _cached((ctx.k, kind), lambda: _build_series(ctx, kind))
+    return ctx.cached(("series", kind), lambda: _build_series(ctx, kind))
 
 
 def _build_series(ctx: GroupContext, kind: SeriesKind) -> SeriesTable:
@@ -256,7 +241,7 @@ def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
         gens = [g for g in gens if not g.is_identity()]
         return normal_closure(gens) if gens else trivial_subgroup(ctx)
 
-    return _cached((ctx.k, "power", i), build)
+    return ctx.cached(("power", i), build)
 
 
 def _m_terms(ctx: GroupContext) -> list[Subgroup]:
@@ -326,7 +311,7 @@ def projection_kernel(ctx: GroupContext, i: int) -> Subgroup:
             )
         return ker
 
-    return _cached((ctx.k, "kernel", i), build)
+    return ctx.cached(("kernel", i), build)
 
 
 # -- the stated lower-central generator lists -------------------------------
@@ -446,7 +431,7 @@ def gamma_n_subgroups(ctx: GroupContext, n: int) -> GammaScaffold:
         t_n = close(t_gens) if t_gens else trivial_subgroup(ctx)
         return GammaScaffold(n, gamma_n, q_prev, t_n)
 
-    return _cached((ctx.k, "scaffold", n), build)
+    return ctx.cached(("scaffold", n), build)
 
 
 @dataclass
@@ -508,7 +493,7 @@ def power_series(ctx: GroupContext, i: int):
                                and upper.contains_subgroup(exact)),
         )
 
-    return _cached((ctx.k, "power_sandwich", i), build)
+    return ctx.cached(("power_sandwich", i), build)
 
 
 # -- exact instances of the commutator expansion identities -----------------
@@ -546,7 +531,12 @@ def double_product_rhs(ctx: GroupContext, i: int, j: int, m: int) -> Element:
 def commutator_identity_checks(ctx: GroupContext) -> dict:
     """Exact element identities: the square-commutator congruence, the
     double-product expansion, its 2-power corollary, and the two power
-    expansion congruences with their normal-closure error terms."""
+    expansion congruences with their normal-closure error terms.  Computed
+    once per level; several claims read the same report."""
+    return ctx.cached("identity_checks", lambda: _identity_checks(ctx))
+
+
+def _identity_checks(ctx: GroupContext) -> dict:
     k = ctx.k
     n = ctx.n
     x, y = ctx.x(), ctx.y()
@@ -628,7 +618,6 @@ def _weight_filtered_closure(ctx: GroupContext, weight: int, include_cij: bool) 
     total weight at least the bound; this is the error subgroup of the
     power expansion congruences instantiated here (its power part is
     trivial because all these commutators are central involutions)."""
-    key = (ctx.k, "weight_closure", weight, include_cij)
 
     def build():
         top = 2 * ctx.n + 1
@@ -649,4 +638,4 @@ def _weight_filtered_closure(ctx: GroupContext, weight: int, include_cij: bool) 
             return trivial_subgroup(ctx)
         return normal_closure(gens)
 
-    return _cached(key, build)
+    return ctx.cached(("weight_closure", weight, include_cij), build)

@@ -268,27 +268,26 @@ def trivial_subgroup(ctx: GroupContext) -> Subgroup:
 
 
 def full_group(ctx: GroupContext) -> Subgroup:
-    got = ctx._subgroup_cache.get("full")
-    if got is None:
+    def build():
         got = close([ctx.x(), ctx.y()])
         if got.log_order != ctx.log_order:
             raise RuntimeError("closure of the two generators missed the full group")
-        ctx._subgroup_cache["full"] = got
-    return got
+        return got
+
+    return ctx.cached("full", build)
 
 
 def _suffix_subgroup(ctx: GroupContext, start: int, cache_key: str) -> Subgroup:
-    got = ctx._subgroup_cache.get(cache_key)
-    if got is None:
+    def build():
         gens = []
         for p in range(start, ctx.total_positions):
             if p <= ctx.n:
                 gens.append(ctx.base_gen(p - 1))
             else:
                 gens.append(ctx.central_from_mask(1 << (p - 1 - ctx.n)))
-        got = close(gens)
-        ctx._subgroup_cache[cache_key] = got
-    return got
+        return close(gens)
+
+    return ctx.cached(cache_key, build)
 
 
 def base_and_centre_subgroup(ctx: GroupContext) -> Subgroup:
@@ -502,11 +501,13 @@ class LayerShape:
         return " x ".join(f"C{q}" for q in self.invariants)
 
 
-def layer_shape(s: Subgroup, t: Subgroup, max_log: int = 12) -> LayerShape:
-    """Abelian invariants of s/t for t normal in s with abelian quotient.
+def layer_shape(s: Subgroup, t: Subgroup) -> LayerShape:
+    """Abelian invariants of A = s/t for t normal in s with abelian quotient.
 
-    Computed by an exhaustive order census over the coset space, which is
-    tiny for every layer that occurs here.
+    Read off the ranks of the power subgroups: A^(2^m) has preimage
+    s^(2^m) t, the closure of t and the 2^m-th powers of the members of s
+    (A is abelian), and with logs[m] = log|s^(2^m) t| the number of
+    invariants above 2^m is logs[m] - logs[m+1].
     """
     ctx = s.ctx
     if t.ctx.k != ctx.k:
@@ -522,47 +523,13 @@ def layer_shape(s: Subgroup, t: Subgroup, max_log: int = 12) -> LayerShape:
                 continue
             if not t.contains(commutator(u, v)):
                 raise ValueError("quotient is not abelian")
-    dlog = s.log_order - t.log_order
-    if dlog == 0:
-        return LayerShape(())
-    if dlog > max_log:
-        raise ValueError("layer too large for the census")
-
-    reps = {t.reduce(ctx.identity())}
-    frontier = list(reps)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for m in s.igs:
-                cand = t.reduce(r * m)
-                if cand not in reps:
-                    reps.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    if len(reps) != 1 << dlog:
-        raise RuntimeError("coset census does not match the index")
-
-    # cumulative count of cosets killed by each power of 2
-    max_exp = 0
-    exps = []
-    for r in reps:
-        cur = r
-        m = 0
-        while not t.contains(cur):
-            cur = cur * cur
-            m += 1
-        exps.append(m)
-        max_exp = max(max_exp, m)
-    cums = []
-    for m in range(max_exp + 1):
-        cnt = sum(1 for e in exps if e <= m)
-        b = cnt.bit_length() - 1
-        if cnt != 1 << b:
-            raise RuntimeError("order census of an abelian layer must be a power of 2")
-        cums.append(b)
-    ranks = [cums[m] - cums[m - 1] for m in range(1, max_exp + 1)]
-    ranks.append(0)
+    logs = [s.log_order]
+    while logs[-1] > t.log_order:
+        e = 1 << len(logs)
+        logs.append(close(list(t.igs) + [g ** e for g in s.igs]).log_order)
+    # ranks[m]: invariants above 2^m; those equal to 2^(m+1) are the drop
+    ranks = [hi - lo for hi, lo in zip(logs, logs[1:])] + [0]
     invariants = []
-    for m in range(1, max_exp + 1):
-        invariants.extend([1 << m] * (ranks[m - 1] - ranks[m]))
+    for m in range(len(ranks) - 1):
+        invariants += [2 << m] * (ranks[m] - ranks[m + 1])
     return LayerShape(tuple(invariants))

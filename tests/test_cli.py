@@ -109,9 +109,12 @@ def test_density_trivial_target():
 
 
 def test_verify_threads_env(monkeypatch):
+    # WRSP_THREADS is not read: claims run serially, so output cannot depend on it
+    argv = ["verify", "--k", "1", "--claims", "prop-order,h-generation"]
+    plain = run_cli(argv)
+    assert plain[0] == 0
     monkeypatch.setenv("WRSP_THREADS", "2")
-    code, out, _ = run_cli(["verify", "--k", "1", "--claims", "prop-order,h-generation"])
-    assert code == 0
+    assert run_cli(argv) == plain
 
 
 def test_usage_errors():

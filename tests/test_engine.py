@@ -6,6 +6,7 @@ import pytest
 
 from wrsp.engine import (
     NamedCommutator,
+    _apply_chunks,
     commutator,
     get_context,
     parse_element,
@@ -36,7 +37,7 @@ def test_level_one_products_by_hand(ctx1):
     assert ctx1.cij(2, 1) == ctx1.pair_gen(0, 1)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_inverses_and_associativity_sampled(k):
     ctx = get_context(k)
     rng = random.Random(1000 + k)
@@ -45,6 +46,30 @@ def test_inverses_and_associativity_sampled(k):
         assert (g * g.inverse()).is_identity()
         assert (g.inverse() * g).is_identity()
         assert (g * h) * f == g * (h * f)
+
+
+def _conj_by_x_stepwise(ctx, a, z, t):
+    """x^-t (a, z) x^t by t single steps: each shifts z by one index and,
+    when base index n-1 wraps round to 0, deposits the pair {0, i+1} for
+    every other occupied base index i."""
+    n = ctx.n
+    for _ in range(t):
+        z = _apply_chunks(ctx._ztabs[1], z)
+        if (a >> (n - 1)) & 1:
+            for i in range(n - 1):
+                if (a >> i) & 1:
+                    z ^= 1 << ctx.pair_bit[0][i + 1]
+        a = ((a << 1) | (a >> (n - 1))) & ctx.amask
+    return a, z
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_conjugation_closed_form_matches_stepwise_rule(k):
+    ctx = get_context(k)
+    rng = random.Random(300 + k)
+    for _ in range(2000):
+        a, z, t = rng.getrandbits(ctx.n), rng.getrandbits(ctx.d), rng.randrange(ctx.tmod)
+        assert ctx.conj_by_x_power(a, z, t) == _conj_by_x_stepwise(ctx, a, z, t)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

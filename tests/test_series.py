@@ -1,10 +1,13 @@
 """Filtration series: lengths, closed forms, scaffolds and identities."""
 
 import random
+import sys
 
 import pytest
 
-from wrsp.engine import WreathElement, get_context
+import wrsp
+
+from wrsp.engine import WreathElement, commutator, get_context
 from wrsp.series import (
     SeriesKind,
     commutator_identity_checks,
@@ -26,6 +29,7 @@ from wrsp.subgroup import (
     full_group,
     intersect,
     join,
+    layer_shape,
     trivial_subgroup,
 )
 
@@ -152,6 +156,69 @@ def test_frattini_series_descends_to_trivial(ctx3):
     assert logs[0] == 47 and logs[-1] == 0
     assert all(a > b for a, b in zip(logs, logs[1:]))
     assert ctx3.log_order - tbl.term(1).log_order == 2  # two-generated
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_frattini_layers_are_elementary_abelian(k):
+    tbl = series(get_context(k), SeriesKind.FRATTINI)
+    for i, sub in tbl.indexed_terms():
+        nxt = tbl.term(i + 1)
+        assert all(nxt.contains(g * g) for g in sub.igs)
+        shape = tbl.layer(i).invariants
+        assert set(shape) <= {2}
+        assert len(shape) == sub.log_order - nxt.log_order
+
+
+def _is_abelian_layer(s, t):
+    return all(t.contains(commutator(u, v)) for u in s.igs for v in s.igs)
+
+
+def _census_shape(s, t):
+    """Abelian invariants of s/t from the orders of all its cosets."""
+    ctx = s.ctx
+    reps = {ctx.identity()}
+    frontier = [ctx.identity()]
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for m in s.igs:
+                c = t.reduce(r * m)
+                if c not in reps:
+                    reps.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    assert len(reps) == 1 << (s.log_order - t.log_order)
+    exps = []
+    for r in reps:
+        m = 0
+        while not t.contains(r):
+            r, m = r * r, m + 1
+        exps.append(m)
+    # killed[m]: log of the number of cosets whose order divides 2^m, so
+    # at_least[m] = killed[m] - killed[m - 1] invariants have order >= 2^m
+    top = max(exps)
+    killed = [sum(e <= m for e in exps).bit_length() - 1 for m in range(top + 2)]
+    at_least = [None] + [killed[m] - killed[m - 1] for m in range(1, top + 2)]
+    shape = []
+    for m in range(1, top + 1):
+        shape += [1 << m] * (at_least[m] - at_least[m + 1])
+    return tuple(sorted(shape, reverse=True))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(SeriesKind))
+def test_layer_shape_matches_coset_census(k, kind):
+    tbl = series(get_context(k), kind)
+    checked = 0
+    for i, sub in tbl.indexed_terms():
+        nxt = tbl.term(i + 1)
+        if not _is_abelian_layer(sub, nxt):
+            with pytest.raises(ValueError):
+                layer_shape(sub, nxt)
+        elif sub.log_order - nxt.log_order <= 12:
+            assert layer_shape(sub, nxt) == _census_shape(sub, nxt), (k, kind.value, i)
+            checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -311,6 +378,15 @@ def test_identity_checks(k):
     assert rep["power_shift"], rep.get("shift_failures")
     assert rep["power_expansion"], rep.get("power_expansion_details")
     assert rep["ok"]
+
+
+def test_identity_checks_computed_once_per_level(ctx2):
+    assert commutator_identity_checks(ctx2) is commutator_identity_checks(ctx2)
+
+
+def test_series_submodule_is_not_shadowed():
+    assert wrsp.series is sys.modules["wrsp.series"]
+    assert wrsp.series.series(get_context(1), SeriesKind.GAMMA).length == 3
 
 
 def test_double_product_base_case(ctx2):
