@@ -434,35 +434,27 @@ def _run_f_sandwich(k: int) -> VerificationResult:
 
 
 def _run_wreath(k: int) -> VerificationResult:
-    import random
+    """Structural certificate for the projection (t, a, z) -> (t, a).
+
+    The (t, a) part of g * h is (t1 + t2, base(x^-t2 (a1, z1) x^t2) ^ a2) and
+    the wreath product gives (t1 + t2, rot(a1, t2) ^ a2), so the projection
+    is a homomorphism exactly when the base row of conj_by_x_power equals
+    the rotation.  Both sides are GF(2)-linear in (a, z), so the n + d unit
+    vectors for every t cover every pair.  The kernel is the centre block
+    by the normal form, so the image has log order log|G| - log|Z|.
+    """
     ctx = get_context(k)
-    rng = random.Random(0xAB + k)
-    ok = True
-    for _ in range(2000):
-        g, h = ctx.random_element(rng), ctx.random_element(rng)
-        if project_to_wreath(g * h) != project_to_wreath(g) * project_to_wreath(h):
-            ok = False
-            break
-    seen = {(0, 0)}
-    frontier = [(0, 0)]
-    gens = [project_to_wreath(ctx.x()), project_to_wreath(ctx.y())]
-    while frontier:
-        nxt = []
-        for (t, a) in frontier:
-            cur = project_to_wreath(ctx.element(t, a, 0))
-            for g in gens:
-                p = cur * g
-                if (p.t, p.a) not in seen:
-                    seen.add((p.t, p.a))
-                    nxt.append((p.t, p.a))
-        frontier = nxt
-    ok = ok and len(seen) == 1 << (k + ctx.n)
+    units = [(1 << b, 0) for b in range(ctx.n)] + [(0, 1 << b) for b in range(ctx.d)]
+    ok = all(ctx.conj_by_x_power(a, z, t)[0] == ctx._rot(a, t)
+             for t in range(ctx.tmod) for a, z in units)
+    image_log = full_group(ctx).log_order - centre_block_subgroup(ctx).log_order
+    ok = ok and image_log == k + ctx.n
     ker_ok = all(project_to_wreath(g).is_identity()
                  for g in centre_block_subgroup(ctx).igs)
     return _ok("wreath-quotient", k, ok and ker_ok,
                f"quotient map is a homomorphism onto 2^{k + ctx.n} elements "
                f"with the centre block as kernel",
-               image_log=(len(seen)).bit_length() - 1)
+               image_log=image_log)
 
 
 def _run_h_generation(k: int) -> VerificationResult:
@@ -484,29 +476,29 @@ def _register(claim_id, statement, k_min, k_max, runner):
 
 _register("prop-order", "log2 order equals k + 2^(k+1) + C(2^k, 2)", 1, 4, _run_prop_order)
 _register("oracle-k1", "packed arithmetic equals word reduction on all 64x64 products", 1, 1, _run_oracle)
-_register("remark-derived", "squares of the trivial-top part span the centre block; its exponent is 4", 1, 3, _run_remark_derived)
-_register("lemma-exp2-i", "c_i^2 falls into the next lower central term from half the base width on", 1, 3, lambda k: _run_exp2(k, "i"))
-_register("lemma-exp2-ii", "c_i^2 vanishes beyond the base width", 1, 3, lambda k: _run_exp2(k, "ii"))
-_register("lemma-exp2-iii", "c_i falls into the next lower central term beyond 1.5x the base width", 1, 3, lambda k: _run_exp2(k, "iii"))
-_register("lemma-cm2k", "the double chain c_(m, 2^k) lies 2^k + m + 1 deep for even m", 1, 3, _run_cm2k)
-_register("prop-lcs-class", "nilpotency class is 2^(k+1) - 1", 1, 3, _run_lcs_class)
-_register("prop-lcs-layers", "stated generator lists and layer shapes; layer logs sum to the group log", 1, 3, _run_lcs_layers)
-_register("remark-index", "centre-block index along the lower central series matches the limit formula in the faithful window", 1, 3, _run_remark_index)
+_register("remark-derived", "squares of the trivial-top part span the centre block; its exponent is 4", 1, 4, _run_remark_derived)
+_register("lemma-exp2-i", "c_i^2 falls into the next lower central term from half the base width on", 1, 4, lambda k: _run_exp2(k, "i"))
+_register("lemma-exp2-ii", "c_i^2 vanishes beyond the base width", 1, 4, lambda k: _run_exp2(k, "ii"))
+_register("lemma-exp2-iii", "c_i falls into the next lower central term beyond 1.5x the base width", 1, 4, lambda k: _run_exp2(k, "iii"))
+_register("lemma-cm2k", "the double chain c_(m, 2^k) lies 2^k + m + 1 deep for even m", 1, 4, _run_cm2k)
+_register("prop-lcs-class", "nilpotency class is 2^(k+1) - 1", 1, 4, _run_lcs_class)
+_register("prop-lcs-layers", "stated generator lists and layer shapes; layer logs sum to the group log", 1, 4, _run_lcs_layers)
+_register("remark-index", "centre-block index along the lower central series matches the limit formula in the faithful window", 1, 4, _run_remark_index)
 _register("lemma-exponent", "group exponent is 2^(k+2), witnessed by x*y", 1, 4, _run_exponent)
-_register("prop-lower2", "lower 2-series length and closed forms", 1, 3, _run_lower2)
-_register("prop-dimension", "dimension series length, closed form and product form", 1, 3, _run_dimension)
-_register("lemma-gamma-sq", "scaffold subgroups square into their successors", 1, 3, _run_gamma_sq)
-_register("lemma-double-product", "m-fold shift of a pair commutator equals the double product", 1, 3, _run_double_product)
-_register("cor-zij-shift", "2-power shift identity for pair commutators", 1, 3, _run_zij_shift)
-_register("eq-sq-comm", "square-commutator congruence at the top 2-power", 1, 3, _run_sq_comm)
-_register("eq-power-expansion", "power expansion congruences with certified error terms", 1, 3, _run_power_expansion)
-_register("zij-table", "pair commutator table: symmetry, support and weight", 1, 3, _run_zij_table)
-_register("thm-m-density", "construction-series density of the centre block at top level", 1, 3, _run_m_density)
-_register("thm-ld-complement", "complement density along the lower 2- and dimension series", 1, 3, _run_ld_complement)
+_register("prop-lower2", "lower 2-series length and closed forms", 1, 4, _run_lower2)
+_register("prop-dimension", "dimension series length, closed form and product form", 1, 4, _run_dimension)
+_register("lemma-gamma-sq", "scaffold subgroups square into their successors", 1, 4, _run_gamma_sq)
+_register("lemma-double-product", "m-fold shift of a pair commutator equals the double product", 1, 4, _run_double_product)
+_register("cor-zij-shift", "2-power shift identity for pair commutators", 1, 4, _run_zij_shift)
+_register("eq-sq-comm", "square-commutator congruence at the top 2-power", 1, 4, _run_sq_comm)
+_register("eq-power-expansion", "power expansion congruences with certified error terms", 1, 4, _run_power_expansion)
+_register("zij-table", "pair commutator table: symmetry, support and weight", 1, 4, _run_zij_table)
+_register("thm-m-density", "construction-series density of the centre block at top level", 1, 4, _run_m_density)
+_register("thm-ld-complement", "complement density along the lower 2- and dimension series", 1, 4, _run_ld_complement)
 _register("thm-p-power", "2-power subgroups: exact terms inside certified sandwiches, with scaffold indices", 1, 4, _run_p_power)
-_register("thm-f-sandwich", "Frattini term between its stated bounds, one level down", 2, 3, _run_f_sandwich)
-_register("wreath-quotient", "quotient by the centre block is the wreath product", 1, 3, _run_wreath)
-_register("h-generation", "normal closure of y equals the span of the chain commutators", 1, 3, _run_h_generation)
+_register("thm-f-sandwich", "Frattini term between its stated bounds, one level down", 2, 4, _run_f_sandwich)
+_register("wreath-quotient", "quotient by the centre block is the wreath product", 1, 4, _run_wreath)
+_register("h-generation", "normal closure of y equals the span of the chain commutators", 1, 4, _run_h_generation)
 
 
 # convenience selector spellings

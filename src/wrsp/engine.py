@@ -70,13 +70,13 @@ def _apply_chunks(tabs: list[list[int]], v: int) -> int:
 
 
 class GroupContext:
-    """Parameters, lookup tables, named-commutator caches and the memo of
-    derived subgroups, series and reports for one level."""
+    """Parameters, lookup tables and the memo of named commutators, derived
+    subgroups, series and reports for one level."""
 
     __slots__ = (
         "k", "n", "num_pairs", "d", "tmod", "tmask", "amask", "zmask",
         "log_order", "total_positions", "pair_bit",
-        "_ztabs", "_pairtabs", "_c_cache", "_cij_cache", "_memo",
+        "_ztabs", "_pairtabs", "_memo",
     )
 
     def __init__(self, k: int, allow_large: bool = False):
@@ -128,8 +128,6 @@ class GroupContext:
             images = [1 << pair_bit[i][j] if j > i else 0 for j in range(n)]
             self._pairtabs.append(_linear_chunk_tables(images))
 
-        self._c_cache: list = []
-        self._cij_cache: dict = {}
         self._memo: dict = {}
 
     # -- packed coordinate operations ------------------------------------
@@ -245,28 +243,17 @@ class GroupContext:
         """Left-normed chain c_1 = y, c_i = [c_{i-1}, x]."""
         if i < 1:
             raise ValueError("chain index must be >= 1")
-        cache = self._c_cache
-        if not cache:
-            cache.append(self.y())
-        x = self.x()
-        while len(cache) < i:
-            cache.append(commutator(cache[-1], x))
-        return cache[i - 1]
+        if i == 1:
+            return self.cached(("c", 1), self.y)
+        return self.cached(("c", i), lambda: commutator(self.c(i - 1), self.x()))
 
     def cij(self, i: int, j: int) -> "Element":
         """c_{i,j} = [c_i, y, x, ..(j-1).., x]."""
         if i < 1 or j < 1:
             raise ValueError("chain indices must be >= 1")
-        key = (i, j)
-        got = self._cij_cache.get(key)
-        if got is not None:
-            return got
         if j == 1:
-            val = commutator(self.c(i), self.y())
-        else:
-            val = commutator(self.cij(i, j - 1), self.x())
-        self._cij_cache[key] = val
-        return val
+            return self.cached(("cij", i, 1), lambda: commutator(self.c(i), self.y()))
+        return self.cached(("cij", i, j), lambda: commutator(self.cij(i, j - 1), self.x()))
 
     def zij(self, i: int, j: int) -> "Element":
         """z_{i,j} = [c_i, c_j]."""

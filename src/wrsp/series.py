@@ -7,6 +7,13 @@ terms inside the recurrences are always evaluated modulo a subgroup that
 contains the relevant derived subgroup, so closing generator powers is
 exact.
 
+The dimension series follows Lazard's recursion D_i = [D_{i-1}, G] D_m^2,
+m = ceil(i/2).  The square subgroup D^2 = <g^2 : g in D> of any group D
+contains [D, D], because [a, b] = a^-2 (a b^-1)^2 b^2, and D / [D, D] is
+abelian, so D^2 = <u^2 : u in igs(D)> [D, D].  Each term is therefore one
+normal closure of the commutators [u, x], [u, y] over igs(D_{i-1}), the
+squares of igs(D_m) and the igs of [D_m, D_m].
+
 The raw 2-power subgroups P_i = <g^e : g in G>, e = 2**i, have no such
 reduction; they are built in closed form at every level.  Write g = w z
 with w = (t, a, 0) and z = (0, 0, z) in the centre block Z, which is
@@ -40,6 +47,7 @@ from .subgroup import (
     commutator_subgroup,
     commutator_with_group,
     full_group,
+    group_commutators,
     intersect,
     join,
     layer_shape,
@@ -147,6 +155,11 @@ def _squares(sub: Subgroup, m: int = 1) -> list[Element]:
     return [g ** (1 << m) for g in sub.igs]
 
 
+def _closure_or_trivial(ctx: GroupContext, gens: list[Element]) -> Subgroup:
+    gens = [g for g in gens if not g.is_identity()]
+    return normal_closure(gens) if gens else trivial_subgroup(ctx)
+
+
 def _gamma_terms(ctx: GroupContext) -> list[Subgroup]:
     terms = [full_group(ctx)]
     while not terms[-1].is_trivial():
@@ -155,15 +168,13 @@ def _gamma_terms(ctx: GroupContext) -> list[Subgroup]:
 
 
 def _lower_p_terms(ctx: GroupContext) -> list[Subgroup]:
-    # P_i = P_{i-1}^2 [P_{i-1}, G]; the square part closes on generator
-    # squares because [P, P] <= [P, G]
+    # P_i = P_{i-1}^2 [P_{i-1}, G] in one normal closure: [P_{i-1}, G] is the
+    # normal closure of [u, x], [u, y] over the igs, and the square part
+    # closes on generator squares because [P, P] <= [P, G]
     terms = [full_group(ctx)]
     while not terms[-1].is_trivial():
         prev = terms[-1]
-        j = commutator_with_group(prev)
-        gens = list(j.igs) + _squares(prev)
-        gens = [g for g in gens if not g.is_identity()]
-        terms.append(normal_closure(gens) if gens else trivial_subgroup(ctx))
+        terms.append(_closure_or_trivial(ctx, group_commutators(prev) + _squares(prev)))
     return terms
 
 
@@ -172,25 +183,23 @@ def _frattini_terms(ctx: GroupContext) -> list[Subgroup]:
     while not terms[-1].is_trivial():
         prev = terms[-1]
         der = commutator_subgroup(prev, prev)
-        gens = list(der.igs) + _squares(prev)
-        gens = [g for g in gens if not g.is_identity()]
-        terms.append(normal_closure(gens) if gens else trivial_subgroup(ctx))
+        terms.append(_closure_or_trivial(ctx, list(der.igs) + _squares(prev)))
     return terms
 
 
 def _dimension_terms(ctx: GroupContext) -> list[Subgroup]:
-    # D_i = D_{ceil(i/2)}^2 prod_{j<i} [D_j, D_{i-j}]; the commutator terms
-    # include [D_ceil, D_floor] which absorbs the square-part correction
+    # D_i = [D_{i-1}, G] D_m^2 with m = ceil(i/2), in one normal closure;
+    # D_m^2 = <u^2 : u in igs(D_m)> [D_m, D_m] (module docstring)
     terms = [full_group(ctx)]  # index 1
+    derived: dict[int, Subgroup] = {}
     while not terms[-1].is_trivial():
         i = len(terms) + 1
-        gens: list[Element] = []
-        for j in range(1, i // 2 + 1):
-            part = commutator_subgroup(terms[j - 1], terms[i - j - 1])
-            gens.extend(part.igs)
-        gens.extend(_squares(terms[(i + 1) // 2 - 1]))
-        gens = [g for g in gens if not g.is_identity()]
-        terms.append(normal_closure(gens) if gens else trivial_subgroup(ctx))
+        m = (i + 1) // 2
+        dm = terms[m - 1]
+        if m not in derived:
+            derived[m] = commutator_subgroup(dm, dm)
+        gens = group_commutators(terms[-1]) + _squares(dm) + list(derived[m].igs)
+        terms.append(_closure_or_trivial(ctx, gens))
     return terms
 
 
@@ -238,8 +247,7 @@ def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
         if e == 2:
             gens += [ctx.element(0, (1 << u) | (1 << w), 0) ** 2
                      for u in range(ctx.n) for w in range(u, ctx.n)]
-        gens = [g for g in gens if not g.is_identity()]
-        return normal_closure(gens) if gens else trivial_subgroup(ctx)
+        return _closure_or_trivial(ctx, gens)
 
     return ctx.cached(("power", i), build)
 
@@ -477,9 +485,7 @@ def power_series(ctx: GroupContext, i: int):
             xs = ctx.x() ** s
             for h in base_gens:
                 fam.append(xs * h)
-        gens = [g ** e for g in fam]
-        gens = [g for g in gens if not g.is_identity()]
-        lower = normal_closure(gens) if gens else trivial_subgroup(ctx)
+        lower = _closure_or_trivial(ctx, [g ** e for g in fam])
         exact = exact_power_subgroup(ctx, i)
         upper = gamma_n_subgroups(ctx, i).gamma_n
         return SandwichReport(

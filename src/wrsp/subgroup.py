@@ -133,10 +133,13 @@ class Subgroup:
         if not lines:
             raise ValueError("empty subgroup serialisation")
         head = lines[0].split()
-        if len(head) != 3 or head[0] != "subgroup":
-            raise ValueError(f"malformed subgroup header: {lines[0]!r}")
-        level = int(head[1].split("=", 1)[1])
-        declared = int(head[2].split("=", 1)[1])
+        fields = dict(item.split("=", 1) for item in head[1:] if "=" in item)
+        try:
+            if head[:1] != ["subgroup"] or len(head) != 3 or set(fields) != {"level", "log_order"}:
+                raise ValueError
+            level, declared = int(fields["level"]), int(fields["log_order"])
+        except ValueError:
+            raise ValueError(f"malformed subgroup header: {lines[0]!r}") from None
         if level != ctx.k:
             raise ValueError(f"serialised level {level} does not match context level {ctx.k}")
         gens = [parse_element(ctx, ln) for ln in lines[1:]]
@@ -353,8 +356,9 @@ def commutator_subgroup(a: Subgroup, b: Subgroup, debug: bool = False) -> Subgro
     return normal_closure(seeds)
 
 
-def commutator_with_group(a: Subgroup) -> Subgroup:
-    """[a, G] using the two group generators on the right."""
+def group_commutators(a: Subgroup) -> list[Element]:
+    """The nontrivial [u, x] and [u, y] for u in the igs of a; for normal a
+    their normal closure is [a, G]."""
     ctx = a.ctx
     seeds = []
     for u in a.igs:
@@ -364,9 +368,13 @@ def commutator_with_group(a: Subgroup) -> Subgroup:
             c = commutator(u, v)
             if not c.is_identity():
                 seeds.append(c)
-    if not seeds:
-        return trivial_subgroup(ctx)
-    return normal_closure(seeds)
+    return seeds
+
+
+def commutator_with_group(a: Subgroup) -> Subgroup:
+    """[a, G] using the two group generators on the right."""
+    seeds = group_commutators(a)
+    return normal_closure(seeds) if seeds else trivial_subgroup(a.ctx)
 
 
 def agemo_mod_derived(s: Subgroup, m: int) -> Subgroup:

@@ -303,7 +303,7 @@ def test_criterion_10_property_suites(tmp_path):
 
 
 def test_full_claim_suite_over_all_levels():
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         results = run_claims(k, select_claims(None, k))
         bad = [r for r in results if not r.passed]
         assert not bad, [(r.claim_id, r.details) for r in bad]

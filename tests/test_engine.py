@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from wrsp.claims import run_claims
 from wrsp.engine import (
     NamedCommutator,
     _apply_chunks,
@@ -215,7 +216,7 @@ def test_enumeration_is_canonical(ctx1):
     assert len(set(els)) == 64
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_wreath_projection(k):
     ctx = get_context(k)
     rng = random.Random(21 + k)
@@ -227,3 +228,32 @@ def test_wreath_projection(k):
     assert project_to_wreath(ctx.x()) == project_to_wreath(ctx.element(1, 0, 0))
     z = ctx.central_from_mask(ctx.zmask)
     assert project_to_wreath(z).is_identity()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_wreath_certificate_matches_search(k):
+    # reference: 2,000 random homomorphism pairs and a breadth-first census
+    # of the image from the projected generators
+    ctx = get_context(k)
+    rng = random.Random(0xAB + k)
+    hom_ok = True
+    for _ in range(2000):
+        g, h = ctx.random_element(rng), ctx.random_element(rng)
+        if project_to_wreath(g * h) != project_to_wreath(g) * project_to_wreath(h):
+            hom_ok = False
+            break
+    gens = [project_to_wreath(ctx.x()), project_to_wreath(ctx.y())]
+    seen = {project_to_wreath(ctx.identity())}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                p = w * g
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    result = run_claims(k, ["wreath-quotient"])[0]
+    assert result.details["image_log"] == len(seen).bit_length() - 1 == k + ctx.n
+    assert result.passed == hom_ok

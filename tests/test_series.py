@@ -26,10 +26,13 @@ from wrsp.subgroup import (
     agemo_mod_derived,
     centre_block_subgroup,
     close,
+    commutator_subgroup,
+    commutator_with_group,
     full_group,
     intersect,
     join,
     layer_shape,
+    normal_closure,
     trivial_subgroup,
 )
 
@@ -148,6 +151,46 @@ def test_dimension_closed_form_and_product_form(k):
         gens2 = [g for g in gens2 if not g.is_identity()]
         product = close(gens2) if gens2 else trivial_subgroup(ctx)
         assert tbl.term(i) == product, ("product form", k, i)
+
+
+def _reference_lower2_terms(ctx):
+    # the two-closure recurrence: P_i = ncl([P_{i-1}, G] + squares of P_{i-1})
+    terms = [full_group(ctx)]
+    while not terms[-1].is_trivial():
+        prev = terms[-1]
+        gens = list(commutator_with_group(prev).igs) + [g * g for g in prev.igs]
+        gens = [g for g in gens if not g.is_identity()]
+        terms.append(normal_closure(gens) if gens else trivial_subgroup(ctx))
+    return terms
+
+
+def _reference_dimension_terms(ctx):
+    # the product recurrence: D_i = D_ceil(i/2)^2 prod_{j <= i/2} [D_j, D_{i-j}]
+    terms = [full_group(ctx)]  # index 1
+    while not terms[-1].is_trivial():
+        i = len(terms) + 1
+        gens = []
+        for j in range(1, i // 2 + 1):
+            gens.extend(commutator_subgroup(terms[j - 1], terms[i - j - 1]).igs)
+        gens.extend(g * g for g in terms[(i + 1) // 2 - 1].igs)
+        gens = [g for g in gens if not g.is_identity()]
+        terms.append(normal_closure(gens) if gens else trivial_subgroup(ctx))
+    return terms
+
+
+REFERENCE_TERMS = {
+    SeriesKind.LOWER_P: _reference_lower2_terms,
+    SeriesKind.DIMENSION: _reference_dimension_terms,
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", list(REFERENCE_TERMS), ids=lambda kind: kind.value)
+def test_recurrence_matches_reference(k, kind):
+    ctx = get_context(k)
+    got = series(ctx, kind).terms
+    want = REFERENCE_TERMS[kind](ctx)
+    assert [s.igs for s in got] == [s.igs for s in want], (k, kind.value)
 
 
 def test_frattini_series_descends_to_trivial(ctx3):

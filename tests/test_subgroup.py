@@ -242,6 +242,17 @@ def test_subgroup_serialisation_round_trip(k):
         Subgroup.from_lines(ctx, tampered)
 
 
+@pytest.mark.parametrize("header", [
+    "subgroup level1 log_order=0",
+    "subgroup foo=1 bar=0",
+    "subgroup level=1 log_order=zero",
+])
+def test_subgroup_header_rejected(ctx1, header):
+    lines = [header] + trivial_subgroup(ctx1).to_lines()[1:]
+    with pytest.raises(ValueError, match="malformed subgroup header"):
+        Subgroup.from_lines(ctx1, lines)
+
+
 def test_normality_checks(ctx2):
     assert centre_block_subgroup(ctx2).is_normal()
     assert base_and_centre_subgroup(ctx2).is_normal()
