@@ -9,12 +9,8 @@ from .engine import (
     NamedCommutator,
     WreathElement,
     commutator,
-    conjugate,
     get_context,
-    inverse,
-    multiply,
     parse_element,
-    power,
     project_to_wreath,
     resolve,
 )

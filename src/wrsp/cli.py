@@ -79,11 +79,23 @@ def cmd_series(args) -> int:
     return 0
 
 
+def _out_error(path: str) -> str | None:
+    """Why --out PATH cannot be written, checked before any work is done."""
+    if os.path.isdir(path):
+        return f"--out {path} is a directory"
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return f"--out {path}: directory {parent} does not exist"
+    return None
+
+
 def _load_seed_target(ctx, path: str):
     seeds = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
+            if not line.isascii():
+                raise ValueError(f"seed file {path}, line {lineno}: not ASCII text")
             if not line or line.startswith("#"):
                 continue
             try:
@@ -218,6 +230,10 @@ def main(argv=None) -> int:
             hint = "" if cap == 4 else " (use --deep for level 4)"
             print(f"error: --k must be in 1..{cap}{hint}", file=sys.stderr)
             return USAGE_ERROR
+    why = _out_error(args.out) if args.out else None
+    if why:
+        print(f"error: {why}", file=sys.stderr)
+        return USAGE_ERROR
     return args.func(args)
 
 

@@ -76,7 +76,7 @@ class GroupContext:
     __slots__ = (
         "k", "n", "num_pairs", "d", "tmod", "tmask", "amask", "zmask",
         "log_order", "total_positions", "pair_bit",
-        "_ztabs", "_pairtabs", "_memo",
+        "_ztabs", "_pairoff", "_memo",
     )
 
     def __init__(self, k: int, allow_large: bool = False):
@@ -122,11 +122,9 @@ class GroupContext:
             self._ztabs.append(_linear_chunk_tables([1 << p for p in perm]))
             perm = [zshift[p] for p in perm]
 
-        # pair part of corr: right-row bit i against left-row bits j > i
-        self._pairtabs = []
-        for i in range(n):
-            images = [1 << pair_bit[i][j] if j > i else 0 for j in range(n)]
-            self._pairtabs.append(_linear_chunk_tables(images))
+        # pair part of corr: the pairs (i, j), j > i, fill contiguous bits
+        # from this offset on
+        self._pairoff = [n + pair_slot(i, i + 1, n) for i in range(n)]
 
         self._memo: dict = {}
 
@@ -149,14 +147,20 @@ class GroupContext:
         return lo | hi, _apply_chunks(self._ztabs[t], z) ^ self.corr(lo, hi)
 
     def corr(self, a_left: int, a_right: int) -> int:
-        """Central deposit from sorting the concatenation of two base rows."""
+        """Central deposit from sorting the concatenation of two base rows:
+        the squares a_left & a_right, and for each set bit i of a_right the
+        pair commutators c_{i,j} of the left-row bits j > i, which land on
+        contiguous bits as (a_left >> (i + 1)) << pair offset of i."""
         res = a_left & a_right
         b = a_right
-        tabs = self._pairtabs
+        off = self._pairoff
         while b:
             low = b & -b
+            if a_left < low << 1:  # no left-row bit above this or later ones
+                break
             b ^= low
-            res ^= _apply_chunks(tabs[low.bit_length() - 1], a_left)
+            i = low.bit_length() - 1
+            res ^= (a_left >> (i + 1)) << off[i]
         return res
 
     def mul(self, g: "Element", h: "Element") -> "Element":
@@ -389,27 +393,11 @@ def parse_element(ctx: GroupContext, text: str) -> Element:
     return ctx.element(t, a, (c << ctx.n) | s)
 
 
-# -- free-function operation aliases ----------------------------------------
-
-def multiply(g: Element, h: Element) -> Element:
-    return g * h
-
-
-def inverse(g: Element) -> Element:
-    return g.inverse()
-
-
-def power(g: Element, e: int) -> Element:
-    return g ** e
-
+# -- commutators ------------------------------------------------------------
 
 def commutator(g: Element, h: Element) -> Element:
     """Left-normed commutator g^-1 h^-1 g h."""
     return g.inverse() * h.inverse() * g * h
-
-
-def conjugate(g: Element, h: Element) -> Element:
-    return g.conj(h)
 
 
 # -- named commutator specs -------------------------------------------------

@@ -12,10 +12,27 @@ in the product rule is driven by the right factor's top exponent, which is
 zero for every leader except the one at position 0), so the reduced
 sequence is canonical: it depends only on the subgroup, not on the
 generators it was computed from.
+
+Central tail.  The members led by central positions are pure central rows,
+and in a canonical sequence they are in reduced row-echelon form: each row
+has a pivot (its lowest set bit) and no row has a set bit at another row's
+pivot.  So reduction modulo the tail XORs one row per set bit of
+z & pivot_mask, in one pass.  close() keeps the form as it goes: a new
+central row, already reduced, clears its pivot from the older rows.
+
+Suffix lemma.  Let S have canonical sequence L and let s >= 1.  The members
+of L led at s or deeper are the canonical sequence of the intersection of S
+with the suffix subgroup of all elements whose coordinates below s vanish,
+and, each having relative order 2, their number is its log order.  An
+element of the intersection sifts through L using only those members:
+right multiplication by a member led at p >= s keeps every coordinate
+below p, so the element stays led at s or deeper.  Exact intersections
+with suffix subgroups and centre-block subspaces therefore never close.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 
 from .engine import Element, GroupContext, commutator, parse_element
@@ -39,36 +56,69 @@ def _lead(ctx: GroupContext, g: Element) -> int:
     return ctx.total_positions
 
 
-def _coordinate(ctx: GroupContext, g: Element, p: int) -> int:
-    if p == 0:
-        return g.t
-    if p <= ctx.n:
-        return (g.a >> (p - 1)) & 1
-    return (g.z >> (p - 1 - ctx.n)) & 1
+class _Tail:
+    """The central rows of an induced sequence in reduced row-echelon form.
+
+    rows maps each pivot (a one-bit mask, the lowest set bit of its row) to
+    the row, and pivots is the union of the pivots.  No row has a set bit at
+    another row's pivot, so XOR-ing a row in never changes another pivot
+    bit, and reduction XORs one row per set bit of z & pivots.
+    """
+
+    __slots__ = ("pivots", "rows")
+
+    def __init__(self, rows=()):
+        """Start from rows already in reduced row-echelon form."""
+        self.rows: dict[int, int] = {r & -r: r for r in rows}
+        self.pivots = sum(self.rows)  # distinct one-bit keys: their union
+
+    def reduce(self, z: int) -> int:
+        hit = z & self.pivots
+        rows = self.rows
+        while hit:
+            low = hit & -hit
+            z ^= rows[low]
+            hit ^= low
+        return z
+
+    def insert(self, z: int) -> None:
+        """Add a nonzero row already reduced by the tail; its pivot is
+        cleared from the older rows to keep the form reduced."""
+        low = z & -z
+        rows = self.rows
+        for q, r in rows.items():
+            if r & low:
+                rows[q] = r ^ z
+        rows[low] = z
+        self.pivots |= low
+
+    def elements(self, ctx: GroupContext) -> tuple[Element, ...]:
+        return tuple(Element(ctx, 0, 0, self.rows[q]) for q in sorted(self.rows))
 
 
 class Subgroup:
     """A subgroup held as a canonical induced generating sequence."""
 
-    __slots__ = ("ctx", "igs", "log_order", "_inv_cache")
+    __slots__ = ("ctx", "igs", "log_order", "_tab")
 
     def __init__(self, ctx: GroupContext, igs: tuple[Element, ...], log_order: int):
         self.ctx = ctx
         self.igs = igs
         self.log_order = log_order
-        self._inv_cache = None
+        self._tab = None
 
-    # internal: position -> member map plus sorted positions
+    # internal: sorted top and base leader positions, position -> member
+    # map, and the central rows (already reduced in a canonical sequence)
     def _table(self):
-        if self._inv_cache is None:
-            members = {_lead(self.ctx, m): m for m in self.igs}
-            self._inv_cache = (sorted(members), members)
-        return self._inv_cache
+        if self._tab is None:
+            members = {_lead(self.ctx, m): m for m in self.igs if m.t or m.a}
+            tail = _Tail(m.z for m in self.igs if not (m.t or m.a))
+            self._tab = (sorted(members), members, tail)
+        return self._tab
 
     def reduce(self, g: Element) -> Element:
         """Canonical coset representative of g modulo this subgroup."""
-        positions, members = self._table()
-        return _reduce(self.ctx, positions, members, g)
+        return _reduce(self.ctx, *self._table(), g)
 
     def contains(self, g: Element) -> bool:
         return self.reduce(g).is_identity()
@@ -149,26 +199,19 @@ class Subgroup:
         return sub
 
 
-def _reduce(ctx: GroupContext, positions: list[int], members: dict, g: Element) -> Element:
-    n = ctx.n
-    for idx, p in enumerate(positions):
+def _reduce(ctx: GroupContext, positions: list[int], members: dict, tail: _Tail,
+            g: Element) -> Element:
+    for p in positions:
         if p == 0:
             if g.t:
                 L = members[0]
                 v = _v2(L.t)  # leader normalised so that L.t == 1 << v
                 if _v2(g.t) >= v:
                     g = g * (L ** (-(g.t >> v)))
-        elif p <= n:
-            if (g.a >> (p - 1)) & 1:
-                L = members[p]
-                g = g * ctx.inv(L)
-        else:
-            # all remaining leaders are central-block members: pure xor
-            z = g.z
-            for q in positions[idx:]:
-                if (z >> (q - 1 - n)) & 1:
-                    z ^= members[q].z
-            return Element(ctx, g.t, g.a, z)
+        elif (g.a >> (p - 1)) & 1:
+            g = g * ctx.inv(members[p])
+    if g.z & tail.pivots:
+        g = Element(ctx, g.t, g.a, tail.reduce(g.z))
     return g
 
 
@@ -180,31 +223,25 @@ def _normalize_top(ctx: GroupContext, h: Element) -> Element:
     return h ** pow(u, -1, 1 << (ctx.k - v))
 
 
-def _push_obligations(ctx, members, positions, new, queue, conjugators):
-    new_zb = new.is_central_block()
-    # relative-order power of the new leader
-    if not new_zb:
-        v = _v2(new.t) if new.t else None
-        if v is not None:
-            queue.append(new ** (1 << (ctx.k - v)))
-        else:
-            queue.append(new * new)
-    # commutators with existing leaders (central block commutes with every
-    # trivial-top element, so those pairs are skipped)
-    for q in positions:
-        L = members[q]
-        if L is new:
-            continue
-        L_zb = L.is_central_block()
-        if new_zb and L_zb:
-            continue
-        if (new_zb and L.t == 0) or (L_zb and new.t == 0):
-            continue
-        queue.append(commutator(new, L))
-        queue.append(commutator(L, new))
+def _push_obligations(ctx, members, positions, tail, new, queue, conjugators):
+    """Queue what a new leader owes the closure: its relative-order power,
+    its commutators with the other leaders and its conjugates.  The central
+    block commutes with every element of trivial top exponent, so a central
+    leader pairs only with the top leader and conjugators with a nonzero top
+    exponent, and a base leader pairs only with the top and base leaders."""
+    if not (new.t or new.a):
+        others = [members[0]] if 0 in members else []
+        conjugators = [c for c in conjugators if c.t]
+    else:
+        queue.append(new ** (1 << (ctx.k - _v2(new.t))) if new.t else new * new)
+        others = [members[p] for p in positions]
+        if new.t:
+            others += [Element(ctx, 0, 0, r) for r in tail.rows.values()]
+    for L in others:
+        if L is not new:
+            queue.append(commutator(new, L))
+            queue.append(commutator(L, new))
     for c in conjugators:
-        if new_zb and c.t == 0:
-            continue
         queue.append(new.conj(c))
 
 
@@ -222,48 +259,42 @@ def close(gens, conjugators=()) -> Subgroup:
         if g.ctx.k != ctx.k:
             raise ValueError("generators live at different levels")
 
-    positions: list[int] = []
+    positions: list[int] = []  # top and base leader positions, increasing
     members: dict[int, Element] = {}
+    tail = _Tail()
     queue = deque(gens)
     while queue:
         g = queue.popleft()
-        h = _reduce(ctx, positions, members, g)
+        h = _reduce(ctx, positions, members, tail, g)
         if h.is_identity():
             continue
-        p = _lead(ctx, h)
-        if p == 0:
+        if not (h.t or h.a):
+            tail.insert(h.z)
+        elif h.t:
             h = _normalize_top(ctx, h)
             old = members.get(0)
+            members[0] = h
             if old is not None:
                 # irreducible top coordinate: smaller 2-adic value replaces
-                members[0] = h
                 queue.append(old)
             else:
                 positions.insert(0, 0)
-                members[0] = h
         else:
-            lo, hi = 0, len(positions)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if positions[mid] < p:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            positions.insert(lo, p)
+            p = _lead(ctx, h)
+            insort(positions, p)
             members[p] = h
-        _push_obligations(ctx, members, positions, h, queue, conjugators)
+        _push_obligations(ctx, members, positions, tail, h, queue, conjugators)
 
-    # canonical pass: clear every deeper leader position, deep to shallow
-    for i in range(len(positions) - 2, -1, -1):
+    # canonical pass: clear every deeper leader position, deep to shallow;
+    # the central rows are already reduced
+    for i in range(len(positions) - 1, -1, -1):
         p = positions[i]
-        deeper_pos = positions[i + 1:]
-        deeper = {q: members[q] for q in deeper_pos}
-        members[p] = _reduce(ctx, deeper_pos, deeper, members[p])
+        members[p] = _reduce(ctx, positions[i + 1:], members, tail, members[p])
 
-    log = 0
+    log = len(tail.rows)
     for p in positions:
         log += (ctx.k - _v2(members[p].t)) if p == 0 else 1
-    return Subgroup(ctx, tuple(members[p] for p in positions), log)
+    return Subgroup(ctx, tuple(members[p] for p in positions) + tail.elements(ctx), log)
 
 
 def trivial_subgroup(ctx: GroupContext) -> Subgroup:
@@ -393,16 +424,15 @@ def agemo_mod_derived(s: Subgroup, m: int) -> Subgroup:
 
 
 def _suffix_start_of(sub: Subgroup) -> int | None:
-    """Start position when sub is a full suffix-coordinate subgroup."""
+    """Start position when sub is a full suffix-coordinate subgroup: a
+    canonical sequence whose leads start at p0 >= 1 and number
+    total_positions - p0 takes every position from p0 on, so its members
+    are the unit vectors there."""
     ctx = sub.ctx
     if not sub.igs:
         return ctx.total_positions
-    positions = [_lead(ctx, m) for m in sub.igs]
-    p0 = positions[0]
-    if p0 == 0:
-        return None
-    want = list(range(p0, ctx.total_positions))
-    if positions == want and sub.log_order == len(want):
+    p0 = _lead(ctx, sub.igs[0])
+    if p0 and len(sub.igs) == ctx.total_positions - p0:
         return p0
     return None
 
@@ -411,19 +441,30 @@ def _is_central_subspace(sub: Subgroup) -> bool:
     return all(m.is_central_block() for m in sub.igs)
 
 
-def _central_restriction(sub: Subgroup) -> Subgroup:
-    """Exact intersection with the centre block via the echelon suffix."""
-    ctx = sub.ctx
-    start = 1 + ctx.n
-    kept = [m for m in sub.igs if _lead(ctx, m) >= start]
-    return close(kept) if kept else trivial_subgroup(ctx)
+def _suffix_part(sub: Subgroup, start: int) -> Subgroup:
+    """Exact intersection with the suffix subgroup from start >= 1, by the
+    suffix lemma (module docstring)."""
+    igs = sub.igs
+    cut = 0
+    while cut < len(igs) and _lead(sub.ctx, igs[cut]) < start:
+        cut += 1
+    return Subgroup(sub.ctx, igs[cut:], len(igs) - cut)
+
+
+def _central_span(ctx: GroupContext, masks) -> Subgroup:
+    """Canonical sequence of the centre-block subspace spanned by masks."""
+    tail = _Tail()
+    for m in masks:
+        m = tail.reduce(m)
+        if m:
+            tail.insert(m)
+    return Subgroup(ctx, tail.elements(ctx), len(tail.rows))
 
 
 def _central_intersect(a: Subgroup, b: Subgroup) -> Subgroup:
     """Intersection of two centre-block subspaces by GF(2) elimination:
     rows (u, u) for one side and (v, 0) for the other; once the left block
     is eliminated, the surviving right parts span the intersection."""
-    ctx = a.ctx
     basis: dict[int, tuple[int, int]] = {}
     inter = []
     rows = [(m.z, m.z) for m in a.igs] + [(m.z, 0) for m in b.igs]
@@ -439,17 +480,17 @@ def _central_intersect(a: Subgroup, b: Subgroup) -> Subgroup:
         else:
             if right:
                 inter.append(right)
-    gens = [ctx.central_from_mask(m) for m in inter]
-    return close(gens) if gens else trivial_subgroup(ctx)
+    return _central_span(a.ctx, inter)
 
 
 def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
     """Exact intersection.
 
     Always exact when one side is a full suffix-coordinate subgroup (the
-    centre block, the trivial-top part, the pair block, the trivial group),
-    the full group, or any subspace of the centre block (by GF(2) linear
-    algebra).  Otherwise falls back to element enumeration, which is
+    centre block, the trivial-top part, the pair block, the trivial group;
+    by the suffix lemma), the full group, or any subspace of the centre
+    block (by GF(2) linear algebra); none of these closes.  Otherwise falls
+    back to element enumeration, which is
     supported through level 2; deeper levels raise the unsupported-exact
     signal because no verified fact needs them.
     """
@@ -463,12 +504,12 @@ def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
     for s, t in ((a, b), (b, a)):
         start = _suffix_start_of(t)
         if start is not None:
-            kept = [m for m in s.igs if _lead(ctx, m) >= start]
-            return close(kept) if kept else trivial_subgroup(ctx)
+            return _suffix_part(s, start)
+    centre = 1 + ctx.n
     if _is_central_subspace(a):
-        return _central_intersect(a, _central_restriction(b))
+        return _central_intersect(a, _suffix_part(b, centre))
     if _is_central_subspace(b):
-        return _central_intersect(b, _central_restriction(a))
+        return _central_intersect(b, _suffix_part(a, centre))
     if ctx.k <= 2:
         small, big = (a, b) if a.log_order <= b.log_order else (b, a)
         found = [g for g in small.enumerate_elements() if big.contains(g)]

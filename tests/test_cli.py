@@ -126,6 +126,40 @@ def test_usage_errors():
     assert run_cli(["no-such-command"])[0] == 2
 
 
+def _assert_usage_error(result):
+    code, out, err = result
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_out_path_checked_before_work(tmp_path, monkeypatch):
+    import wrsp.cli as cli
+
+    def refuse(*_):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_claims", refuse)
+    monkeypatch.setattr(cli, "series", refuse)
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    for argv in (["verify", "--k", "1", "--all"],
+                 ["series", "--k", "1", "--kind", "m"],
+                 ["oracle"]):
+        _assert_usage_error(run_cli(argv + ["--out", str(missing)]))
+        _assert_usage_error(run_cli(argv + ["--out", str(tmp_path)]))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_ascii_seed_file_names_the_line(tmp_path, ctx2):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_bytes(ctx2.pair_gen(0, 1).text().encode("ascii") + b"\n"
+                      + "# caf\u00e9\n".encode("utf-8"))
+    result = run_cli(["density", "--k", "2", "--kind", "m",
+                      "--target", "seed", "--seed-file", str(seeds)])
+    _assert_usage_error(result)
+    assert "line 2" in result[2]
+
+
 def test_series_csv_rows():
     code, out, _ = run_cli(["series", "--k", "2", "--kind", "gamma", "--format", "csv"])
     assert code == 0

@@ -423,6 +423,30 @@ def test_identity_checks(k):
     assert rep["ok"]
 
 
+def _reference_power_shift(ctx):
+    """Identity (c) over the full range i, j <= 2n: no pair is skipped."""
+    x = ctx.x()
+    for ii in range(1, 2 * ctx.n + 1):
+        for jj in range(1, 2 * ctx.n + 1):
+            for t in range(0, ctx.k + 1):
+                e = 1 << t
+                lhs = commutator(ctx.zij(ii, jj), x ** e)
+                rhs = ctx.zij(ii + e, jj) * ctx.zij(ii, jj + e) * ctx.zij(ii + e, jj + e)
+                if lhs != rhs:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_power_shift_matches_full_range(k):
+    ctx = get_context(k)
+    assert commutator_identity_checks(ctx)["power_shift"] == _reference_power_shift(ctx)
+    # the pairs the report skips are trivial on both sides
+    for ii in range(1, 2 * ctx.n + 1):
+        for jj in range(ctx.n + 1, 2 * ctx.n + 1):
+            assert ctx.zij(ii, jj).is_identity() and ctx.zij(jj, ii).is_identity()
+
+
 def test_identity_checks_computed_once_per_level(ctx2):
     assert commutator_identity_checks(ctx2) is commutator_identity_checks(ctx2)
 

@@ -5,7 +5,10 @@ import random
 import pytest
 
 from wrsp.engine import commutator, get_context
+from wrsp.series import SeriesKind, series
 from wrsp.subgroup import (
+    _central_span,
+    _lead,
     Subgroup,
     UnsupportedExactIntersection,
     agemo_mod_derived,
@@ -176,6 +179,110 @@ def test_central_subspace_intersection(ctx3):
         assert u.contains_subgroup(got) and v.contains_subgroup(got)
         assert got.log_order == u.log_order + v.log_order - join(u, v).log_order
         assert intersect(u, z) == u
+
+
+# -- references for the closure-free routes: the former implementations ----
+
+def _reference_suffix_intersect(sub, start):
+    """The members of sub with lead >= start, closed again."""
+    ctx = sub.ctx
+    kept = [m for m in sub.igs if _lead(ctx, m) >= start]
+    return close(kept) if kept else trivial_subgroup(ctx)
+
+
+def _reference_reduce(sub, members, g):
+    """The position walk over members (lead -> member of sub): every leader
+    in increasing position, central leaders one coordinate test each."""
+    n = sub.ctx.n
+    for p in sorted(members):
+        L = members[p]
+        if p == 0:
+            if g.t and (g.t & -g.t) >= L.t:  # L.t is a power of two
+                g = g * (L ** (-(g.t // L.t)))
+        elif p <= n:
+            if (g.a >> (p - 1)) & 1:
+                g = g * L.inverse()
+        elif (g.z >> (p - 1 - n)) & 1:
+            g = g * L
+    return g
+
+
+def _all_terms(ctx):
+    return [sub for kind in SeriesKind for sub in series(ctx, kind).terms]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_intersect_matches_closure_route(k):
+    ctx = get_context(k)
+    n = ctx.n
+    rng = random.Random(40 + k)
+    flats = [(centre_block_subgroup(ctx), 1 + n), (base_and_centre_subgroup(ctx), 1),
+             (pair_block_subgroup(ctx), 1 + 2 * n)]
+    spans = [close([ctx.central_from_mask(rng.getrandbits(ctx.d)) for _ in range(3)],
+                   conjugators=(ctx.x(),)) for _ in range(2)]
+    for sub in _all_terms(ctx):
+        for flat, start in flats:
+            want = _reference_suffix_intersect(sub, start)
+            assert intersect(sub, flat) == want
+            assert intersect(flat, sub) == want
+            assert intersect(sub, flat).log_order == want.log_order
+        central = _reference_suffix_intersect(sub, 1 + n)
+        for u in spans:
+            got = intersect(u, sub)
+            assert got == intersect(sub, u)
+            assert got == close(list(got.igs) or [ctx.identity()])
+            assert u.contains_subgroup(got) and central.contains_subgroup(got)
+            assert got.log_order == (u.log_order + central.log_order
+                                     - join(u, central).log_order)
+
+
+def test_central_span_matches_closure(ctx3):
+    rng = random.Random(17)
+    d = ctx3.d
+    assert _central_span(ctx3, []) == trivial_subgroup(ctx3)
+    assert _central_span(ctx3, [0, 0]) == trivial_subgroup(ctx3)
+    for size in range(1, 40):
+        masks = [rng.getrandbits(d) for _ in range(size)]
+        # dependent members: sums of earlier masks, repeats and zero
+        masks += [masks[0] ^ masks[-1], masks[size // 2], 0]
+        if size % 3 == 0:
+            masks = [m & rng.getrandbits(d) for m in masks]  # sparse rows
+        rng.shuffle(masks)
+        got = _central_span(ctx3, masks)
+        want = close([ctx3.central_from_mask(m) for m in masks])
+        assert got == want and got.log_order == want.log_order
+        # reduced row-echelon: no row has a set bit at another row's pivot
+        rows = [m.z for m in got.igs]
+        pivots = [r & -r for r in rows]
+        assert pivots == sorted(set(pivots))
+        assert all(r & p == 0 for r in rows for p in pivots if p != r & -r)
+        assert len(rows) == _rank(masks)
+
+
+def _rank(masks):
+    """GF(2) rank by plain elimination on the highest set bit."""
+    basis = {}
+    for m in masks:
+        while m:
+            top = m.bit_length()
+            if top not in basis:
+                basis[top] = m
+                break
+            m ^= basis[top]
+    return len(basis)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_reduce_matches_position_walk(k):
+    # 2,000 seeded elements, element j through every 16th series term from
+    # term j mod 16: each term meets about 125 of them
+    ctx = get_context(k)
+    rng = random.Random(60 + k)
+    terms = [(sub, {_lead(ctx, m): m for m in sub.igs}) for sub in _all_terms(ctx)]
+    for j in range(2000):
+        g = ctx.random_element(rng)
+        for sub, members in terms[j % 16::16]:
+            assert sub.reduce(g) == _reference_reduce(sub, members, g)
 
 
 def test_unsupported_exact_intersection_signal(ctx3):
