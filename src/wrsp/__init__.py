@@ -6,16 +6,13 @@ exact logarithmic-density data."""
 from .engine import (
     Element,
     GroupContext,
-    NamedCommutator,
     WreathElement,
     commutator,
     get_context,
     parse_element,
     project_to_wreath,
-    resolve,
 )
 from .subgroup import (
-    LayerShape,
     Subgroup,
     UnsupportedExactIntersection,
     agemo_mod_derived,

@@ -12,7 +12,7 @@ import os
 import sys
 
 from .claims import run_claims, select_claims
-from .engine import get_context, parse_element
+from .engine import DEFAULT_MAX_LEVEL, get_context, parse_element
 from .oracle import build_oracle, compare_multiplication_tables
 from .presentation import export_presentation, verify_presentation
 from .series import SeriesKind, series
@@ -168,11 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "2-group tower")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_k(p, maxk=4):
+    def add_k(p):
         p.add_argument("--k", type=int, required=True, metavar="K",
-                       help=f"level, 1..{maxk}")
+                       help=f"level, 1..{DEFAULT_MAX_LEVEL}")
         p.add_argument("--deep", action="store_true",
-                       help="allow level 4 (slower)")
+                       help=f"allow level {DEFAULT_MAX_LEVEL} (slower)")
 
     p = sub.add_parser("verify", help="run structure claims")
     add_k(p)
@@ -225,9 +225,9 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else USAGE_ERROR
     k = getattr(args, "k", None)
     if k is not None:
-        cap = 4 if getattr(args, "deep", False) else 3
+        cap = DEFAULT_MAX_LEVEL if args.deep else DEFAULT_MAX_LEVEL - 1
         if not 1 <= k <= cap:
-            hint = "" if cap == 4 else " (use --deep for level 4)"
+            hint = "" if args.deep else f" (use --deep for level {DEFAULT_MAX_LEVEL})"
             print(f"error: --k must be in 1..{cap}{hint}", file=sys.stderr)
             return USAGE_ERROR
     why = _out_error(args.out) if args.out else None

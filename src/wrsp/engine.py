@@ -29,7 +29,6 @@ exponent, bit j of z the j-th central coordinate).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 DEFAULT_MAX_LEVEL = 4
@@ -145,6 +144,10 @@ class GroupContext:
         lo = (a & ((1 << cut) - 1)) << t
         hi = a >> cut
         return lo | hi, _apply_chunks(self._ztabs[t], z) ^ self.corr(lo, hi)
+
+    def shift_central(self, z: int, t: int) -> int:
+        """The central row z shifted by x^t: every index moves by t mod n."""
+        return _apply_chunks(self._ztabs[t & self.tmask], z)
 
     def corr(self, a_left: int, a_right: int) -> int:
         """Central deposit from sorting the concatenation of two base rows:
@@ -398,43 +401,6 @@ def parse_element(ctx: GroupContext, text: str) -> Element:
 def commutator(g: Element, h: Element) -> Element:
     """Left-normed commutator g^-1 h^-1 g h."""
     return g.inverse() * h.inverse() * g * h
-
-
-# -- named commutator specs -------------------------------------------------
-
-@dataclass(frozen=True)
-class NamedCommutator:
-    """Symbolic description of a chain commutator, resolvable in any context."""
-
-    kind: str  # "c", "cij" or "zij"
-    i: int
-    j: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("c", "cij", "zij"):
-            raise ValueError(f"unknown commutator kind {self.kind!r}")
-        if self.i < 1 or (self.kind != "c" and self.j < 1):
-            raise ValueError("chain indices must be >= 1")
-
-    @classmethod
-    def c(cls, i: int) -> "NamedCommutator":
-        return cls("c", i)
-
-    @classmethod
-    def cij(cls, i: int, j: int) -> "NamedCommutator":
-        return cls("cij", i, j)
-
-    @classmethod
-    def zij(cls, i: int, j: int) -> "NamedCommutator":
-        return cls("zij", i, j)
-
-
-def resolve(spec: NamedCommutator, ctx: GroupContext) -> Element:
-    if spec.kind == "c":
-        return ctx.c(spec.i)
-    if spec.kind == "cij":
-        return ctx.cij(spec.i, spec.j)
-    return ctx.zij(spec.i, spec.j)
 
 
 # -- wreath quotient --------------------------------------------------------

@@ -38,18 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .engine import Element, GroupContext, _apply_chunks, commutator, get_context
+from .engine import Element, GroupContext, commutator, get_context
 from .subgroup import (
-    LayerShape,
     Subgroup,
-    centre_block_subgroup,
     close,
     commutator_subgroup,
     commutator_with_group,
     full_group,
     group_commutators,
-    intersect,
-    join,
     layer_shape,
     normal_closure,
     trivial_subgroup,
@@ -104,26 +100,24 @@ class SeriesTable:
     def indexed_terms(self) -> list[tuple[int, Subgroup]]:
         return [(self.first_index + off, sub) for off, sub in enumerate(self.terms)]
 
-    def layer(self, i: int) -> LayerShape:
+    def layer(self, i: int) -> tuple[int, ...]:
         return layer_shape(self.term(i), self.term(i + 1))
 
-    def to_rows(self, with_igs: bool = True) -> list[dict]:
+    def to_rows(self) -> list[dict]:
         rows = []
         for i, sub in self.indexed_terms():
             try:
-                shape = list(self.layer(i).invariants)
+                shape = list(self.layer(i))
             except ValueError:
                 shape = None  # non-abelian layer
-            row = {
+            rows.append({
                 "kind": self.kind.value,
                 "k": self.k,
                 "i": i,
                 "log_order": sub.log_order,
                 "layer_shape": shape,
-            }
-            if with_igs:
-                row["igs"] = [m.text() for m in sub.igs]
-            rows.append(row)
+                "igs": [m.text() for m in sub.igs],
+            })
         return rows
 
 
@@ -155,11 +149,6 @@ def _squares(sub: Subgroup, m: int = 1) -> list[Element]:
     return [g ** (1 << m) for g in sub.igs]
 
 
-def _closure_or_trivial(ctx: GroupContext, gens: list[Element]) -> Subgroup:
-    gens = [g for g in gens if not g.is_identity()]
-    return normal_closure(gens) if gens else trivial_subgroup(ctx)
-
-
 def _gamma_terms(ctx: GroupContext) -> list[Subgroup]:
     terms = [full_group(ctx)]
     while not terms[-1].is_trivial():
@@ -174,7 +163,7 @@ def _lower_p_terms(ctx: GroupContext) -> list[Subgroup]:
     terms = [full_group(ctx)]
     while not terms[-1].is_trivial():
         prev = terms[-1]
-        terms.append(_closure_or_trivial(ctx, group_commutators(prev) + _squares(prev)))
+        terms.append(normal_closure(group_commutators(prev) + _squares(prev)))
     return terms
 
 
@@ -183,7 +172,7 @@ def _frattini_terms(ctx: GroupContext) -> list[Subgroup]:
     while not terms[-1].is_trivial():
         prev = terms[-1]
         der = commutator_subgroup(prev, prev)
-        terms.append(_closure_or_trivial(ctx, list(der.igs) + _squares(prev)))
+        terms.append(normal_closure(list(der.igs) + _squares(prev)))
     return terms
 
 
@@ -199,7 +188,7 @@ def _dimension_terms(ctx: GroupContext) -> list[Subgroup]:
         if m not in derived:
             derived[m] = commutator_subgroup(dm, dm)
         gens = group_commutators(terms[-1]) + _squares(dm) + list(derived[m].igs)
-        terms.append(_closure_or_trivial(ctx, gens))
+        terms.append(normal_closure(gens))
     return terms
 
 
@@ -242,12 +231,12 @@ def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
             for b in range(ctx.d):
                 v = 1 << b
                 for j in range(i):
-                    v ^= _apply_chunks(ctx._ztabs[(t << j) & ctx.tmask], v)
+                    v ^= ctx.shift_central(v, t << j)
                 gens.append(ctx.central_from_mask(v))
         if e == 2:
             gens += [ctx.element(0, (1 << u) | (1 << w), 0) ** 2
                      for u in range(ctx.n) for w in range(u, ctx.n)]
-        return _closure_or_trivial(ctx, gens)
+        return normal_closure(gens)
 
     return ctx.cached(("power", i), build)
 
@@ -310,7 +299,7 @@ def projection_kernel(ctx: GroupContext, i: int) -> Subgroup:
                     continue
                 img = ctx.pair_gen(uu, vv) if uu != vv else ctx.identity()
                 gens.append(ctx.pair_gen(u, v) * img)
-        ker = normal_closure([g for g in gens if not g.is_identity()])
+        ker = normal_closure(gens)
         expected = ctx.log_order - get_context(i).log_order
         if ker.log_order != expected:
             raise RuntimeError(
@@ -376,8 +365,7 @@ def lcs_generator_check(ctx: GroupContext) -> dict:
         cur = table.term(i)
         nxt = table.term(i + 1)
         gens = stated_gamma_generators(ctx, i)
-        regen = close([g for g in gens if not g.is_identity()] + list(nxt.igs)) \
-            if (gens or nxt.igs) else trivial_subgroup(ctx)
+        regen = close(gens + list(nxt.igs)) if (gens or nxt.igs) else trivial_subgroup(ctx)
         gens_ok = regen == cur
         shape = layer_shape(cur, nxt)
         want = expected_gamma_layer(ctx.k, i)
@@ -387,7 +375,7 @@ def lcs_generator_check(ctx: GroupContext) -> dict:
         per_index.append({
             "i": i,
             "generators_match": gens_ok,
-            "shape": list(shape.invariants),
+            "shape": list(shape),
             "shape_expected": list(want),
             "shape_match": shape_ok,
             "layer_log": cur.log_order - nxt.log_order,
@@ -425,18 +413,13 @@ def gamma_n_subgroups(ctx: GroupContext, n: int) -> GammaScaffold:
 
     def build():
         top = 2 * ctx.n  # chains beyond the class bound are trivial
-        q_gens = [ctx.c(i) ** 2 for i in range(1 << (n - 1), top + 1)]
-        q_gens = [g for g in q_gens if not g.is_identity()]
-        q_prev = close(q_gens) if q_gens else trivial_subgroup(ctx)
+        q_prev = close([ctx.c(i) ** 2 for i in range(1 << (n - 1), top + 1)])
         gamma_2n = series(ctx, SeriesKind.GAMMA).term(1 << n)
-        g_gens = [ctx.x() ** (1 << n)] + list(q_prev.igs) + list(gamma_2n.igs)
-        g_gens = [g for g in g_gens if not g.is_identity()]
-        gamma_n = close(g_gens) if g_gens else trivial_subgroup(ctx)
+        gamma_n = close([ctx.x() ** (1 << n)] + list(q_prev.igs) + list(gamma_2n.igs))
         t_gens = [ctx.x() ** (1 << n)]
         t_gens += [ctx.c(i) ** 2 for i in range(1 << (n - 1), top + 1)]
         t_gens += [ctx.c(j) for j in range(1 << n, top + 1)]
-        t_gens = [g for g in t_gens if not g.is_identity()]
-        t_n = close(t_gens) if t_gens else trivial_subgroup(ctx)
+        t_n = close(t_gens)
         return GammaScaffold(n, gamma_n, q_prev, t_n)
 
     return ctx.cached(("scaffold", n), build)
@@ -459,9 +442,9 @@ class SandwichReport:
         return self.lower_in_upper and self.gamma_in_lower and self.exact_in_sandwich
 
 
-def power_series(ctx: GroupContext, i: int):
-    """Exact power subgroup through level 2; from level 3 on, the exact term
-    checked against a certified sandwich.
+def power_series(ctx: GroupContext, i: int) -> SandwichReport:
+    """The exact power subgroup P_i checked against a certified sandwich,
+    at every level.
 
     The sandwich lower bound is the normal closure of 2**i-th powers of a
     structured family of elements (so it sits inside the power subgroup),
@@ -470,8 +453,6 @@ def power_series(ctx: GroupContext, i: int):
     """
     if i < 1:
         raise ValueError("power index must be >= 1")
-    if ctx.k <= 2:
-        return exact_power_subgroup(ctx, i)
     if i > ctx.k + 1:
         raise ValueError("sandwich level out of range")
 
@@ -485,7 +466,7 @@ def power_series(ctx: GroupContext, i: int):
             xs = ctx.x() ** s
             for h in base_gens:
                 fam.append(xs * h)
-        lower = _closure_or_trivial(ctx, [g ** e for g in fam])
+        lower = normal_closure([g ** e for g in fam])
         exact = exact_power_subgroup(ctx, i)
         upper = gamma_n_subgroups(ctx, i).gamma_n
         return SandwichReport(
@@ -639,14 +620,8 @@ def _weight_filtered_closure(ctx: GroupContext, weight: int, include_cij: bool) 
                 if u + v < weight:
                     continue
                 if include_cij and u >= 2:
-                    g = ctx.cij(u, v)
-                    if not g.is_identity():
-                        gens.append(g)
-                zz = ctx.zij(u, v)
-                if not zz.is_identity():
-                    gens.append(zz)
-        if not gens:
-            return trivial_subgroup(ctx)
+                    gens.append(ctx.cij(u, v))
+                gens.append(ctx.zij(u, v))
         return normal_closure(gens)
 
     return ctx.cached(("weight_closure", weight, include_cij), build)

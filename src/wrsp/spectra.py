@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .engine import Element, GroupContext
 from .series import SeriesKind, SeriesTable
-from .subgroup import Subgroup, centre_block_subgroup, close, intersect, trivial_subgroup
+from .subgroup import Subgroup, close, intersect, trivial_subgroup
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def invariant_subspace(ctx: GroupContext, seeds, label: str = "seed") -> Invaria
     return InvariantSubspace(label, seeds, span)
 
 
-def spectrum_sweep(table: SeriesTable, targets, ctx: GroupContext) -> list[DensitySequence]:
+def spectrum_sweep(table: SeriesTable, targets) -> list[DensitySequence]:
     """Density sequences for a family of invariant subspaces, least dense
     first; growing targets give weakly increasing top-level ratios."""
     seqs = [density_sequence(t.span, table, target_label=t.label) for t in targets]

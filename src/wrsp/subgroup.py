@@ -39,7 +39,7 @@ from .engine import Element, GroupContext, commutator, parse_element
 
 
 class UnsupportedExactIntersection(RuntimeError):
-    """Raised when an exact generic intersection is out of supported range."""
+    """Raised for an intersection with no exact structural route."""
 
 
 def _v2(t: int) -> int:
@@ -193,7 +193,7 @@ class Subgroup:
         if level != ctx.k:
             raise ValueError(f"serialised level {level} does not match context level {ctx.k}")
         gens = [parse_element(ctx, ln) for ln in lines[1:]]
-        sub = close(gens) if gens else close([ctx.identity()])
+        sub = close(gens) if gens else trivial_subgroup(ctx)
         if sub.log_order != declared or list(m.text() for m in sub.igs) != lines[1:]:
             raise ValueError("serialised sequence is not a canonical closed sequence")
         return sub
@@ -298,7 +298,7 @@ def close(gens, conjugators=()) -> Subgroup:
 
 
 def trivial_subgroup(ctx: GroupContext) -> Subgroup:
-    return close([ctx.identity()])
+    return Subgroup(ctx, (), 0)
 
 
 def full_group(ctx: GroupContext) -> Subgroup:
@@ -312,6 +312,8 @@ def full_group(ctx: GroupContext) -> Subgroup:
 
 
 def _suffix_subgroup(ctx: GroupContext, start: int, cache_key: str) -> Subgroup:
+    """The unit vectors from start >= 1 on; they are already a canonical
+    sequence, each of relative order 2."""
     def build():
         gens = []
         for p in range(start, ctx.total_positions):
@@ -319,7 +321,7 @@ def _suffix_subgroup(ctx: GroupContext, start: int, cache_key: str) -> Subgroup:
                 gens.append(ctx.base_gen(p - 1))
             else:
                 gens.append(ctx.central_from_mask(1 << (p - 1 - ctx.n)))
-        return close(gens)
+        return Subgroup(ctx, tuple(gens), len(gens))
 
     return ctx.cached(cache_key, build)
 
@@ -363,13 +365,10 @@ def join(a: Subgroup, b: Subgroup) -> Subgroup:
     return close(gens)
 
 
-def commutator_subgroup(a: Subgroup, b: Subgroup, debug: bool = False) -> Subgroup:
+def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     """[a, b] for normal a, b: the normal closure of generator commutators."""
     if a.ctx.k != b.ctx.k:
         raise ValueError("subgroups live at different levels")
-    ctx = a.ctx
-    if debug and (not a.is_normal() or not b.is_normal()):
-        raise ValueError("commutator_subgroup needs normal inputs")
     seeds = []
     for u in a.igs:
         u_zb = u.is_central_block()
@@ -382,9 +381,7 @@ def commutator_subgroup(a: Subgroup, b: Subgroup, debug: bool = False) -> Subgro
             c = commutator(u, v)
             if not c.is_identity():
                 seeds.append(c)
-    if not seeds:
-        return trivial_subgroup(ctx)
-    return normal_closure(seeds)
+    return normal_closure(seeds) if seeds else trivial_subgroup(a.ctx)
 
 
 def group_commutators(a: Subgroup) -> list[Element]:
@@ -417,10 +414,7 @@ def agemo_mod_derived(s: Subgroup, m: int) -> Subgroup:
         raise ValueError("power exponent must be >= 1")
     der = commutator_subgroup(s, s)
     gens = list(der.igs) + [g ** (1 << m) for g in s.igs]
-    gens = [g for g in gens if not g.is_identity()]
-    if not gens:
-        return trivial_subgroup(s.ctx)
-    return close(gens)
+    return close(gens) if gens else trivial_subgroup(s.ctx)
 
 
 def _suffix_start_of(sub: Subgroup) -> int | None:
@@ -484,15 +478,12 @@ def _central_intersect(a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
-    """Exact intersection.
-
-    Always exact when one side is a full suffix-coordinate subgroup (the
-    centre block, the trivial-top part, the pair block, the trivial group;
-    by the suffix lemma), the full group, or any subspace of the centre
-    block (by GF(2) linear algebra); none of these closes.  Otherwise falls
-    back to element enumeration, which is
-    supported through level 2; deeper levels raise the unsupported-exact
-    signal because no verified fact needs them.
+    """Exact intersection when one side is a full suffix-coordinate
+    subgroup (the centre block, the trivial-top part, the pair block, the
+    trivial group; by the suffix lemma), the full group, or any subspace of
+    the centre block (by GF(2) linear algebra); none of these closes.  Any
+    other pair raises UnsupportedExactIntersection at every level, because
+    no verified fact needs it.
     """
     if a.ctx.k != b.ctx.k:
         raise ValueError("subgroups live at different levels")
@@ -510,48 +501,15 @@ def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
         return _central_intersect(a, _suffix_part(b, centre))
     if _is_central_subspace(b):
         return _central_intersect(b, _suffix_part(a, centre))
-    if ctx.k <= 2:
-        small, big = (a, b) if a.log_order <= b.log_order else (b, a)
-        found = [g for g in small.enumerate_elements() if big.contains(g)]
-        return close(found) if found else trivial_subgroup(ctx)
     raise UnsupportedExactIntersection(
-        "unsupported-exact: generic intersection beyond level 2 needs a "
+        "unsupported-exact: generic intersection needs a "
         "suffix-coordinate or centre-block side"
     )
 
 
-class LayerShape:
-    """Abelian invariants of a layer, largest factor first."""
-
-    __slots__ = ("invariants",)
-
-    def __init__(self, invariants: tuple[int, ...]):
-        self.invariants = tuple(sorted(invariants, reverse=True))
-
-    def log_order(self) -> int:
-        out = 0
-        for inv in self.invariants:
-            out += inv.bit_length() - 1
-        return out
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LayerShape):
-            return self.invariants == other.invariants
-        if isinstance(other, tuple):
-            return self.invariants == tuple(sorted(other, reverse=True))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.invariants)
-
-    def __repr__(self) -> str:
-        if not self.invariants:
-            return "1"
-        return " x ".join(f"C{q}" for q in self.invariants)
-
-
-def layer_shape(s: Subgroup, t: Subgroup) -> LayerShape:
-    """Abelian invariants of A = s/t for t normal in s with abelian quotient.
+def layer_shape(s: Subgroup, t: Subgroup) -> tuple[int, ...]:
+    """Abelian invariants of A = s/t for t normal in s with abelian quotient,
+    largest first.
 
     Read off the ranks of the power subgroups: A^(2^m) has preimage
     s^(2^m) t, the closure of t and the 2^m-th powers of the members of s
@@ -578,7 +536,7 @@ def layer_shape(s: Subgroup, t: Subgroup) -> LayerShape:
         logs.append(close(list(t.igs) + [g ** e for g in s.igs]).log_order)
     # ranks[m]: invariants above 2^m; those equal to 2^(m+1) are the drop
     ranks = [hi - lo for hi, lo in zip(logs, logs[1:])] + [0]
-    invariants = []
-    for m in range(len(ranks) - 1):
-        invariants += [2 << m] * (ranks[m] - ranks[m + 1])
-    return LayerShape(tuple(invariants))
+    invariants = ()
+    for m in range(len(ranks) - 2, -1, -1):
+        invariants += (2 << m,) * (ranks[m] - ranks[m + 1])
+    return invariants

@@ -6,13 +6,11 @@ import pytest
 
 from wrsp.claims import run_claims
 from wrsp.engine import (
-    NamedCommutator,
     _apply_chunks,
     commutator,
     get_context,
     parse_element,
     project_to_wreath,
-    resolve,
 )
 
 
@@ -134,16 +132,6 @@ def test_named_chain_membership_facts(k):
         if i >= n + 1:
             assert ci.a == 0
             assert (ci ** 2).is_identity()
-
-
-def test_named_commutator_specs(ctx2):
-    assert resolve(NamedCommutator.c(1), ctx2) == ctx2.y()
-    assert resolve(NamedCommutator.cij(2, 1), ctx2) == ctx2.cij(2, 1)
-    assert resolve(NamedCommutator.zij(2, 3), ctx2) == ctx2.zij(2, 3)
-    with pytest.raises(ValueError):
-        NamedCommutator.c(0)
-    with pytest.raises(ValueError):
-        NamedCommutator.zij(1, 0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -144,7 +144,7 @@ def test_spectrum_sweep_nested_chain(ctx3):
         chain.append(invariant_subspace(ctx3, list(acc), f"chain{i}"))
     logs = [c.span.log_order for c in chain]
     assert logs == sorted(logs) and logs[-1] == centre_block_subgroup(ctx3).log_order
-    seqs = spectrum_sweep(series(ctx3, SeriesKind.M), chain, ctx3)
+    seqs = spectrum_sweep(series(ctx3, SeriesKind.M), chain)
     tops = [s.top_ratio for s in seqs]
     assert tops == sorted(tops)
     assert tops[0] > 0 and tops[-1] == Fraction(36, 47)
