@@ -37,10 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 
 from .engine import Element, GroupContext, commutator, get_context
 from .subgroup import (
     Subgroup,
+    agemo_mod_derived,
     close,
     commutator_subgroup,
     commutator_with_group,
@@ -59,17 +61,6 @@ class SeriesKind(str, Enum):
     DIMENSION = "dimension"
     POWER = "power"
     M = "m"
-
-
-# first natural index of each kind (the term equal to the whole group)
-FIRST_INDEX = {
-    SeriesKind.GAMMA: 1,
-    SeriesKind.LOWER_P: 1,
-    SeriesKind.FRATTINI: 0,
-    SeriesKind.DIMENSION: 1,
-    SeriesKind.POWER: 0,
-    SeriesKind.M: 0,
-}
 
 
 @dataclass(frozen=True)
@@ -127,78 +118,56 @@ def series(ctx: GroupContext, kind: SeriesKind) -> SeriesTable:
 
 
 def _build_series(ctx: GroupContext, kind: SeriesKind) -> SeriesTable:
-    if kind is SeriesKind.GAMMA:
-        terms = _gamma_terms(ctx)
-    elif kind is SeriesKind.LOWER_P:
-        terms = _lower_p_terms(ctx)
-    elif kind is SeriesKind.FRATTINI:
-        terms = _frattini_terms(ctx)
-    elif kind is SeriesKind.DIMENSION:
-        terms = _dimension_terms(ctx)
-    elif kind is SeriesKind.POWER:
-        terms = _power_terms(ctx)
-    else:
-        terms = _m_terms(ctx)
-    for prev, nxt in zip(terms, terms[1:]):
-        if not prev.contains_subgroup(nxt):
-            raise RuntimeError(f"{kind.value} series is not descending")
-    return SeriesTable(kind, ctx.k, FIRST_INDEX[kind], tuple(terms))
-
-
-def _squares(sub: Subgroup, m: int = 1) -> list[Element]:
-    return [g ** (1 << m) for g in sub.igs]
-
-
-def _gamma_terms(ctx: GroupContext) -> list[Subgroup]:
+    first, step = _STEPS[kind]
     terms = [full_group(ctx)]
     while not terms[-1].is_trivial():
-        terms.append(commutator_with_group(terms[-1]))
-    return terms
+        nxt = step(ctx, terms)
+        if not terms[-1].contains_subgroup(nxt):
+            raise RuntimeError(f"{kind.value} series is not descending")
+        terms.append(nxt)
+    return SeriesTable(kind, ctx.k, first, tuple(terms))
 
 
-def _lower_p_terms(ctx: GroupContext) -> list[Subgroup]:
+def _squares(sub: Subgroup) -> list[Element]:
+    return [g ** 2 for g in sub.igs]
+
+
+def _lower_p_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
     # P_i = P_{i-1}^2 [P_{i-1}, G] in one normal closure: [P_{i-1}, G] is the
     # normal closure of [u, x], [u, y] over the igs, and the square part
     # closes on generator squares because [P, P] <= [P, G]
-    terms = [full_group(ctx)]
-    while not terms[-1].is_trivial():
-        prev = terms[-1]
-        terms.append(normal_closure(group_commutators(prev) + _squares(prev)))
-    return terms
+    prev = terms[-1]
+    return normal_closure(group_commutators(prev) + _squares(prev))
 
 
-def _frattini_terms(ctx: GroupContext) -> list[Subgroup]:
-    terms = [full_group(ctx)]
-    while not terms[-1].is_trivial():
-        prev = terms[-1]
-        der = commutator_subgroup(prev, prev)
-        terms.append(normal_closure(list(der.igs) + _squares(prev)))
-    return terms
+def _frattini_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
+    # Phi(P) = P^2 [P, P] is characteristic in P, and P is normal in G, so
+    # Phi(P) is normal in G and a plain closure of [P, P] and the generator
+    # squares is already the normal subgroup
+    return agemo_mod_derived(terms[-1], 1)
 
 
-def _dimension_terms(ctx: GroupContext) -> list[Subgroup]:
+def _dimension_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
     # D_i = [D_{i-1}, G] D_m^2 with m = ceil(i/2), in one normal closure;
     # D_m^2 = <u^2 : u in igs(D_m)> [D_m, D_m] (module docstring)
-    terms = [full_group(ctx)]  # index 1
-    derived: dict[int, Subgroup] = {}
-    while not terms[-1].is_trivial():
-        i = len(terms) + 1
-        m = (i + 1) // 2
-        dm = terms[m - 1]
-        if m not in derived:
-            derived[m] = commutator_subgroup(dm, dm)
-        gens = group_commutators(terms[-1]) + _squares(dm) + list(derived[m].igs)
-        terms.append(normal_closure(gens))
-    return terms
+    i = len(terms) + 1  # terms[0] is D_1
+    m = (i + 1) // 2
+    dm = terms[m - 1]
+    der = ctx.cached(("dimension_derived", m), lambda: commutator_subgroup(dm, dm))
+    return normal_closure(group_commutators(terms[-1]) + _squares(dm) + list(der.igs))
 
 
-def _power_terms(ctx: GroupContext) -> list[Subgroup]:
-    terms = [full_group(ctx)]
-    i = 1
-    while not terms[-1].is_trivial():
-        terms.append(exact_power_subgroup(ctx, i))
-        i += 1
-    return terms
+# kind -> (natural index of the whole group, step from the terms built so
+# far to the next term)
+_STEPS = {
+    SeriesKind.GAMMA: (1, lambda ctx, terms: commutator_with_group(terms[-1])),
+    SeriesKind.LOWER_P: (1, _lower_p_step),
+    SeriesKind.FRATTINI: (0, _frattini_step),
+    SeriesKind.DIMENSION: (1, _dimension_step),
+    SeriesKind.POWER: (0, lambda ctx, terms: exact_power_subgroup(ctx, len(terms))),
+    SeriesKind.M: (0, lambda ctx, terms: (projection_kernel(ctx, len(terms))
+                                         if len(terms) < ctx.k else trivial_subgroup(ctx))),
+}
 
 
 def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
@@ -239,14 +208,6 @@ def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
         return normal_closure(gens)
 
     return ctx.cached(("power", i), build)
-
-
-def _m_terms(ctx: GroupContext) -> list[Subgroup]:
-    terms = [full_group(ctx)]
-    for i in range(1, ctx.k):
-        terms.append(projection_kernel(ctx, i))
-    terms.append(trivial_subgroup(ctx))
-    return terms
 
 
 def projection_map(ctx: GroupContext, i: int):
@@ -425,62 +386,34 @@ def gamma_n_subgroups(ctx: GroupContext, n: int) -> GammaScaffold:
     return ctx.cached(("scaffold", n), build)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SandwichReport:
-    """Certified inclusions lower <= exact <= upper for a power term."""
+    """The inclusions lower <= exact <= upper for a power term."""
 
     level: int          # the power index i, exact = the 2**i-th power subgroup
-    lower: Subgroup
+    lower: Subgroup     # the lower central term with index 2**(i+1)
     exact: Subgroup
-    upper: Subgroup
-    lower_in_upper: bool
-    gamma_in_lower: bool
-    exact_in_sandwich: bool
+    upper: Subgroup     # the scaffold subgroup gamma_i
 
     @property
     def verified(self) -> bool:
-        return self.lower_in_upper and self.gamma_in_lower and self.exact_in_sandwich
+        return (self.exact.contains_subgroup(self.lower)
+                and self.upper.contains_subgroup(self.exact))
 
 
 def power_series(ctx: GroupContext, i: int) -> SandwichReport:
-    """The exact power subgroup P_i checked against a certified sandwich,
-    at every level.
-
-    The sandwich lower bound is the normal closure of 2**i-th powers of a
-    structured family of elements (so it sits inside the power subgroup),
-    checked to contain the lower central term with index 2**(i+1); the upper
-    bound is the scaffold subgroup gamma_i.
-    """
+    """The exact power subgroup P_i between the lower central term with
+    index 2**(i+1) and the scaffold subgroup gamma_i, at every level."""
     if i < 1:
         raise ValueError("power index must be >= 1")
     if i > ctx.k + 1:
         raise ValueError("sandwich level out of range")
-
-    def build():
-        e = 1 << i
-        gamma_tbl = series(ctx, SeriesKind.GAMMA)
-        gamma_deep = gamma_tbl.term(min(1 << (i + 1), 2 * ctx.n + 1))
-        base_gens = [ctx.base_gen(j) for j in range(ctx.n)]
-        fam = list(full_group(ctx).igs)
-        for s in range(ctx.tmod):
-            xs = ctx.x() ** s
-            for h in base_gens:
-                fam.append(xs * h)
-        lower = normal_closure([g ** e for g in fam])
-        exact = exact_power_subgroup(ctx, i)
-        upper = gamma_n_subgroups(ctx, i).gamma_n
-        return SandwichReport(
-            level=i,
-            lower=lower,
-            exact=exact,
-            upper=upper,
-            lower_in_upper=upper.contains_subgroup(lower),
-            gamma_in_lower=lower.contains_subgroup(gamma_deep),
-            exact_in_sandwich=(exact.contains_subgroup(lower)
-                               and upper.contains_subgroup(exact)),
-        )
-
-    return ctx.cached(("power_sandwich", i), build)
+    return SandwichReport(
+        level=i,
+        lower=series(ctx, SeriesKind.GAMMA).term(1 << (i + 1)),
+        exact=exact_power_subgroup(ctx, i),
+        upper=gamma_n_subgroups(ctx, i).gamma_n,
+    )
 
 
 # -- exact instances of the commutator expansion identities -----------------
@@ -490,17 +423,6 @@ def _binom_parity(n: int, r: int) -> int:
     if r < 0 or r > n:
         return 0
     return 1 if (r & n) == r else 0
-
-
-def _binom(n: int, r: int) -> int:
-    if r < 0 or r > n:
-        return 0
-    num = 1
-    den = 1
-    for t in range(1, r + 1):
-        num *= n - r + t
-        den *= t
-    return num // den
 
 
 def double_product_rhs(ctx: GroupContext, i: int, j: int, m: int) -> Element:
@@ -580,7 +502,7 @@ def _identity_checks(ctx: GroupContext) -> dict:
         lhs1 = (x * y) ** e
         rhs1 = (x ** e) * (y ** e)
         for l in range(2, e + 1):
-            rhs1 = rhs1 * (ctx.c(l) ** _binom(e, l))
+            rhs1 = rhs1 * (ctx.c(l) ** comb(e, l))
         disc1 = rhs1.inverse() * lhs1
         k1 = _weight_filtered_closure(ctx, e, include_cij=True)
         ok1 = k1.contains(disc1)
@@ -590,7 +512,7 @@ def _identity_checks(ctx: GroupContext) -> dict:
         rhs2 = ctx.identity()
         term = d_chain
         for l in range(1, e + 1):
-            rhs2 = rhs2 * (term ** _binom(e, l))
+            rhs2 = rhs2 * (term ** comb(e, l))
             term = commutator(term, x)
         disc2 = rhs2.inverse() * lhs2
         k2 = _weight_filtered_closure(ctx, e + 2, include_cij=False)

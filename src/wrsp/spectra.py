@@ -132,14 +132,7 @@ def invariant_subspace(ctx: GroupContext, seeds, label: str = "seed") -> Invaria
             raise ValueError("seed lives at a different level")
         if not s.is_central_block():
             raise ValueError("seeds must lie in the centre block")
-    x = ctx.x()
-    orbit = []
-    for s in seeds:
-        cur = s
-        for _ in range(ctx.tmod):
-            orbit.append(cur)
-            cur = cur.conj(x)
-    span = close(orbit) if orbit else trivial_subgroup(ctx)
+    span = close(seeds, conjugators=(ctx.x(),)) if seeds else trivial_subgroup(ctx)
     if not span.is_normal():
         raise RuntimeError("shift-closed central subspace must be normal")
     return InvariantSubspace(label, seeds, span)

@@ -239,8 +239,8 @@ def _push_obligations(ctx, members, positions, tail, new, queue, conjugators):
             others += [Element(ctx, 0, 0, r) for r in tail.rows.values()]
     for L in others:
         if L is not new:
+            # [L, new] is the inverse of [new, L], so one of them suffices
             queue.append(commutator(new, L))
-            queue.append(commutator(L, new))
     for c in conjugators:
         queue.append(new.conj(c))
 
@@ -365,18 +365,20 @@ def join(a: Subgroup, b: Subgroup) -> Subgroup:
     return close(gens)
 
 
+def _commute_by_form(u: Element, v: Element) -> bool:
+    """True when the normal form alone shows that u and v commute: both
+    have trivial top part and one of them lies in the centre block."""
+    return u.t == 0 and v.t == 0 and (u.a == 0 or v.a == 0)
+
+
 def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     """[a, b] for normal a, b: the normal closure of generator commutators."""
     if a.ctx.k != b.ctx.k:
         raise ValueError("subgroups live at different levels")
     seeds = []
     for u in a.igs:
-        u_zb = u.is_central_block()
         for v in b.igs:
-            v_zb = v.is_central_block()
-            if u_zb and v_zb:
-                continue
-            if (u_zb and v.t == 0) or (v_zb and u.t == 0):
+            if _commute_by_form(u, v):
                 continue
             c = commutator(u, v)
             if not c.is_identity():
@@ -391,7 +393,7 @@ def group_commutators(a: Subgroup) -> list[Element]:
     seeds = []
     for u in a.igs:
         for v in (ctx.x(), ctx.y()):
-            if u.is_central_block() and v.t == 0:
+            if _commute_by_form(u, v):
                 continue
             c = commutator(u, v)
             if not c.is_identity():
@@ -522,13 +524,8 @@ def layer_shape(s: Subgroup, t: Subgroup) -> tuple[int, ...]:
     if not s.contains_subgroup(t):
         raise ValueError("second subgroup is not contained in the first")
     for u in s.igs:
-        u_zb = u.is_central_block()
         for v in s.igs:
-            if u_zb and v.t == 0:
-                continue
-            if v.is_central_block() and u.t == 0:
-                continue
-            if not t.contains(commutator(u, v)):
+            if not _commute_by_form(u, v) and not t.contains(commutator(u, v)):
                 raise ValueError("quotient is not abelian")
     logs = [s.log_order]
     while logs[-1] > t.log_order:

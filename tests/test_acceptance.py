@@ -13,14 +13,11 @@ notes.  It is kept as stated rather than weakened.
 import random
 import time
 
-import pytest
-
 from wrsp.claims import run_claims, select_claims
 from wrsp.engine import commutator, get_context, project_to_wreath
 from wrsp.oracle import build_oracle, compare_multiplication_tables
 from wrsp.series import (
     SeriesKind,
-    commutator_identity_checks,
     double_product_rhs,
     gamma_n_subgroups,
     lcs_generator_check,
@@ -33,10 +30,8 @@ from wrsp.subgroup import (
     base_and_centre_subgroup,
     centre_block_subgroup,
     close,
-    full_group,
     intersect,
     join,
-    normal_closure,
     trivial_subgroup,
 )
 from test_cli import run_cli

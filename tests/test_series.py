@@ -337,9 +337,24 @@ def test_random_powers_lie_in_power_subgroups(k):
 @pytest.mark.parametrize("i", [1, 2, 3])
 def test_power_sandwich_level3(ctx3, i):
     rep = power_series(ctx3, i)
-    assert rep.lower_in_upper
-    assert rep.gamma_in_lower
+    assert rep.lower == series(ctx3, SeriesKind.GAMMA).term(1 << (i + 1))
+    assert rep.exact.contains_subgroup(rep.lower)
+    assert rep.upper.contains_subgroup(rep.exact)
     assert rep.verified
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_power_subgroup_contains_witness_powers(k):
+    # the 2**i-th powers of the group's igs and of every x^s y_j lie in P_i,
+    # by membership alone
+    ctx = get_context(k)
+    witnesses = list(full_group(ctx).igs)
+    witnesses += [ctx.x() ** s * ctx.base_gen(j)
+                  for s in range(ctx.tmod) for j in range(ctx.n)]
+    for i in range(1, k + 2):
+        sub = exact_power_subgroup(ctx, i)
+        for g in witnesses:
+            assert sub.contains(g ** (1 << i)), (k, i, g.text())
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -16,7 +16,6 @@ from wrsp.spectra import (
 from wrsp.subgroup import (
     centre_block_subgroup,
     full_group,
-    intersect,
     trivial_subgroup,
 )
 
