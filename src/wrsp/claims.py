@@ -9,6 +9,7 @@ deterministic output.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -107,7 +108,7 @@ def _run_remark_derived(k: int) -> VerificationResult:
     hh = commutator_subgroup(h, h)
     ok = (commutator_subgroup(h, z).is_trivial()
           and z.contains_subgroup(hh)
-          and agemo_mod_derived(h, 1) == z
+          and agemo_mod_derived(h) == z
           and hh == pair_block_subgroup(ctx))
     # exponent of the trivial-top part is 4: structural fourth powers
     for m in h.igs:
@@ -272,7 +273,7 @@ def _run_gamma_sq(k: int) -> VerificationResult:
     for n in range(1, k + 1):
         cur = gamma_n_subgroups(ctx, n).gamma_n
         nxt = gamma_n_subgroups(ctx, n + 1).gamma_n
-        if not nxt.contains_subgroup(agemo_mod_derived(cur, 1)):
+        if not nxt.contains_subgroup(agemo_mod_derived(cur)):
             bad.append(n)
     return _ok("lemma-gamma-sq", k, not bad,
                "squares of each scaffold subgroup land in the next one",
@@ -400,7 +401,7 @@ def _run_p_power(k: int) -> VerificationResult:
     # term inside the trivial-top part, so k >= 2
     if k >= 2:
         lhs = intersect(gamma_n_subgroups(ctx, k).gamma_n, z)
-        rhs = join(agemo_mod_derived(gam.term(1 << (k - 1)), 1),
+        rhs = join(agemo_mod_derived(gam.term(1 << (k - 1))),
                    intersect(gam.term(1 << k), z))
         if lhs != rhs:
             status = FAIL
@@ -519,11 +520,24 @@ def select_claims(selectors: list[str] | None, k: int) -> list[str]:
     return sorted(out)
 
 
+def _crash_summary(exc: Exception) -> str:
+    """error: <Type>: <message> at <file>:<line>, placed at the innermost
+    traceback frame inside the package (run_claims itself at the latest)."""
+    here = os.path.dirname(__file__)
+    tb = where = exc.__traceback__
+    while tb is not None:
+        if os.path.dirname(tb.tb_frame.f_code.co_filename) == here:
+            where = tb
+        tb = tb.tb_next
+    name = os.path.basename(where.tb_frame.f_code.co_filename)
+    return f"error: {type(exc).__name__}: {exc} at {__package__}/{name}:{where.tb_lineno}"
+
+
 def run_claims(k: int, claim_ids: list[str]) -> list[VerificationResult]:
     results = []
     for cid in claim_ids:
         try:
             results.append(CLAIMS[cid].runner(k))
         except Exception as exc:  # a crashed runner is a failed claim
-            results.append(VerificationResult(cid, k, FAIL, {"summary": f"error: {exc}"}))
+            results.append(VerificationResult(cid, k, FAIL, {"summary": _crash_summary(exc)}))
     return sorted(results, key=lambda r: r.claim_id)

@@ -29,7 +29,6 @@ exponent, bit j of z the j-th central coordinate).
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 DEFAULT_MAX_LEVEL = 4
 
@@ -279,9 +278,17 @@ class GroupContext:
         return f"GroupContext(k={self.k})"
 
 
-@lru_cache(maxsize=None)
+_CONTEXTS: dict[int, GroupContext] = {}
+
+
 def get_context(k: int, allow_large: bool = False) -> GroupContext:
-    return GroupContext(k, allow_large=allow_large)
+    """The one context of level k, however the call is spelled, so its
+    tables and memo are built once.  allow_large only admits levels above
+    DEFAULT_MAX_LEVEL: such a call without it reaches the constructor, which
+    raises."""
+    if k not in _CONTEXTS or (k > DEFAULT_MAX_LEVEL and not allow_large):
+        _CONTEXTS[k] = GroupContext(k, allow_large)
+    return _CONTEXTS[k]
 
 
 class Element:

@@ -144,7 +144,7 @@ def _frattini_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
     # Phi(P) = P^2 [P, P] is characteristic in P, and P is normal in G, so
     # Phi(P) is normal in G and a plain closure of [P, P] and the generator
     # squares is already the normal subgroup
-    return agemo_mod_derived(terms[-1], 1)
+    return agemo_mod_derived(terms[-1])
 
 
 def _dimension_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
@@ -479,10 +479,13 @@ def _identity_checks(ctx: GroupContext) -> dict:
     # c_i has base row (1 + X)^(i-1) e_0 and (1 + X)^n = 1 + X^n = 0 on the
     # cyclic base, so c_i is central-block for i > n and z_{i,j} = 1, and
     # the same holds for every factor on the right, whose indices only grow
-    # (the zij-table claim certifies z_{i,j} = 1 there through 2n + 1)
+    # (the zij-table claim certifies z_{i,j} = 1 there through 2n + 1).
+    # Only j >= i: every c_i lies in H, and [H, H] is the pair block, which
+    # is elementary abelian, so z_{j,i} = z_{i,j}^-1 = z_{i,j} and the
+    # identity for (j, i) is the one for (i, j)
     c_ok = True
     for ii in range(1, n + 1):
-        for jj in range(1, n + 1):
+        for jj in range(ii, n + 1):
             zij = ctx.zij(ii, jj)
             for t in range(0, k + 1):
                 e = 1 << t
@@ -543,7 +546,8 @@ def _weight_filtered_closure(ctx: GroupContext, weight: int, include_cij: bool) 
                     continue
                 if include_cij and u >= 2:
                     gens.append(ctx.cij(u, v))
-                gens.append(ctx.zij(u, v))
+                if u <= v:  # z_{v,u} = z_{u,v}, see part (c) of _identity_checks
+                    gens.append(ctx.zij(u, v))
         return normal_closure(gens)
 
     return ctx.cached(("weight_closure", weight, include_cij), build)

@@ -78,19 +78,26 @@ class DensitySequence:
         return json.dumps(self.to_obj(), indent=2) + "\n"
 
 
-def density_sequence(target: Subgroup, table: SeriesTable,
-                     target_label: str = "target",
-                     tail_window: int | None = None) -> DensitySequence:
+def _term_logs(target: Subgroup, table: SeriesTable) -> list[tuple[int, int, int]]:
+    """(i, num, den) per term S_i: num = log2 |target S_i : S_i| and
+    den = log2 |G : S_i|.  A term with den = 0 is G, so num = 0 there
+    without an intersection."""
     ctx = target.ctx
     if ctx.k != table.k:
         raise ValueError("target and series live at different levels")
-    points = []
-    for i, sub in table.indexed_terms()[1:]:
+    out = []
+    for i, sub in table.indexed_terms():
         den = ctx.log_order - sub.log_order
-        if den == 0:
-            continue
-        num = target.log_order - intersect(target, sub).log_order
-        points.append(DensityPoint(i, num, den, Fraction(num, den)))
+        num = target.log_order - intersect(target, sub).log_order if den else 0
+        out.append((i, num, den))
+    return out
+
+
+def density_sequence(target: Subgroup, table: SeriesTable,
+                     target_label: str = "target",
+                     tail_window: int | None = None) -> DensitySequence:
+    points = [DensityPoint(i, num, den, Fraction(num, den))
+              for i, num, den in _term_logs(target, table) if den]
     if not points:
         raise ValueError("series has no proper terms")
     if tail_window is None:
@@ -104,16 +111,8 @@ def density_sequence(target: Subgroup, table: SeriesTable,
 
 
 def complement_density(target: Subgroup, table: SeriesTable) -> list[tuple[int, int]]:
-    """log2 |G : S_i target| per natural index, for normal target."""
-    ctx = target.ctx
-    if ctx.k != table.k:
-        raise ValueError("target and series live at different levels")
-    out = []
-    for i, sub in table.indexed_terms():
-        cap = intersect(target, sub).log_order
-        prod_log = sub.log_order + target.log_order - cap
-        out.append((i, ctx.log_order - prod_log))
-    return out
+    """log2 |G : S_i target| = den - num per natural index, for normal target."""
+    return [(i, den - num) for i, num, den in _term_logs(target, table)]
 
 
 @dataclass(frozen=True)

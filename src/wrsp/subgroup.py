@@ -348,12 +348,17 @@ def membership(g: Element, sub: Subgroup) -> bool:
 
 
 def normal_closure(gens) -> Subgroup:
+    """The normal closure of gens: their closure under conjugation by x and y.
+
+    close() sifts the conjugate by each conjugator of every leader it
+    inserts into the result H, and the leaders generate H, so H^x <= H.  H
+    is finite, so H^x = H and H^(x^-1) = H: x^-1 is not needed.
+    """
     gens = list(gens)
     if not gens:
         raise ValueError("normal_closure needs at least one generator")
     ctx = gens[0].ctx
-    conj = (ctx.x(), ctx.x().inverse(), ctx.y())
-    return close(gens, conjugators=conj)
+    return close(gens, conjugators=(ctx.x(), ctx.y()))
 
 
 def join(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -371,34 +376,30 @@ def _commute_by_form(u: Element, v: Element) -> bool:
     return u.t == 0 and v.t == 0 and (u.a == 0 or v.a == 0)
 
 
+def _commutators(us, vs):
+    """The nontrivial [u, v] for u in us and v in vs, skipping the pairs
+    that _commute_by_form settles.  When us is vs each unordered pair is
+    visited once: [v, u] = [u, v]^-1 and [u, u] = 1."""
+    for i, u in enumerate(us):
+        for v in (vs[i + 1:] if us is vs else vs):
+            if not _commute_by_form(u, v):
+                c = commutator(u, v)
+                if not c.is_identity():
+                    yield c
+
+
 def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     """[a, b] for normal a, b: the normal closure of generator commutators."""
     if a.ctx.k != b.ctx.k:
         raise ValueError("subgroups live at different levels")
-    seeds = []
-    for u in a.igs:
-        for v in b.igs:
-            if _commute_by_form(u, v):
-                continue
-            c = commutator(u, v)
-            if not c.is_identity():
-                seeds.append(c)
+    seeds = list(_commutators(a.igs, b.igs))
     return normal_closure(seeds) if seeds else trivial_subgroup(a.ctx)
 
 
 def group_commutators(a: Subgroup) -> list[Element]:
     """The nontrivial [u, x] and [u, y] for u in the igs of a; for normal a
     their normal closure is [a, G]."""
-    ctx = a.ctx
-    seeds = []
-    for u in a.igs:
-        for v in (ctx.x(), ctx.y()):
-            if _commute_by_form(u, v):
-                continue
-            c = commutator(u, v)
-            if not c.is_identity():
-                seeds.append(c)
-    return seeds
+    return list(_commutators(a.igs, (a.ctx.x(), a.ctx.y())))
 
 
 def commutator_with_group(a: Subgroup) -> Subgroup:
@@ -407,15 +408,14 @@ def commutator_with_group(a: Subgroup) -> Subgroup:
     return normal_closure(seeds) if seeds else trivial_subgroup(a.ctx)
 
 
-def agemo_mod_derived(s: Subgroup, m: int) -> Subgroup:
-    """[s, s] joined with the 2**m-th powers of the members of s.
+def agemo_mod_derived(s: Subgroup) -> Subgroup:
+    """[s, s] joined with the squares of the members of s.
 
-    Equals s^(2**m) [s, s] because s is abelian modulo [s, s].
+    Equals s^2 [s, s], the Frattini subgroup of s, because s is abelian
+    modulo [s, s].
     """
-    if m < 1:
-        raise ValueError("power exponent must be >= 1")
     der = commutator_subgroup(s, s)
-    gens = list(der.igs) + [g ** (1 << m) for g in s.igs]
+    gens = list(der.igs) + [g ** 2 for g in s.igs]
     return close(gens) if gens else trivial_subgroup(s.ctx)
 
 
@@ -459,17 +459,19 @@ def _central_span(ctx: GroupContext, masks) -> Subgroup:
 
 def _central_intersect(a: Subgroup, b: Subgroup) -> Subgroup:
     """Intersection of two centre-block subspaces by GF(2) elimination:
-    rows (u, u) for one side and (v, 0) for the other; once the left block
-    is eliminated, the surviving right parts span the intersection."""
-    basis: dict[int, tuple[int, int]] = {}
+    rows (v, 0) for b and (u, u) for a; once the left block is eliminated,
+    the surviving right parts span the intersection.  b is a canonical
+    tail, whose rows have distinct lowest bits, so its rows seed the basis
+    as they are and only the rows of a are eliminated."""
+    basis = {m.z & -m.z: (m.z, 0) for m in b.igs}
     inter = []
-    rows = [(m.z, m.z) for m in a.igs] + [(m.z, 0) for m in b.igs]
-    for left, right in rows:
+    for m in a.igs:
+        left = right = m.z
         while left:
-            p = (left & -left).bit_length() - 1
-            got = basis.get(p)
+            low = left & -left
+            got = basis.get(low)
             if got is None:
-                basis[p] = (left, right)
+                basis[low] = (left, right)
                 break
             left ^= got[0]
             right ^= got[1]
@@ -523,10 +525,8 @@ def layer_shape(s: Subgroup, t: Subgroup) -> tuple[int, ...]:
         raise ValueError("subgroups live at different levels")
     if not s.contains_subgroup(t):
         raise ValueError("second subgroup is not contained in the first")
-    for u in s.igs:
-        for v in s.igs:
-            if not _commute_by_form(u, v) and not t.contains(commutator(u, v)):
-                raise ValueError("quotient is not abelian")
+    if not all(t.contains(c) for c in _commutators(s.igs, s.igs)):
+        raise ValueError("quotient is not abelian")
     logs = [s.log_order]
     while logs[-1] > t.log_order:
         e = 1 << len(logs)

@@ -188,7 +188,7 @@ def test_criterion_08_shift_identities_and_sandwiches(ctx3):
         for n in range(1, k + 1):
             cur = gamma_n_subgroups(ctx, n).gamma_n
             nxt = gamma_n_subgroups(ctx, n + 1).gamma_n
-            assert nxt.contains_subgroup(agemo_mod_derived(cur, 1)), (k, n)
+            assert nxt.contains_subgroup(agemo_mod_derived(cur)), (k, n)
     # Frattini sandwich one level down
     for s, k in ((1, 2), (2, 3)):
         ctx = get_context(k)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -68,18 +69,22 @@ def test_selector_semantics():
         select_claims(["no-such-claim"], 2)
 
 
-def test_run_claims_catches_runner_errors():
+def test_run_claims_catches_runner_errors(monkeypatch):
+    # a crash report names the exception type and its innermost place in
+    # the package: run_claims itself for a runner defined outside it
     import wrsp.claims as cl
+    from wrsp.subgroup import close
     spec = cl.CLAIMS["prop-order"]
-    broken = cl.ClaimSpec("prop-order", spec.statement, 1, 4,
-                          lambda k: (_ for _ in ()).throw(RuntimeError("boom")))
-    cl.CLAIMS["prop-order"] = broken
-    try:
-        res = run_claims(1, ["prop-order"])
-        assert res[0].status == "fail"
-        assert "boom" in res[0].details["summary"]
-    finally:
-        cl.CLAIMS["prop-order"] = spec
+    for runner, want in (
+            (lambda k: (_ for _ in ()).throw(RuntimeError("boom")),
+             r"error: RuntimeError: boom at wrsp/claims\.py:\d+"),
+            (lambda k: close([]),
+             r"error: ValueError: close needs at least one generator at wrsp/subgroup\.py:\d+")):
+        monkeypatch.setitem(cl.CLAIMS, "prop-order",
+                            cl.ClaimSpec("prop-order", spec.statement, 1, 4, runner))
+        (res,) = run_claims(1, ["prop-order"])
+        assert res.status == "fail"
+        assert re.fullmatch(want, res.details["summary"])
 
 
 def test_verify_all_level1():

@@ -184,6 +184,12 @@ def test_level_gate():
     big = get_context(5, allow_large=True)
     g = big.x() * big.y()
     assert ((g * g.inverse())).is_identity()
+    # one context per level however the call is spelled, and the cap still
+    # holds for a level already built
+    ctx = get_context(3)
+    assert get_context(3, False) is ctx and get_context(3, allow_large=True) is ctx
+    with pytest.raises(ValueError):
+        get_context(5)
 
 
 def test_level_four_smoke():

@@ -388,7 +388,7 @@ def test_scaffold_squares_descend(k):
     for n in range(1, k + 1):
         cur = gamma_n_subgroups(ctx, n)
         nxt = gamma_n_subgroups(ctx, n + 1)
-        assert nxt.gamma_n.contains_subgroup(agemo_mod_derived(cur.gamma_n, 1))
+        assert nxt.gamma_n.contains_subgroup(agemo_mod_derived(cur.gamma_n))
         assert cur.gamma_n.contains_subgroup(cur.q_prev)
 
 
@@ -411,7 +411,7 @@ def test_scaffold_decomposition(ctx2, ctx3):
         z = centre_block_subgroup(ctx)
         gam = series(ctx, SeriesKind.GAMMA)
         lhs = intersect(gamma_n_subgroups(ctx, k).gamma_n, z)
-        rhs = join(agemo_mod_derived(gam.term(1 << (k - 1)), 1),
+        rhs = join(agemo_mod_derived(gam.term(1 << (k - 1))),
                    intersect(gam.term(1 << k), z))
         assert lhs == rhs
 

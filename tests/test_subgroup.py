@@ -18,6 +18,7 @@ from wrsp.subgroup import (
     commutator_subgroup,
     commutator_with_group,
     full_group,
+    group_commutators,
     intersect,
     join,
     layer_shape,
@@ -120,6 +121,34 @@ def test_normal_closure_matches_commutator_route(ctx2):
     assert lhs == rhs
 
 
+def _three_conjugator_closure(gens):
+    """Reference normal closure: also closed under conjugation by x^-1."""
+    ctx = gens[0].ctx
+    return close(gens, conjugators=(ctx.x(), ctx.x().inverse(), ctx.y()))
+
+
+def _ordered_pair_commutator_subgroup(a, b):
+    """Reference [a, b]: every ordered pair of members, [u, u] included."""
+    seeds = [commutator(u, v) for u in a.igs for v in b.igs]
+    return _three_conjugator_closure(seeds)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_unordered_pairs_and_two_conjugators_match_references(k):
+    # commutator_subgroup(s, s) visits each unordered pair once and
+    # normal_closure conjugates by x and y only; on every term of every
+    # series both must give what the ordered pairs and x, x^-1, y give
+    ctx = get_context(k)
+    for kind in SeriesKind:
+        for s in series(ctx, kind).terms:
+            if s.is_trivial():
+                continue
+            assert commutator_subgroup(s, s) == _ordered_pair_commutator_subgroup(s, s)
+            seeds = group_commutators(s)
+            if seeds:
+                assert normal_closure(seeds) == _three_conjugator_closure(seeds)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_derived_structure(k):
     ctx = get_context(k)
@@ -131,17 +160,15 @@ def test_derived_structure(k):
     hh = commutator_subgroup(h, h)
     assert z.contains_subgroup(hh)
     assert hh == pair_block_subgroup(ctx)
-    assert agemo_mod_derived(h, 1) == z
+    assert agemo_mod_derived(h) == z
     assert commutator_subgroup(h, g) == commutator_subgroup(g, h)
 
 
 def test_agemo_examples(ctx1):
     g = full_group(ctx1)
-    frat = agemo_mod_derived(g, 1)
+    frat = agemo_mod_derived(g)
     assert g.log_order - frat.log_order == 2  # two-generated group
-    assert agemo_mod_derived(trivial_subgroup(ctx1), 1).is_trivial()
-    with pytest.raises(ValueError):
-        agemo_mod_derived(g, 0)
+    assert agemo_mod_derived(trivial_subgroup(ctx1)).is_trivial()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
