@@ -25,7 +25,6 @@ from .subgroup import (
     intersect,
     join,
     layer_shape,
-    membership,
     normal_closure,
     pair_block_subgroup,
     trivial_subgroup,
@@ -53,7 +52,6 @@ from .spectra import (
     complement_density,
     density_sequence,
     invariant_subspace,
-    spectrum_sweep,
 )
 from .claims import CLAIMS, VerificationResult, run_claims, select_claims
 

@@ -16,11 +16,19 @@ from .engine import DEFAULT_MAX_LEVEL, get_context, parse_element
 from .oracle import build_oracle, compare_multiplication_tables
 from .presentation import export_presentation, verify_presentation
 from .series import SeriesKind, series
-from .spectra import DensitySequence, density_sequence, invariant_subspace
+from .spectra import density_sequence, invariant_subspace
 from .subgroup import (base_and_centre_subgroup, centre_block_subgroup,
                        full_group, trivial_subgroup)
 
 USAGE_ERROR = 2
+
+# the named density targets; --target seed reads --seed-file instead
+TARGETS = {
+    "Z": centre_block_subgroup,
+    "H": base_and_centre_subgroup,
+    "full": full_group,
+    "trivial": trivial_subgroup,
+}
 
 
 def _write(text: str, out: str | None) -> None:
@@ -111,14 +119,8 @@ def _load_seed_target(ctx, path: str):
 
 def cmd_density(args) -> int:
     ctx = get_context(args.k)
-    if args.target == "Z":
-        target, label = centre_block_subgroup(ctx), "Z"
-    elif args.target == "H":
-        target, label = base_and_centre_subgroup(ctx), "H"
-    elif args.target == "full":
-        target, label = full_group(ctx), "full"
-    elif args.target == "trivial":
-        target, label = trivial_subgroup(ctx), "trivial"
+    if args.target in TARGETS:
+        target, label = TARGETS[args.target](ctx), args.target
     else:  # seed
         if not args.seed_file:
             print("error: --target seed needs --seed-file PATH", file=sys.stderr)
@@ -130,7 +132,7 @@ def cmd_density(args) -> int:
             return USAGE_ERROR
         target, label = sub.span, sub.label
     table = series(ctx, SeriesKind(args.kind))
-    seq: DensitySequence = density_sequence(target, table, target_label=label)
+    seq = density_sequence(target, table, target_label=label)
     text = "\n".join(seq.to_csv_lines()) + "\n" if args.format == "csv" else seq.to_json()
     _write(text, args.out)
     return 0
@@ -196,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=[k.value for k in SeriesKind])
     p.add_argument("--target", required=True,
-                   choices=("Z", "H", "full", "trivial", "seed"))
+                   choices=(*TARGETS, "seed"))
     p.add_argument("--seed-file", metavar="PATH")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", metavar="PATH")

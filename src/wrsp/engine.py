@@ -233,16 +233,6 @@ class GroupContext:
     def random_element(self, rng: random.Random) -> "Element":
         return Element(self, rng.randrange(self.tmod), rng.getrandbits(self.n), rng.getrandbits(self.d))
 
-    def order_of(self, g: "Element") -> int:
-        o = 1
-        cur = g
-        while not cur.is_identity():
-            cur = self.mul(cur, cur)
-            o <<= 1
-            if o > (1 << (self.k + 3)):
-                raise RuntimeError("element order exceeds the group exponent bound")
-        return o
-
     # -- named commutator chains ------------------------------------------
 
     def c(self, i: int) -> "Element":
@@ -265,7 +255,7 @@ class GroupContext:
         """z_{i,j} = [c_i, c_j]."""
         if i < 1 or j < 1:
             raise ValueError("chain indices must be >= 1")
-        return commutator(self.c(i), self.c(j))
+        return self.cached(("zij", i, j), lambda: commutator(self.c(i), self.c(j)))
 
     def cached(self, key, build):
         """The memo entry for key, made by build() on first use."""
@@ -337,7 +327,14 @@ class Element:
         return self.t == 0 and self.a == 0
 
     def order(self) -> int:
-        return self.ctx.order_of(self)
+        o = 1
+        cur = self
+        while not cur.is_identity():
+            cur = cur * cur
+            o <<= 1
+            if o > (1 << (self.ctx.k + 3)):
+                raise RuntimeError("element order exceeds the group exponent bound")
+        return o
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):

@@ -50,7 +50,7 @@ def _pair_name(i: int, j: int) -> str:
     return f"c_{i}_{j}"
 
 
-def presentation_lines(ctx: GroupContext) -> list[str]:
+def export_presentation(ctx: GroupContext) -> str:
     n = ctx.n
     lines = [f"pcgroup level={ctx.k}"]
     for name in _gen_names(ctx):
@@ -83,11 +83,7 @@ def presentation_lines(ctx: GroupContext) -> list[str]:
     for a in range(len(centrals)):
         for b in range(a + 1, len(centrals)):
             lines.append(f"rel [{centrals[a]},{centrals[b]}] = 1")
-    return lines
-
-
-def export_presentation(ctx: GroupContext) -> str:
-    return "\n".join(presentation_lines(ctx)) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 class PresentationError(ValueError):

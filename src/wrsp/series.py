@@ -31,6 +31,12 @@ the rows a < 2^(2^v) (degree below 2^v) are a complement to it.  For t = 0
 the norm vanishes and w lies in H, whose exponent is 4: its squares are
 spanned by the squares of single and paired base generators, and its
 fourth powers are trivial.
+
+Of the nonzero top exponents only t = 2^v are needed.  Every g has 2-power
+order, so for odd u the elements g and g^u generate the same cyclic
+subgroup and g^e is a power of (g^u)^e.  With u the inverse of the odd
+part of t modulo 2^k, g^u has top exponent 2^v, v the 2-adic valuation
+of t.
 """
 
 from __future__ import annotations
@@ -174,12 +180,13 @@ def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
     """The subgroup generated by all 2**i-th powers, in closed form.
 
     With e = 2**i it is the normal closure of three sets (see the module
-    docstring for the argument):
+    docstring for the argument).  Only the top exponents t = 2^v, v < k,
+    occur: for odd u, g^e is a power of (g^u)^e, and a suitable u makes the
+    top exponent of g^u a power of 2.
 
-    (a) w^e for w = (t, a, 0), t != 0 and a < 2^(2^v), v the 2-adic
-        valuation of t: one representative per class of (t, a) under
-        conjugation by the base, since a + (1 + shift^t) b ranges over a
-        coset of the ideal ((1+x)^(2^v));
+    (a) w^e for w = (t, a, 0), t = 2^v and a < 2^t: one representative per
+        class of (t, a) under conjugation by the base, since
+        a + (1 + shift^t) b ranges over a coset of the ideal ((1+x)^(2^v));
     (b) the images N_{t,e}(bit) of the central basis under the norm map,
         from the identity (w z)^e = w^e N_{t,e}(z); they are computed from
         the central shift tables by doubling, N_{t,2m} = N_{t,m} +
@@ -194,14 +201,13 @@ def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
     def build():
         e = 1 << i
         gens = []
-        for t in range(1, ctx.tmod):
-            # t & -t == 2^v2(t), so a runs over the class representatives
-            gens += [ctx.element(t, a, 0) ** e for a in range(1 << (t & -t))]
+        for t in (1 << v for v in range(ctx.k)):
+            gens += [ctx.element(t, a, 0) ** e for a in range(1 << t)]
             for b in range(ctx.d):
-                v = 1 << b
+                img = 1 << b
                 for j in range(i):
-                    v ^= ctx.shift_central(v, t << j)
-                gens.append(ctx.central_from_mask(v))
+                    img ^= ctx.shift_central(img, t << j)
+                gens.append(ctx.central_from_mask(img))
         if e == 2:
             gens += [ctx.element(0, (1 << u) | (1 << w), 0) ** 2
                      for u in range(ctx.n) for w in range(u, ctx.n)]
@@ -358,13 +364,12 @@ def lcs_generator_check(ctx: GroupContext) -> dict:
 @dataclass(frozen=True)
 class GammaScaffold:
     """Images of the scaffolding subgroups used to bound power terms:
-    gamma_n = <x^(2^n)> q_prev gamma_{2^n}, q_prev the group generated by
-    the squares c_i^2 for i >= 2^(n-1), and t_n adds the chains c_j for
+    gamma_n = <x^(2^n), c_i^2 for i >= 2^(n-1)> gamma_{2^n}, and t_n is
+    generated by the same x-power and squares and the chains c_j for
     j >= 2^n."""
 
     n: int
     gamma_n: Subgroup
-    q_prev: Subgroup
     t_n: Subgroup
 
 
@@ -374,14 +379,12 @@ def gamma_n_subgroups(ctx: GroupContext, n: int) -> GammaScaffold:
 
     def build():
         top = 2 * ctx.n  # chains beyond the class bound are trivial
-        q_prev = close([ctx.c(i) ** 2 for i in range(1 << (n - 1), top + 1)])
+        heads = [ctx.x() ** (1 << n)]
+        heads += [ctx.c(i) ** 2 for i in range(1 << (n - 1), top + 1)]
         gamma_2n = series(ctx, SeriesKind.GAMMA).term(1 << n)
-        gamma_n = close([ctx.x() ** (1 << n)] + list(q_prev.igs) + list(gamma_2n.igs))
-        t_gens = [ctx.x() ** (1 << n)]
-        t_gens += [ctx.c(i) ** 2 for i in range(1 << (n - 1), top + 1)]
-        t_gens += [ctx.c(j) for j in range(1 << n, top + 1)]
-        t_n = close(t_gens)
-        return GammaScaffold(n, gamma_n, q_prev, t_n)
+        gamma_n = close(heads + list(gamma_2n.igs))
+        t_n = close(heads + [ctx.c(j) for j in range(1 << n, top + 1)])
+        return GammaScaffold(n, gamma_n, t_n)
 
     return ctx.cached(("scaffold", n), build)
 
@@ -484,12 +487,13 @@ def _identity_checks(ctx: GroupContext) -> dict:
     # is elementary abelian, so z_{j,i} = z_{i,j}^-1 = z_{i,j} and the
     # identity for (j, i) is the one for (i, j)
     c_ok = True
+    x_powers = [x ** (1 << t) for t in range(k + 1)]
     for ii in range(1, n + 1):
         for jj in range(ii, n + 1):
             zij = ctx.zij(ii, jj)
-            for t in range(0, k + 1):
+            for t, xe in enumerate(x_powers):
                 e = 1 << t
-                lhs = commutator(zij, x ** e)
+                lhs = commutator(zij, xe)
                 rhs = ctx.zij(ii + e, jj) * ctx.zij(ii, jj + e) * ctx.zij(ii + e, jj + e)
                 if lhs != rhs:
                     c_ok = False
@@ -534,7 +538,8 @@ def _weight_filtered_closure(ctx: GroupContext, weight: int, include_cij: bool) 
     """Normal closure of the double-chain and pair-chain commutators of
     total weight at least the bound; this is the error subgroup of the
     power expansion congruences instantiated here (its power part is
-    trivial because all these commutators are central involutions)."""
+    trivial because all these commutators are central involutions).  An
+    empty generator list gives the trivial group."""
 
     def build():
         top = 2 * ctx.n + 1
@@ -546,8 +551,8 @@ def _weight_filtered_closure(ctx: GroupContext, weight: int, include_cij: bool) 
                     continue
                 if include_cij and u >= 2:
                     gens.append(ctx.cij(u, v))
-                if u <= v:  # z_{v,u} = z_{u,v}, see part (c) of _identity_checks
+                if u < v:  # z_{u,u} = 1, z_{v,u} = z_{u,v} (part (c) of _identity_checks)
                     gens.append(ctx.zij(u, v))
-        return normal_closure(gens)
+        return normal_closure(gens) if gens else trivial_subgroup(ctx)
 
     return ctx.cached(("weight_closure", weight, include_cij), build)

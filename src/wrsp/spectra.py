@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import Element, GroupContext
+from .engine import GroupContext
 from .series import SeriesKind, SeriesTable
 from .subgroup import Subgroup, close, intersect, trivial_subgroup
 
@@ -48,10 +48,6 @@ class DensitySequence:
     tail_window: int
     liminf_estimate: Fraction
     tail_spread: Fraction  # max - min over the window; 0 suggests a proper limit
-
-    @property
-    def top_ratio(self) -> Fraction:
-        return self.points[-1].ratio if self.points else Fraction(0)
 
     def to_obj(self) -> dict:
         return {
@@ -94,14 +90,14 @@ def _term_logs(target: Subgroup, table: SeriesTable) -> list[tuple[int, int, int
 
 
 def density_sequence(target: Subgroup, table: SeriesTable,
-                     target_label: str = "target",
-                     tail_window: int | None = None) -> DensitySequence:
+                     target_label: str = "target") -> DensitySequence:
+    """The density points of target against table; the tail window is the
+    last half of the points (at least one)."""
     points = [DensityPoint(i, num, den, Fraction(num, den))
               for i, num, den in _term_logs(target, table) if den]
     if not points:
         raise ValueError("series has no proper terms")
-    if tail_window is None:
-        tail_window = max(1, len(points) // 2)
+    tail_window = max(1, len(points) // 2)
     tail = [p.ratio for p in points[-tail_window:]]
     return DensitySequence(
         kind=table.kind, k=table.k, target_label=target_label,
@@ -120,7 +116,6 @@ class InvariantSubspace:
     """A shift-stable subspace of the centre block, automatically normal."""
 
     label: str
-    seeds: tuple[Element, ...]
     span: Subgroup
 
 
@@ -134,24 +129,4 @@ def invariant_subspace(ctx: GroupContext, seeds, label: str = "seed") -> Invaria
     span = close(seeds, conjugators=(ctx.x(),)) if seeds else trivial_subgroup(ctx)
     if not span.is_normal():
         raise RuntimeError("shift-closed central subspace must be normal")
-    return InvariantSubspace(label, seeds, span)
-
-
-def spectrum_sweep(table: SeriesTable, targets) -> list[DensitySequence]:
-    """Density sequences for a family of invariant subspaces, least dense
-    first; growing targets give weakly increasing top-level ratios."""
-    seqs = [density_sequence(t.span, table, target_label=t.label) for t in targets]
-    seqs.sort(key=lambda s: (s.liminf_estimate, s.target_label))
-    return seqs
-
-
-def sequences_to_csv(seqs) -> str:
-    lines = ["target,kind,k,i,num,den,ratio_exact,ratio_float"]
-    for s in seqs:
-        for p in s.points:
-            r = p.as_row()
-            lines.append(
-                f"{s.target_label},{s.kind.value},{s.k},{p.i},{p.num},{p.den},"
-                f"{r['ratio_exact']},{r['ratio_float']!r}"
-            )
-    return "\n".join(lines) + "\n"
+    return InvariantSubspace(label, span)

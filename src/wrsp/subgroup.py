@@ -121,6 +121,8 @@ class Subgroup:
         return _reduce(self.ctx, *self._table(), g)
 
     def contains(self, g: Element) -> bool:
+        if g.ctx.k != self.ctx.k:
+            raise ValueError("element and subgroup live at different levels")
         return self.reduce(g).is_identity()
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
@@ -339,12 +341,6 @@ def centre_block_subgroup(ctx: GroupContext) -> Subgroup:
 def pair_block_subgroup(ctx: GroupContext) -> Subgroup:
     """Span of the pair commutators, the derived subgroup of the base part."""
     return _suffix_subgroup(ctx, 1 + 2 * ctx.n, "pair_block")
-
-
-def membership(g: Element, sub: Subgroup) -> bool:
-    if g.ctx.k != sub.ctx.k:
-        raise ValueError("element and subgroup live at different levels")
-    return sub.contains(g)
 
 
 def normal_closure(gens) -> Subgroup:

@@ -1,4 +1,4 @@
-"""Density sequences, complements, invariant subspaces and the sweep."""
+"""Density sequences, complements and invariant subspaces."""
 
 from fractions import Fraction
 
@@ -10,8 +10,6 @@ from wrsp.spectra import (
     complement_density,
     density_sequence,
     invariant_subspace,
-    sequences_to_csv,
-    spectrum_sweep,
 )
 from wrsp.subgroup import (
     centre_block_subgroup,
@@ -143,12 +141,10 @@ def test_spectrum_sweep_nested_chain(ctx3):
         chain.append(invariant_subspace(ctx3, list(acc), f"chain{i}"))
     logs = [c.span.log_order for c in chain]
     assert logs == sorted(logs) and logs[-1] == centre_block_subgroup(ctx3).log_order
-    seqs = spectrum_sweep(series(ctx3, SeriesKind.M), chain)
-    tops = [s.top_ratio for s in seqs]
+    table = series(ctx3, SeriesKind.M)
+    tops = [density_sequence(c.span, table, c.label).points[-1].ratio for c in chain]
     assert tops == sorted(tops)
     assert tops[0] > 0 and tops[-1] == Fraction(36, 47)
-    csv = sequences_to_csv(seqs)
-    assert csv.splitlines()[0] == "target,kind,k,i,num,den,ratio_exact,ratio_float"
 
 
 def test_monotone_numerators_in_target(ctx2):

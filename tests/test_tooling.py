@@ -1,6 +1,8 @@
-"""The benchmark tracer in bench/ wraps wrsp functions by name from outside
-the package; a run under it fails if one of those names disappears."""
+"""Repository tooling checks: the benchmark tracer in bench/ wraps wrsp
+functions by name from outside the package, so a run under it fails if one
+of those names disappears; and no module imports a name it never uses."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -29,3 +31,26 @@ def test_bench_tracer_wraps_a_claim_run():
     status, sandwiches, powers = proc.stdout.split()
     assert status == "pass"
     assert int(sandwiches) >= 1 and int(powers) >= 1
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """file:line name for every imported name the module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    rel = path.relative_to(ROOT)
+    return [f"{rel}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # __init__.py is exempt: its imports are the package's re-exports
+    paths = sorted((ROOT / "src" / "wrsp").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = [hit for p in paths if p.name != "__init__.py" for hit in _unused_imports(p)]
+    assert not unused, unused
