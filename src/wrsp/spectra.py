@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .engine import GroupContext
 from .series import SeriesKind, SeriesTable
-from .subgroup import Subgroup, close, intersect, trivial_subgroup
+from .subgroup import Subgroup, central_cap_logs, close, intersect, trivial_subgroup
 
 
 @dataclass(frozen=True)
@@ -75,18 +75,23 @@ class DensitySequence:
 
 
 def _term_logs(target: Subgroup, table: SeriesTable) -> list[tuple[int, int, int]]:
-    """(i, num, den) per term S_i: num = log2 |target S_i : S_i| and
-    den = log2 |G : S_i|.  A term with den = 0 is G, so num = 0 there
-    without an intersection."""
+    """(i, num, den) per term S_i: num = log2 |target S_i : S_i|, which is
+    log |target| - log |target ^ S_i|, and den = log2 |G : S_i|.
+
+    A target inside the centre block (Z, the trivial group, a seed span)
+    takes one central_cap_logs pass over the whole series; any other target
+    (H, the full group) is a suffix subgroup or G, which intersect() meets
+    with each term by slicing its sequence.
+    """
     ctx = target.ctx
     if ctx.k != table.k:
         raise ValueError("target and series live at different levels")
-    out = []
-    for i, sub in table.indexed_terms():
-        den = ctx.log_order - sub.log_order
-        num = target.log_order - intersect(target, sub).log_order if den else 0
-        out.append((i, num, den))
-    return out
+    if all(m.is_central_block() for m in target.igs):
+        caps = central_cap_logs(target, table.terms)
+    else:
+        caps = [intersect(target, sub).log_order for sub in table.terms]
+    return [(i, target.log_order - cap, ctx.log_order - sub.log_order)
+            for (i, sub), cap in zip(table.indexed_terms(), caps)]
 
 
 def density_sequence(target: Subgroup, table: SeriesTable,

@@ -26,8 +26,12 @@ with the suffix subgroup of all elements whose coordinates below s vanish,
 and, each having relative order 2, their number is its log order.  An
 element of the intersection sifts through L using only those members:
 right multiplication by a member led at p >= s keeps every coordinate
-below p, so the element stays led at s or deeper.  Exact intersections
-with suffix subgroups and centre-block subspaces therefore never close.
+below p, so the element stays led at s or deeper.  So intersect() reads
+the intersection with a suffix subgroup (or the full group) off L and never
+closes; it raises for any other pair.  For a target T inside the centre
+block Z, T ^ S = T ^ (S ^ Z), and the central tails of a descending chain
+are nested, so central_cap_logs() reads log |T ^ S| for every term of a
+series from one reduced tail, seeded with T and grown deepest term first.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 
-from .engine import Element, GroupContext, commutator, parse_element
+from .engine import Element, GroupContext, commutator
 
 
 class UnsupportedExactIntersection(RuntimeError):
@@ -118,14 +122,16 @@ class Subgroup:
 
     def reduce(self, g: Element) -> Element:
         """Canonical coset representative of g modulo this subgroup."""
+        if g.ctx.k != self.ctx.k:
+            raise ValueError("element and subgroup live at different levels")
         return _reduce(self.ctx, *self._table(), g)
 
     def contains(self, g: Element) -> bool:
-        if g.ctx.k != self.ctx.k:
-            raise ValueError("element and subgroup live at different levels")
         return self.reduce(g).is_identity()
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
+        if other.ctx.k != self.ctx.k:
+            raise ValueError("subgroups live at different levels")
         return all(self.contains(m) for m in other.igs)
 
     def leader_orders(self) -> list[int]:
@@ -173,32 +179,6 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(k={self.ctx.k}, log_order={self.log_order})"
-
-    # -- serialisation ----------------------------------------------------
-
-    def to_lines(self) -> list[str]:
-        head = f"subgroup level={self.ctx.k} log_order={self.log_order}"
-        return [head] + [m.text() for m in self.igs]
-
-    @classmethod
-    def from_lines(cls, ctx: GroupContext, lines: list[str]) -> "Subgroup":
-        if not lines:
-            raise ValueError("empty subgroup serialisation")
-        head = lines[0].split()
-        fields = dict(item.split("=", 1) for item in head[1:] if "=" in item)
-        try:
-            if head[:1] != ["subgroup"] or len(head) != 3 or set(fields) != {"level", "log_order"}:
-                raise ValueError
-            level, declared = int(fields["level"]), int(fields["log_order"])
-        except ValueError:
-            raise ValueError(f"malformed subgroup header: {lines[0]!r}") from None
-        if level != ctx.k:
-            raise ValueError(f"serialised level {level} does not match context level {ctx.k}")
-        gens = [parse_element(ctx, ln) for ln in lines[1:]]
-        sub = close(gens) if gens else trivial_subgroup(ctx)
-        if sub.log_order != declared or list(m.text() for m in sub.igs) != lines[1:]:
-            raise ValueError("serialised sequence is not a canonical closed sequence")
-        return sub
 
 
 def _reduce(ctx: GroupContext, positions: list[int], members: dict, tail: _Tail,
@@ -429,10 +409,6 @@ def _suffix_start_of(sub: Subgroup) -> int | None:
     return None
 
 
-def _is_central_subspace(sub: Subgroup) -> bool:
-    return all(m.is_central_block() for m in sub.igs)
-
-
 def _suffix_part(sub: Subgroup, start: int) -> Subgroup:
     """Exact intersection with the suffix subgroup from start >= 1, by the
     suffix lemma (module docstring)."""
@@ -443,47 +419,13 @@ def _suffix_part(sub: Subgroup, start: int) -> Subgroup:
     return Subgroup(sub.ctx, igs[cut:], len(igs) - cut)
 
 
-def _central_span(ctx: GroupContext, masks) -> Subgroup:
-    """Canonical sequence of the centre-block subspace spanned by masks."""
-    tail = _Tail()
-    for m in masks:
-        m = tail.reduce(m)
-        if m:
-            tail.insert(m)
-    return Subgroup(ctx, tail.elements(ctx), len(tail.rows))
-
-
-def _central_intersect(a: Subgroup, b: Subgroup) -> Subgroup:
-    """Intersection of two centre-block subspaces by GF(2) elimination:
-    rows (v, 0) for b and (u, u) for a; once the left block is eliminated,
-    the surviving right parts span the intersection.  b is a canonical
-    tail, whose rows have distinct lowest bits, so its rows seed the basis
-    as they are and only the rows of a are eliminated."""
-    basis = {m.z & -m.z: (m.z, 0) for m in b.igs}
-    inter = []
-    for m in a.igs:
-        left = right = m.z
-        while left:
-            low = left & -left
-            got = basis.get(low)
-            if got is None:
-                basis[low] = (left, right)
-                break
-            left ^= got[0]
-            right ^= got[1]
-        else:
-            if right:
-                inter.append(right)
-    return _central_span(a.ctx, inter)
-
-
 def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
     """Exact intersection when one side is a full suffix-coordinate
     subgroup (the centre block, the trivial-top part, the pair block, the
-    trivial group; by the suffix lemma), the full group, or any subspace of
-    the centre block (by GF(2) linear algebra); none of these closes.  Any
-    other pair raises UnsupportedExactIntersection at every level, because
-    no verified fact needs it.
+    trivial group; by the suffix lemma) or the full group; neither closes.
+    Any other pair, two centre-block subspaces included, raises
+    UnsupportedExactIntersection at every level, because no verified fact
+    needs it; central_cap_logs gives the orders a central density needs.
     """
     if a.ctx.k != b.ctx.k:
         raise ValueError("subgroups live at different levels")
@@ -496,15 +438,41 @@ def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
         start = _suffix_start_of(t)
         if start is not None:
             return _suffix_part(s, start)
-    centre = 1 + ctx.n
-    if _is_central_subspace(a):
-        return _central_intersect(a, _suffix_part(b, centre))
-    if _is_central_subspace(b):
-        return _central_intersect(b, _suffix_part(a, centre))
     raise UnsupportedExactIntersection(
         "unsupported-exact: generic intersection needs a "
-        "suffix-coordinate or centre-block side"
+        "suffix-coordinate or full side"
     )
+
+
+def central_cap_logs(target: Subgroup, terms) -> list[int]:
+    """log2 |target ^ S| for every term S of a descending chain, for a
+    target T inside the centre block Z, in one pass over the chain.
+
+    T ^ S = T ^ A with A = S ^ Z, the central tail of S (suffix lemma),
+    and log |T ^ A| = dim T + dim A - dim(T + A).  The tails of a
+    descending chain are nested, and so are the pivot sets of their reduced
+    forms, so the rows of A with pivots new to it, added to the next deeper
+    tail, span A.  One tail seeded with T's rows therefore takes, deepest
+    term first, only those rows, and its size is then dim(T + A).
+    """
+    ctx = target.ctx
+    if not all(m.is_central_block() for m in target.igs):
+        raise ValueError("target does not lie in the centre block")
+    span = _Tail(m.z for m in target.igs)
+    deeper = 0  # the pivots of the deeper term's tail
+    logs = []
+    for sub in reversed(terms):
+        if sub.ctx.k != ctx.k:
+            raise ValueError("subgroups live at different levels")
+        tail = sub._table()[2]
+        for low, row in tail.rows.items():
+            if not low & deeper:
+                row = span.reduce(row)
+                if row:
+                    span.insert(row)
+        deeper = tail.pivots
+        logs.append(target.log_order + len(tail.rows) - len(span.rows))
+    return logs[::-1]
 
 
 def layer_shape(s: Subgroup, t: Subgroup) -> tuple[int, ...]:

@@ -7,12 +7,11 @@ import pytest
 from wrsp.engine import commutator, get_context
 from wrsp.series import SeriesKind, series
 from wrsp.subgroup import (
-    _central_span,
     _lead,
-    Subgroup,
     UnsupportedExactIntersection,
     agemo_mod_derived,
     base_and_centre_subgroup,
+    central_cap_logs,
     centre_block_subgroup,
     close,
     commutator_subgroup,
@@ -109,6 +108,10 @@ def test_membership_rejects_level_mismatch(ctx1, ctx2):
     for sub in (full_group(ctx2), trivial_subgroup(ctx2)):
         with pytest.raises(ValueError):
             sub.contains(ctx1.y())
+        with pytest.raises(ValueError):
+            sub.reduce(ctx1.y())
+    with pytest.raises(ValueError):
+        trivial_subgroup(ctx1).contains_subgroup(trivial_subgroup(ctx2))
 
 
 def test_normal_closure_of_identity(ctx2):
@@ -214,10 +217,9 @@ def test_central_subspace_intersection(ctx3):
                   + [ctx3.identity()])
         v = close([ctx3.central_from_mask(rng.getrandbits(ctx3.d)) for _ in range(4)]
                   + [ctx3.identity()])
-        got = intersect(u, v)
-        assert u.contains_subgroup(got) and v.contains_subgroup(got)
-        assert got.log_order == u.log_order + v.log_order - join(u, v).log_order
         assert intersect(u, z) == u
+        with pytest.raises(UnsupportedExactIntersection):
+            intersect(u, v)
 
 
 # -- references for the closure-free routes: the former implementations ----
@@ -254,32 +256,47 @@ def _all_terms(ctx):
 def test_intersect_matches_closure_route(k):
     ctx = get_context(k)
     n = ctx.n
-    rng = random.Random(40 + k)
     flats = [(centre_block_subgroup(ctx), 1 + n), (base_and_centre_subgroup(ctx), 1),
              (pair_block_subgroup(ctx), 1 + 2 * n)]
-    spans = [close([ctx.central_from_mask(rng.getrandbits(ctx.d)) for _ in range(3)],
-                   conjugators=(ctx.x(),)) for _ in range(2)]
     for sub in _all_terms(ctx):
         for flat, start in flats:
             want = _reference_suffix_intersect(sub, start)
             assert intersect(sub, flat) == want
             assert intersect(flat, sub) == want
             assert intersect(sub, flat).log_order == want.log_order
-        central = _reference_suffix_intersect(sub, 1 + n)
-        for u in spans:
-            got = intersect(u, sub)
-            assert got == intersect(sub, u)
-            assert got == close(list(got.igs) or [ctx.identity()])
-            assert u.contains_subgroup(got) and central.contains_subgroup(got)
-            assert got.log_order == (u.log_order + central.log_order
-                                     - join(u, central).log_order)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_central_cap_logs_match_join_reference(k):
+    # log |T ^ S| = log T + log A - log join(T, A), A = S ^ Z closed again
+    ctx = get_context(k)
+    n = ctx.n
+    rng = random.Random(70 + k)
+
+    def masks():
+        return [ctx.central_from_mask(rng.getrandbits(ctx.d)) for _ in range(3)]
+
+    targets = [centre_block_subgroup(ctx), trivial_subgroup(ctx)]
+    targets += [close(masks(), conjugators=(ctx.x(),)) for _ in range(2)]
+    targets += [close(masks()) for _ in range(2)]
+    for kind in SeriesKind:
+        terms = series(ctx, kind).terms
+        centrals = [_reference_suffix_intersect(sub, 1 + n) for sub in terms]
+        for t in targets:
+            want = [t.log_order + a.log_order - join(t, a).log_order for a in centrals]
+            assert central_cap_logs(t, terms) == want
+
+
+def test_central_cap_logs_rejects_non_central(ctx2):
+    with pytest.raises(ValueError):
+        central_cap_logs(base_and_centre_subgroup(ctx2), series(ctx2, SeriesKind.GAMMA).terms)
 
 
 def test_central_span_matches_closure(ctx3):
+    # close() on central masks keeps their span in reduced row-echelon form
     rng = random.Random(17)
     d = ctx3.d
-    assert _central_span(ctx3, []) == trivial_subgroup(ctx3)
-    assert _central_span(ctx3, [0, 0]) == trivial_subgroup(ctx3)
+    assert close([ctx3.central_from_mask(0)] * 2) == trivial_subgroup(ctx3)
     for size in range(1, 40):
         masks = [rng.getrandbits(d) for _ in range(size)]
         # dependent members: sums of earlier masks, repeats and zero
@@ -287,9 +304,8 @@ def test_central_span_matches_closure(ctx3):
         if size % 3 == 0:
             masks = [m & rng.getrandbits(d) for m in masks]  # sparse rows
         rng.shuffle(masks)
-        got = _central_span(ctx3, masks)
-        want = close([ctx3.central_from_mask(m) for m in masks])
-        assert got == want and got.log_order == want.log_order
+        got = close([ctx3.central_from_mask(m) for m in masks])
+        assert got.log_order == len(got.igs)
         # reduced row-echelon: no row has a set bit at another row's pivot
         rows = [m.z for m in got.igs]
         pivots = [r & -r for r in rows]
@@ -373,32 +389,6 @@ def test_layer_shape_rejects_non_subgroup(ctx2):
     top = close([ctx2.x()])
     with pytest.raises(ValueError):
         layer_shape(h, top)
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_subgroup_serialisation_round_trip(k):
-    ctx = get_context(k)
-    rng = random.Random(61 + k)
-    for sub in (full_group(ctx), centre_block_subgroup(ctx),
-                normal_closure([ctx.random_element(rng)])):
-        lines = sub.to_lines()
-        back = Subgroup.from_lines(ctx, lines)
-        assert back == sub
-    tampered = full_group(ctx).to_lines()
-    tampered[-1] = ctx.identity().text()
-    with pytest.raises(ValueError):
-        Subgroup.from_lines(ctx, tampered)
-
-
-@pytest.mark.parametrize("header", [
-    "subgroup level1 log_order=0",
-    "subgroup foo=1 bar=0",
-    "subgroup level=1 log_order=zero",
-])
-def test_subgroup_header_rejected(ctx1, header):
-    lines = [header] + trivial_subgroup(ctx1).to_lines()[1:]
-    with pytest.raises(ValueError, match="malformed subgroup header"):
-        Subgroup.from_lines(ctx1, lines)
 
 
 def test_normality_checks(ctx2):

@@ -16,8 +16,9 @@ from wrsp.claims import run_claims
 
 t = tracer.Tracer()
 tracer.install(t)
-(result,) = run_claims(1, ["thm-p-power"])
-print(result.status, t.calls["series.power_series"], t.calls["series.exact_power_subgroup"])
+results = run_claims(1, ["thm-p-power", "thm-ld-complement"])
+print(*(r.status for r in results), t.calls["series.power_series"],
+      t.calls["series.exact_power_subgroup"], t.calls["spectra.complement_density"])
 """
 
 
@@ -28,9 +29,9 @@ def test_bench_tracer_wraps_a_claim_run():
     proc = subprocess.run([sys.executable, "-c", TRACED_RUN], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    status, sandwiches, powers = proc.stdout.split()
-    assert status == "pass"
-    assert int(sandwiches) >= 1 and int(powers) >= 1
+    *statuses, sandwiches, powers, complements = proc.stdout.split()
+    assert statuses == ["pass", "pass"]
+    assert int(sandwiches) >= 1 and int(powers) >= 1 and int(complements) >= 1
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:
