@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import get_context, project_to_wreath
+from .engine import DEFAULT_MAX_LEVEL, get_context, project_to_wreath
 from .oracle import build_oracle, compare_multiplication_tables, oracle_index_of
 from .series import (
     SeriesKind,
@@ -462,35 +462,35 @@ def _run_h_generation(k: int) -> VerificationResult:
 CLAIMS: dict[str, ClaimSpec] = {}
 
 
-def _register(claim_id, statement, k_min, k_max, runner):
+def _register(claim_id, statement, runner, k_min=1, k_max=DEFAULT_MAX_LEVEL):
     CLAIMS[claim_id] = ClaimSpec(claim_id, statement, k_min, k_max, runner)
 
 
-_register("prop-order", "log2 order equals k + 2^(k+1) + C(2^k, 2)", 1, 4, _run_prop_order)
-_register("oracle-k1", "packed arithmetic equals word reduction on all 64x64 products", 1, 1, _run_oracle)
-_register("remark-derived", "squares of the trivial-top part span the centre block; its exponent is 4", 1, 4, _run_remark_derived)
-_register("lemma-exp2-i", "c_i^2 falls into the next lower central term from half the base width on", 1, 4, lambda k: _run_exp2(k, "i"))
-_register("lemma-exp2-ii", "c_i^2 vanishes beyond the base width", 1, 4, lambda k: _run_exp2(k, "ii"))
-_register("lemma-exp2-iii", "c_i falls into the next lower central term beyond 1.5x the base width", 1, 4, lambda k: _run_exp2(k, "iii"))
-_register("lemma-cm2k", "the double chain c_(m, 2^k) lies 2^k + m + 1 deep for even m", 1, 4, _run_cm2k)
-_register("prop-lcs-class", "nilpotency class is 2^(k+1) - 1", 1, 4, _run_lcs_class)
-_register("prop-lcs-layers", "stated generator lists and layer shapes; layer logs sum to the group log", 1, 4, _run_lcs_layers)
-_register("remark-index", "centre-block index along the lower central series matches the limit formula in the faithful window", 1, 4, _run_remark_index)
-_register("lemma-exponent", "group exponent is 2^(k+2), witnessed by x*y", 1, 4, _run_exponent)
-_register("prop-lower2", "lower 2-series length and closed forms", 1, 4, _run_lower2)
-_register("prop-dimension", "dimension series length, closed form and product form", 1, 4, _run_dimension)
-_register("lemma-gamma-sq", "scaffold subgroups square into their successors", 1, 4, _run_gamma_sq)
-_register("lemma-double-product", "m-fold shift of a pair commutator equals the double product", 1, 4, _run_double_product)
-_register("cor-zij-shift", "2-power shift identity for pair commutators", 1, 4, _run_zij_shift)
-_register("eq-sq-comm", "square-commutator congruence at the top 2-power", 1, 4, _run_sq_comm)
-_register("eq-power-expansion", "power expansion congruences with certified error terms", 1, 4, _run_power_expansion)
-_register("zij-table", "pair commutator table: symmetry, support and weight", 1, 4, _run_zij_table)
-_register("thm-m-density", "construction-series density of the centre block at top level", 1, 4, _run_m_density)
-_register("thm-ld-complement", "complement density along the lower 2- and dimension series", 1, 4, _run_ld_complement)
-_register("thm-p-power", "2-power subgroups: exact terms inside certified sandwiches, with scaffold indices", 1, 4, _run_p_power)
-_register("thm-f-sandwich", "Frattini term between its stated bounds, one level down", 2, 4, _run_f_sandwich)
-_register("wreath-quotient", "quotient by the centre block is the wreath product", 1, 4, _run_wreath)
-_register("h-generation", "normal closure of y equals the span of the chain commutators", 1, 4, _run_h_generation)
+_register("prop-order", "log2 order equals k + 2^(k+1) + C(2^k, 2)", _run_prop_order)
+_register("oracle-k1", "packed arithmetic equals word reduction on all 64x64 products", _run_oracle, k_max=1)
+_register("remark-derived", "squares of the trivial-top part span the centre block; its exponent is 4", _run_remark_derived)
+_register("lemma-exp2-i", "c_i^2 falls into the next lower central term from half the base width on", lambda k: _run_exp2(k, "i"))
+_register("lemma-exp2-ii", "c_i^2 vanishes beyond the base width", lambda k: _run_exp2(k, "ii"))
+_register("lemma-exp2-iii", "c_i falls into the next lower central term beyond 1.5x the base width", lambda k: _run_exp2(k, "iii"))
+_register("lemma-cm2k", "the double chain c_(m, 2^k) lies 2^k + m + 1 deep for even m", _run_cm2k)
+_register("prop-lcs-class", "nilpotency class is 2^(k+1) - 1", _run_lcs_class)
+_register("prop-lcs-layers", "stated generator lists and layer shapes; layer logs sum to the group log", _run_lcs_layers)
+_register("remark-index", "centre-block index along the lower central series matches the limit formula in the faithful window", _run_remark_index)
+_register("lemma-exponent", "group exponent is 2^(k+2), witnessed by x*y", _run_exponent)
+_register("prop-lower2", "lower 2-series length and closed forms", _run_lower2)
+_register("prop-dimension", "dimension series length, closed form and product form", _run_dimension)
+_register("lemma-gamma-sq", "scaffold subgroups square into their successors", _run_gamma_sq)
+_register("lemma-double-product", "m-fold shift of a pair commutator equals the double product", _run_double_product)
+_register("cor-zij-shift", "2-power shift identity for pair commutators", _run_zij_shift)
+_register("eq-sq-comm", "square-commutator congruence at the top 2-power", _run_sq_comm)
+_register("eq-power-expansion", "power expansion congruences with certified error terms", _run_power_expansion)
+_register("zij-table", "pair commutator table: symmetry, support and weight", _run_zij_table)
+_register("thm-m-density", "construction-series density of the centre block at top level", _run_m_density)
+_register("thm-ld-complement", "complement density along the lower 2- and dimension series", _run_ld_complement)
+_register("thm-p-power", "2-power subgroups: exact terms inside certified sandwiches, with scaffold indices", _run_p_power)
+_register("thm-f-sandwich", "Frattini term between its stated bounds, one level down", _run_f_sandwich, k_min=2)
+_register("wreath-quotient", "quotient by the centre block is the wreath product", _run_wreath)
+_register("h-generation", "normal closure of y equals the span of the chain commutators", _run_h_generation)
 
 
 # convenience selector spellings

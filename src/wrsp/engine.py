@@ -28,8 +28,6 @@ exponent, bit j of z the j-th central coordinate).
 
 from __future__ import annotations
 
-import random
-
 DEFAULT_MAX_LEVEL = 4
 
 
@@ -229,9 +227,6 @@ class GroupContext:
             for a in range(1 << self.n):
                 for z in range(1 << self.d):
                     yield Element(self, t, a, z)
-
-    def random_element(self, rng: random.Random) -> "Element":
-        return Element(self, rng.randrange(self.tmod), rng.getrandbits(self.n), rng.getrandbits(self.d))
 
     # -- named commutator chains ------------------------------------------
 

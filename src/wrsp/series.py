@@ -21,16 +21,34 @@ abelian, normal and centralised by the trivial-top part H.  Then
 
     (w z)^e = w^e N_{t,e}(z),   N_{t,e}(z) = sum_{j<e} shift^(t j)(z),
 
-and the norm map N_{t,e} is GF(2)-linear, so P_i is generated by the powers
-w^e and the images of N.  Conjugating w by a base element b gives
-(t, a + (1 + shift^t) b, z') for some z'; its e-th power differs from that
-of (t, a + (1 + shift^t) b, 0) by a norm image, so the normal closure needs
-one w per class of a modulo the image of 1 + shift^t.  In GF(2)[x]/(1+x)^n
-that image is the ideal ((1+x)^(2^v)), v the 2-adic valuation of t, and
-the rows a < 2^(2^v) (degree below 2^v) are a complement to it.  For t = 0
-the norm vanishes and w lies in H, whose exponent is 4: its squares are
-spanned by the squares of single and paired base generators, and its
-fourth powers are trivial.
+and the norm map N_{t,e} is GF(2)-linear, so P_i is the normal closure of
+the powers w^e and the images of N.  The normal closure conjugates by x,
+so a generator list that x permutes needs one member per x-orbit:
+
+- N commutes with the shift, so the images of s_0 and of c_{0,j},
+  1 <= j <= n/2, give the images of the whole central basis.
+- Conjugating w = (t, a, 0) by x gives (t, rot a, z'), and by a base
+  element b gives (t, a + (1 + shift^t) b, z''); their e-th powers differ
+  from those of (t, rot a, 0) and (t, a + (1 + shift^t) b, 0) by norm
+  images.  With b = y_u the second moves a by e_u + e_(u+t).
+- Write w_a = (t, a, 0) = x^t b_a.  Then Q(a) = x^(-te) w_a^e is a product
+  of shifts of b_a inside H, which has class 2 with [H, H] <= Z central.
+  As b_(a+a') = b_a b_a' corr(a, a'), reordering that product gives
+  Q(a + a') = Q(a) Q(a') gamma(a, a') N_{t,e}(corr(a, a')), where gamma is
+  a product of commutators and so bilinear in (a, a').  Each
+  gamma(e_u, e_u') is read off the powers with a of weight at most 2, so
+  by induction on the weight these powers and the norm images give every
+  w_a^e = w_0^e Q(a).
+- Up to rotation a row of weight 1 is e_0 and a row of weight 2 is
+  e_0 + e_w with 1 <= w < n.  The base moves e_0 + e_w to e_0 + e_(w-t)
+  and e_0 + e_t to 0, so the t + 1 rows a = 0, 1 and 1 | 1 << w with
+  1 <= w < t give every power w^e.
+
+For t = 0 the norm vanishes and w lies in H, whose exponent is 4: its
+fourth powers are trivial, and its squares are spanned by the squares
+(y_u y_v)^2 of single and paired base generators.  These are central, so
+(y_v y_u)^2 = (y_u y_v)^2, and rotating by n - w moves {0, w} to
+{n - w, 0}; so the x-conjugates of (y_0 y_w)^2 with w <= n/2 give them all.
 
 Of the nonzero top exponents only t = 2^v are needed.  Every g has 2-power
 order, so for odd u the elements g and g^u generate the same cyclic
@@ -179,38 +197,39 @@ _STEPS = {
 def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
     """The subgroup generated by all 2**i-th powers, in closed form.
 
-    With e = 2**i it is the normal closure of three sets (see the module
-    docstring for the argument).  Only the top exponents t = 2^v, v < k,
-    occur: for odd u, g^e is a power of (g^u)^e, and a suitable u makes the
-    top exponent of g^u a power of 2.
+    With e = 2**i it is the normal closure of three lists with one member
+    per x-orbit (see the module docstring for the argument).  Only the top
+    exponents t = 2^v, v < k, occur: for odd u, g^e is a power of (g^u)^e,
+    and a suitable u makes the top exponent of g^u a power of 2.
 
-    (a) w^e for w = (t, a, 0), t = 2^v and a < 2^t: one representative per
-        class of (t, a) under conjugation by the base, since
-        a + (1 + shift^t) b ranges over a coset of the ideal ((1+x)^(2^v));
-    (b) the images N_{t,e}(bit) of the central basis under the norm map,
-        from the identity (w z)^e = w^e N_{t,e}(z); they are computed from
-        the central shift tables by doubling, N_{t,2m} = N_{t,m} +
+    (a) w^e for w = (t, a, 0) with a = 0, 1 and 1 | 1 << w for 1 <= w < t:
+        up to conjugation these are the rows of weight at most 2, and
+        their powers give all the others;
+    (b) N_{t,e}(s_0) and N_{t,e}(c_{0,j}) for 1 <= j <= n/2, from the
+        identity (w z)^e = w^e N_{t,e}(z); they are computed from the
+        central shift tables by doubling, N_{t,2m} = N_{t,m} +
         shift^(t m) N_{t,m}, without group multiplication;
-    (c) for e = 2 only, the squares of the single and paired base
-        generators, which span the squares of the trivial-top part; its
-        exponent is 4, so for e >= 4 this set is empty.
+    (c) for e = 2 only, (y_0 y_w)^2 for w <= n/2, whose x-conjugates span
+        the squares of the trivial-top part; its exponent is 4, so for
+        e >= 4 this list is empty.
     """
     if i < 1:
         raise ValueError("power index must be >= 1")
 
     def build():
         e = 1 << i
+        orbit_bits = [0] + [ctx.pair_bit[0][j] for j in range(1, ctx.n // 2 + 1)]
         gens = []
         for t in (1 << v for v in range(ctx.k)):
-            gens += [ctx.element(t, a, 0) ** e for a in range(1 << t)]
-            for b in range(ctx.d):
+            rows = [0, 1] + [1 | 1 << w for w in range(1, t)]
+            gens += [ctx.element(t, a, 0) ** e for a in rows]
+            for b in orbit_bits:
                 img = 1 << b
                 for j in range(i):
                     img ^= ctx.shift_central(img, t << j)
                 gens.append(ctx.central_from_mask(img))
         if e == 2:
-            gens += [ctx.element(0, (1 << u) | (1 << w), 0) ** 2
-                     for u in range(ctx.n) for w in range(u, ctx.n)]
+            gens += [ctx.element(0, 1 | 1 << w, 0) ** 2 for w in range(ctx.n // 2 + 1)]
         return normal_closure(gens)
 
     return ctx.cached(("power", i), build)
@@ -249,33 +268,23 @@ def projection_map(ctx: GroupContext, i: int):
 
 def projection_kernel(ctx: GroupContext, i: int) -> Subgroup:
     """Kernel of the level projection, the finite shadow of the i-th
-    construction-series term; exactness certified by the order count."""
+    construction-series term: the normal closure K of x^(2^i) and
+    y_(2^i) y_0^-1, both of which the projection kills.  Conjugating by x^u
+    gives y_(u+2^i) = y_u modulo K, so G/K is generated by x of order
+    dividing 2^i and y_0, ..., y_(2^i - 1) subject to the relations of
+    level i, and |G/K| <= |G_i|.  The order check certifies that K is the
+    whole kernel."""
     if not 1 <= i < ctx.k:
         raise ValueError("kernel level must be strictly below the context level")
-
-    def build():
-        fold = 1 << i
-        gens = [ctx.x() ** fold]
-        for u in range(fold, ctx.n):
-            gens.append(ctx.base_gen(u) * ctx.base_gen(u % fold).inverse())
-            gens.append(ctx.square_gen(u) * ctx.square_gen(u % fold))
-        for u in range(ctx.n):
-            for v in range(u + 1, ctx.n):
-                uu, vv = u % fold, v % fold
-                if (u, v) == (uu, vv):
-                    continue
-                img = ctx.pair_gen(uu, vv) if uu != vv else ctx.identity()
-                gens.append(ctx.pair_gen(u, v) * img)
-        ker = normal_closure(gens)
-        expected = ctx.log_order - get_context(i).log_order
-        if ker.log_order != expected:
-            raise RuntimeError(
-                f"projection kernel to level {i} has log order {ker.log_order}, "
-                f"expected {expected}"
-            )
-        return ker
-
-    return ctx.cached(("kernel", i), build)
+    fold = 1 << i
+    ker = normal_closure([ctx.x() ** fold, ctx.base_gen(fold) * ctx.base_gen(0).inverse()])
+    expected = ctx.log_order - get_context(i).log_order
+    if ker.log_order != expected:
+        raise RuntimeError(
+            f"projection kernel to level {i} has log order {ker.log_order}, "
+            f"expected {expected}"
+        )
+    return ker
 
 
 # -- the stated lower-central generator lists -------------------------------
@@ -538,21 +547,16 @@ def _weight_filtered_closure(ctx: GroupContext, weight: int, include_cij: bool) 
     """Normal closure of the double-chain and pair-chain commutators of
     total weight at least the bound; this is the error subgroup of the
     power expansion congruences instantiated here (its power part is
-    trivial because all these commutators are central involutions).  An
-    empty generator list gives the trivial group."""
-
-    def build():
-        top = 2 * ctx.n + 1
-        gens = []
-        min_idx = 1 if include_cij else 2
-        for u in range(min_idx, top + 1):
-            for v in range(min_idx, top + 1):
-                if u + v < weight:
-                    continue
-                if include_cij and u >= 2:
-                    gens.append(ctx.cij(u, v))
-                if u < v:  # z_{u,u} = 1, z_{v,u} = z_{u,v} (part (c) of _identity_checks)
-                    gens.append(ctx.zij(u, v))
-        return normal_closure(gens) if gens else trivial_subgroup(ctx)
-
-    return ctx.cached(("weight_closure", weight, include_cij), build)
+    trivial because all these commutators are central involutions).  The
+    double chains need one member per u >= 2: c_{u,v+1} = [c_{u,v}, x], so
+    c_{u, max(1, weight - u)} stands for every c_{u,v} of enough weight.
+    An empty generator list gives the trivial group."""
+    top = 2 * ctx.n + 1
+    gens = []
+    if include_cij:
+        gens += [ctx.cij(u, max(1, weight - u)) for u in range(2, top + 1) if weight - u <= top]
+    # z_{u,u} = 1 and z_{v,u} = z_{u,v} (part (c) of _identity_checks)
+    min_idx = 1 if include_cij else 2
+    gens += [ctx.zij(u, v) for u in range(min_idx, top + 1)
+             for v in range(max(u + 1, weight - u), top + 1)]
+    return normal_closure(gens) if gens else trivial_subgroup(ctx)

@@ -13,6 +13,11 @@ from wrsp.engine import get_context  # noqa: E402
 _SESSION_T0 = time.time()
 
 
+def random_element(ctx, rng):
+    """An element of the level of ctx with every coordinate drawn from rng."""
+    return ctx.element(rng.randrange(ctx.tmod), rng.getrandbits(ctx.n), rng.getrandbits(ctx.d))
+
+
 @pytest.fixture(scope="session")
 def ctx1():
     return get_context(1)

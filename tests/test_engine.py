@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import random_element
 from wrsp.claims import run_claims
 from wrsp.engine import (
     _apply_chunks,
@@ -41,7 +42,7 @@ def test_inverses_and_associativity_sampled(k):
     ctx = get_context(k)
     rng = random.Random(1000 + k)
     for _ in range(500):
-        g, h, f = (ctx.random_element(rng) for _ in range(3))
+        g, h, f = (random_element(ctx, rng) for _ in range(3))
         assert (g * g.inverse()).is_identity()
         assert (g.inverse() * g).is_identity()
         assert (g * h) * f == g * (h * f)
@@ -96,7 +97,7 @@ def test_conjugation_by_x_has_order_two_to_k(k):
     rng = random.Random(7 * k)
     x = ctx.x()
     for _ in range(50):
-        g = ctx.random_element(rng)
+        g = random_element(ctx, rng)
         cur = g
         for _ in range(1 << k):
             cur = cur.conj(x)
@@ -107,7 +108,7 @@ def test_central_block_commutes(ctx3):
     rng = random.Random(55)
     for _ in range(300):
         z = ctx3.central_from_mask(rng.getrandbits(ctx3.d))
-        h = ctx3.random_element(rng)
+        h = random_element(ctx3, rng)
         h0 = ctx3.element(0, h.a, h.z)
         assert commutator(z, h0).is_identity()
         assert z.conj(ctx3.y()) == z
@@ -115,7 +116,7 @@ def test_central_block_commutes(ctx3):
 
 def test_commutator_conventions(ctx2):
     rng = random.Random(4)
-    g, h = ctx2.random_element(rng), ctx2.random_element(rng)
+    g, h = random_element(ctx2, rng), random_element(ctx2, rng)
     assert commutator(g, h) == g.inverse() * h.inverse() * g * h
     assert commutator(g, ctx2.identity()).is_identity()
     assert commutator(g, h) == commutator(h, g).inverse()
@@ -152,7 +153,7 @@ def test_text_round_trip(k):
     ctx = get_context(k)
     rng = random.Random(99 + k)
     for _ in range(400):
-        g = ctx.random_element(rng)
+        g = random_element(ctx, rng)
         assert parse_element(ctx, g.text()) == g
 
 
@@ -196,7 +197,7 @@ def test_level_four_smoke():
     ctx = get_context(4)
     rng = random.Random(44)
     for _ in range(40):
-        g, h, f = (ctx.random_element(rng) for _ in range(3))
+        g, h, f = (random_element(ctx, rng) for _ in range(3))
         assert (g * h) * f == g * (h * f)
         assert (g * g.inverse()).is_identity()
     assert ctx.log_order == 4 + 32 + 120
@@ -215,7 +216,7 @@ def test_wreath_projection(k):
     ctx = get_context(k)
     rng = random.Random(21 + k)
     for _ in range(500):
-        g, h = ctx.random_element(rng), ctx.random_element(rng)
+        g, h = random_element(ctx, rng), random_element(ctx, rng)
         assert project_to_wreath(g * h) == project_to_wreath(g) * project_to_wreath(h)
         w = project_to_wreath(g)
         assert (w * w.inverse()).is_identity()
@@ -232,7 +233,7 @@ def test_wreath_certificate_matches_search(k):
     rng = random.Random(0xAB + k)
     hom_ok = True
     for _ in range(2000):
-        g, h = ctx.random_element(rng), ctx.random_element(rng)
+        g, h = random_element(ctx, rng), random_element(ctx, rng)
         if project_to_wreath(g * h) != project_to_wreath(g) * project_to_wreath(h):
             hom_ok = False
             break

@@ -7,9 +7,11 @@ import pytest
 
 import wrsp
 
+from conftest import random_element
 from wrsp.engine import WreathElement, commutator, get_context
 from wrsp.series import (
     SeriesKind,
+    _weight_filtered_closure,
     commutator_identity_checks,
     double_product_rhs,
     exact_power_subgroup,
@@ -281,13 +283,16 @@ def test_power_series_exact(k):
 POWER_LOGS = {
     3: [47, 45, 38, 13, 1, 0],
     4: [156, 154, 147, 122, 25, 1, 0],
+    5: [565, 563, 556, 531, 434, 49, 1, 0],
 }
 
 
 @pytest.mark.parametrize("k", sorted(POWER_LOGS))
 def test_power_series_exact_logs(k):
-    tbl = series(get_context(k), SeriesKind.POWER)
+    tbl = series(get_context(k, allow_large=True), SeriesKind.POWER)
     assert [s.log_order for s in tbl.terms] == POWER_LOGS[k]
+    # P_(k+1) is the last nontrivial term, so the exponent is 2^(k+2)
+    assert tbl.length == k + 1
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -356,7 +361,7 @@ def test_random_powers_lie_in_power_subgroups(k):
     terms = series(ctx, SeriesKind.POWER).terms
     rng = random.Random(0x90 + k)
     for _ in range(200):
-        g = ctx.random_element(rng)
+        g = random_element(ctx, rng)
         for i, sub in enumerate(terms[1:], start=1):
             g = g * g
             assert sub.contains(g), (k, i)
@@ -385,7 +390,7 @@ def test_power_subgroup_contains_witness_powers(k):
             assert sub.contains(g ** (1 << i)), (k, i, g.text())
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_m_series_kernels(k):
     ctx = get_context(k)
     tbl = series(ctx, SeriesKind.M)
@@ -400,13 +405,44 @@ def test_m_series_kernels(k):
         assert all(pi(m).is_identity() for m in ker.igs)
 
 
+def test_m_series_logs_level5():
+    tbl = series(get_context(5, allow_large=True), SeriesKind.M)
+    assert [s.log_order for s in tbl.terms] == [565, 559, 549, 518, 409, 0]
+
+
+def _kernel_from_enumerated_generators(ctx, i):
+    """The projection kernel from every folded generator: x^(2^i), and each
+    base, square and pair generator times the inverse of its image under
+    folding the indices mod 2^i."""
+    fold = 1 << i
+    gens = [ctx.x() ** fold]
+    for u in range(fold, ctx.n):
+        gens.append(ctx.base_gen(u) * ctx.base_gen(u % fold).inverse())
+        gens.append(ctx.square_gen(u) * ctx.square_gen(u % fold))
+    for u in range(ctx.n):
+        for v in range(u + 1, ctx.n):
+            uu, vv = u % fold, v % fold
+            if (u, v) == (uu, vv):
+                continue
+            img = ctx.pair_gen(uu, vv) if uu != vv else ctx.identity()
+            gens.append(ctx.pair_gen(u, v) * img)
+    return normal_closure(gens)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_projection_kernel_matches_enumerated_generators(k):
+    ctx = get_context(k)
+    for i in range(1, k):
+        want = _kernel_from_enumerated_generators(ctx, i)
+        assert projection_kernel(ctx, i).igs == want.igs, (k, i)
+
+
 def test_projection_is_homomorphism(ctx3):
-    import random
     for i in (1, 2):
         pi = projection_map(ctx3, i)
         rng = random.Random(1234 + i)
         for _ in range(300):
-            g, h = ctx3.random_element(rng), ctx3.random_element(rng)
+            g, h = random_element(ctx3, rng), random_element(ctx3, rng)
             assert pi(g * h) == pi(g) * pi(h)
 
 
@@ -491,6 +527,34 @@ def test_power_shift_matches_full_range(k):
 
 def test_identity_checks_computed_once_per_level(ctx2):
     assert commutator_identity_checks(ctx2) is commutator_identity_checks(ctx2)
+
+
+def _weight_closure_over_full_quadrant(ctx, weight, include_cij):
+    """The weight-filtered closure from every c_{u,v} and z_{u,v} of total
+    weight at least the bound, not one double chain per u."""
+    top = 2 * ctx.n + 1
+    min_idx = 1 if include_cij else 2
+    gens = []
+    for u in range(min_idx, top + 1):
+        for v in range(min_idx, top + 1):
+            if u + v < weight:
+                continue
+            if include_cij and u >= 2:
+                gens.append(ctx.cij(u, v))
+            if u < v:
+                gens.append(ctx.zij(u, v))
+    return normal_closure(gens) if gens else trivial_subgroup(ctx)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_weight_closure_matches_full_quadrant(k):
+    ctx = get_context(k)
+    # beyond weight 2 top + 1 both generator lists are empty
+    for weight in range(4 * ctx.n + 4):
+        for include_cij in (True, False):
+            want = _weight_closure_over_full_quadrant(ctx, weight, include_cij)
+            got = _weight_filtered_closure(ctx, weight, include_cij)
+            assert got.igs == want.igs, (k, weight, include_cij)
 
 
 def test_series_submodule_is_not_shadowed():

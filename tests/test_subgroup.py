@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import random_element
 from wrsp.engine import commutator, get_context
 from wrsp.series import SeriesKind, series
 from wrsp.subgroup import (
@@ -178,7 +179,7 @@ def test_agemo_examples(ctx1):
 def test_shuffled_generators_give_identical_sequences(k):
     ctx = get_context(k)
     rng = random.Random(17 * k)
-    gens = [ctx.random_element(rng) for _ in range(5)] + [ctx.y()]
+    gens = [random_element(ctx, rng) for _ in range(5)] + [ctx.y()]
     base = close(gens)
     for _ in range(25):
         rng.shuffle(gens)
@@ -202,7 +203,7 @@ def test_flat_intersection_agrees_with_enumeration(ctx2):
     h = base_and_centre_subgroup(ctx2)
     for flat in (z, h, pair_block_subgroup(ctx2)):
         for _ in range(10):
-            sub = normal_closure([ctx2.random_element(rng)])
+            sub = normal_closure([random_element(ctx2, rng)])
             got = intersect(sub, flat)
             want = close([g for g in sub.enumerate_elements() if flat.contains(g)]
                          or [ctx2.identity()])
@@ -335,7 +336,7 @@ def test_reduce_matches_position_walk(k):
     rng = random.Random(60 + k)
     terms = [(sub, {_lead(ctx, m): m for m in sub.igs}) for sub in _all_terms(ctx)]
     for j in range(2000):
-        g = ctx.random_element(rng)
+        g = random_element(ctx, rng)
         for sub, members in terms[j % 16::16]:
             assert sub.reduce(g) == _reference_reduce(sub, members, g)
 
@@ -355,7 +356,7 @@ def test_flat_intersection_exactness_invariant(ctx3):
     rng = random.Random(23)
     z = centre_block_subgroup(ctx3)
     for _ in range(8):
-        sub = normal_closure([ctx3.random_element(rng)])
+        sub = normal_closure([random_element(ctx3, rng)])
         capz = intersect(sub, z)
         image_log = sub.log_order - capz.log_order
         noncentral = sum(
