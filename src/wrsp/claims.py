@@ -1,10 +1,12 @@
 """Registry of verifiable structure claims and their runners.
 
 Each claim has a stable identifier, a mathematical one-line statement, a
-supported level range and a runner returning a VerificationResult whose
-status is "pass" or "fail".  Runners are pure functions of the level; they
-run one after another and reports are assembled in identifier order for
-deterministic output.
+supported level range and a runner.  A runner is a pure function of the
+level's GroupContext returning (ok, details), where details carries the
+one-line "summary" and the recorded data.  run_claims calls the runners one
+after another and builds every VerificationResult itself, passed, failed or
+crashed, under the registered identifier; reports come in identifier order
+for deterministic output.
 """
 
 from __future__ import annotations
@@ -70,23 +72,17 @@ class ClaimSpec:
         return self.k_min <= k <= self.k_max
 
 
-def _ok(claim_id, k, ok, summary="", **extra) -> VerificationResult:
-    details = {"summary": summary}
-    details.update(extra)
-    return VerificationResult(claim_id, k, PASS if ok else FAIL, details)
+# -- individual runners: the level's context -> (ok, details) ---------------
 
-
-# -- individual runners ------------------------------------------------------
-
-def _run_prop_order(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_prop_order(ctx):
     got = full_group(ctx).log_order
-    want = k + (1 << (k + 1)) + (ctx.n * (ctx.n - 1)) // 2
-    return _ok("prop-order", k, got == want,
-               f"log2 order {got}, formula {want}", got=got, want=want)
+    want = ctx.k + (1 << (ctx.k + 1)) + (ctx.n * (ctx.n - 1)) // 2
+    return got == want, {"summary": f"log2 order {got}, formula {want}",
+                         "got": got, "want": want}
 
 
-def _run_oracle(k: int) -> VerificationResult:
+def _run_oracle(_ctx):
+    # the word oracle exists at level 1 only, whatever level is asked for
     ctx = get_context(1)
     oracle = build_oracle()
     rep = compare_multiplication_tables(ctx, oracle)
@@ -95,14 +91,13 @@ def _run_oracle(k: int) -> VerificationResult:
     z_idx = {oracle_index_of(oracle, g)
              for g in centre_block_subgroup(ctx).enumerate_elements()}
     ok = rep["ok"] and max(census) == 8 and set(centre) <= z_idx
-    return _ok("oracle-k1", 1, ok,
-               f"64x64 table equal, max order {max(census)}, centre size {len(centre)}",
-               census={str(o): c for o, c in sorted(census.items())},
-               table=rep)
+    return ok, {"summary": f"64x64 table equal, max order {max(census)}, "
+                           f"centre size {len(centre)}",
+                "census": {str(o): c for o, c in sorted(census.items())},
+                "table": rep}
 
 
-def _run_remark_derived(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_remark_derived(ctx):
     h = base_and_centre_subgroup(ctx)
     z = centre_block_subgroup(ctx)
     hh = commutator_subgroup(h, h)
@@ -113,12 +108,11 @@ def _run_remark_derived(k: int) -> VerificationResult:
     # exponent of the trivial-top part is 4: structural fourth powers
     for m in h.igs:
         ok = ok and (m ** 4).is_identity()
-    return _ok("remark-derived", k, ok,
-               "squares of the trivial-top part span the centre block, [H,Z]=1, exp(H)=4")
+    return ok, {"summary": "squares of the trivial-top part span the centre block, "
+                           "[H,Z]=1, exp(H)=4"}
 
 
-def _run_exp2(k: int, item: str) -> VerificationResult:
-    ctx = get_context(k)
+def _run_exp2(ctx, item: str):
     gam = series(ctx, SeriesKind.GAMMA)
     n = ctx.n
     bad = []
@@ -137,38 +131,29 @@ def _run_exp2(k: int, item: str) -> VerificationResult:
             if not gam.term(i + 1).contains(ctx.c(i)):
                 bad.append(i)
         summary = f"c_i in the next lower central term for i >= {n + n // 2 + 1}"
-    return _ok(f"lemma-exp2-{item}", k, not bad, summary, failures=bad)
+    return not bad, {"summary": summary, "failures": bad}
 
 
-def _run_cm2k(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_cm2k(ctx):
     gam = series(ctx, SeriesKind.GAMMA)
     n = ctx.n
-    bad = []
-    for m in range(2, n + 1, 2):
-        if not gam.term(n + m + 1).contains(ctx.cij(m, n)):
-            bad.append(m)
-    return _ok("lemma-cm2k", k, not bad,
-               f"c_(m,{n}) lies {n}+m+1 deep for even m", failures=bad)
+    bad = [m for m in range(2, n + 1, 2) if not gam.term(n + m + 1).contains(ctx.cij(m, n))]
+    return not bad, {"summary": f"c_(m,{n}) lies {n}+m+1 deep for even m", "failures": bad}
 
 
-def _run_lcs_class(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_lcs_class(ctx):
     tbl = series(ctx, SeriesKind.GAMMA)
     want = 2 * ctx.n - 1
-    return _ok("prop-lcs-class", k, tbl.length == want,
-               f"nilpotency class {tbl.length}, formula {want}")
+    return tbl.length == want, {"summary": f"nilpotency class {tbl.length}, formula {want}"}
 
 
-def _run_lcs_layers(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_lcs_layers(ctx):
     rep = lcs_generator_check(ctx)
     bad = [row for row in rep["per_index"]
            if not (row["generators_match"] and row["shape_match"])]
-    return _ok("prop-lcs-layers", k, rep["ok"],
-               f"all {len(rep['per_index'])} stated generator lists and layer "
-               f"shapes match; layer logs sum to {rep['layer_log_sum']}",
-               failures=bad[:4], layer_log_sum=rep["layer_log_sum"])
+    return rep["ok"], {"summary": f"all {len(rep['per_index'])} stated generator lists and "
+                                  f"layer shapes match; layer logs sum to {rep['layer_log_sum']}",
+                       "failures": bad[:4], "layer_log_sum": rep["layer_log_sum"]}
 
 
 def remark_index_formula(i: int) -> int:
@@ -180,42 +165,38 @@ def remark_index_formula(i: int) -> int:
     return m * (m - 1) + m
 
 
-def _run_remark_index(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_remark_index(ctx):
     z = centre_block_subgroup(ctx)
     gam = series(ctx, SeriesKind.GAMMA)
     table = []
     window_ok = True
-    window = (1 << (k - 1)) + 1  # the level-k faithful range of the formula
+    window = (1 << (ctx.k - 1)) + 1  # the level-k faithful range of the formula
     for i in range(1, 2 * ctx.n + 1):
         got = z.log_order - intersect(gam.term(i), z).log_order
         want = remark_index_formula(i)
         table.append({"i": i, "log_index": got, "limit_formula": want})
         if i <= window and got != want:
             window_ok = False
-    return _ok("remark-index", k, window_ok,
-               f"limit formula reproduced for i <= {window}; full table recorded",
-               window=window, table=table)
+    return window_ok, {"summary": f"limit formula reproduced for i <= {window}; "
+                                  "full table recorded",
+                       "window": window, "table": table}
 
 
-def _run_exponent(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_exponent(ctx):
     xy = ctx.x() * ctx.y()
-    e = 1 << (k + 2)
+    e = 1 << (ctx.k + 2)
     witness_ok = ((xy ** e).is_identity()
                   and not (xy ** (e // 2)).is_identity()
                   and xy ** (e // 2) == ctx.c(ctx.n) ** 2)
-    orders_ok = (ctx.x().order() == 1 << k and ctx.y().order() == 4)
+    orders_ok = (ctx.x().order() == 1 << ctx.k and ctx.y().order() == 4)
     # the exponent is 2^i for the first trivial 2-power subgroup P_i
     maxo = 1 << (series(ctx, SeriesKind.POWER).length + 1)
-    ok = witness_ok and orders_ok and maxo == e
-    return _ok("lemma-exponent", k, ok,
-               f"exponent {e} (first trivial 2-power subgroup), witness x*y of order {e}",
-               max_order=maxo)
+    return witness_ok and orders_ok and maxo == e, {
+        "summary": f"exponent {e} (first trivial 2-power subgroup), witness x*y of order {e}",
+        "max_order": maxo}
 
 
-def _run_lower2(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_lower2(ctx):
     n = ctx.n
     tbl = series(ctx, SeriesKind.LOWER_P)
     gam = series(ctx, SeriesKind.GAMMA)
@@ -234,13 +215,11 @@ def _run_lower2(k: int) -> VerificationResult:
         if tbl.term(i) != want:
             ok = False
             bad.append(i)
-    return _ok("prop-lower2", k, ok,
-               f"length {tbl.length} and closed forms for all indices",
-               failures=bad)
+    return ok, {"summary": f"length {tbl.length} and closed forms for all indices",
+                "failures": bad}
 
 
-def _run_dimension(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_dimension(ctx):
     n = ctx.n
     tbl = series(ctx, SeriesKind.DIMENSION)
     gam = series(ctx, SeriesKind.GAMMA)
@@ -254,7 +233,7 @@ def _run_dimension(k: int) -> VerificationResult:
                        + list(gam.term(i).igs))
         gens2 = list(gam.term(i).igs) + [g * g for g in gam.term(half).igs]
         gens2 += [x ** (1 << l), y ** (1 << l)]
-        for m in range(2, k + 3):
+        for m in range(2, ctx.k + 3):
             nn = (i + (1 << m) - 1) >> m
             if nn >= 2:
                 gens2 += [g ** (1 << m) for g in gam.term(nn).igs]
@@ -262,54 +241,48 @@ def _run_dimension(k: int) -> VerificationResult:
         if not (tbl.term(i) == closed == product):
             ok = False
             bad.append(i)
-    return _ok("prop-dimension", k, ok,
-               f"length {tbl.length}; recurrence = closed form = product form",
-               failures=bad)
+    return ok, {"summary": f"length {tbl.length}; recurrence = closed form = product form",
+                "failures": bad}
 
 
-def _run_gamma_sq(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_gamma_sq(ctx):
     bad = []
-    for n in range(1, k + 1):
+    for n in range(1, ctx.k + 1):
         cur = gamma_n_subgroups(ctx, n).gamma_n
         nxt = gamma_n_subgroups(ctx, n + 1).gamma_n
         if not nxt.contains_subgroup(agemo_mod_derived(cur)):
             bad.append(n)
-    return _ok("lemma-gamma-sq", k, not bad,
-               "squares of each scaffold subgroup land in the next one",
-               failures=bad)
+    return not bad, {"summary": "squares of each scaffold subgroup land in the next one",
+                     "failures": bad}
 
 
-def _run_double_product(k: int) -> VerificationResult:
-    rep = commutator_identity_checks(get_context(k))
-    return _ok("lemma-double-product", k, rep["double_product"],
-               "m-fold shift commutators match the double product form",
-               failures=rep.get("double_product_failures", []))
+def _run_double_product(ctx):
+    rep = commutator_identity_checks(ctx)
+    return rep["double_product"], {
+        "summary": "m-fold shift commutators match the double product form",
+        "failures": rep.get("double_product_failures", [])}
 
 
-def _run_zij_shift(k: int) -> VerificationResult:
-    rep = commutator_identity_checks(get_context(k))
-    return _ok("cor-zij-shift", k, rep["power_shift"],
-               "2-power shift identity for all in-range pairs",
-               failures=rep.get("shift_failures", []))
+def _run_zij_shift(ctx):
+    rep = commutator_identity_checks(ctx)
+    return rep["power_shift"], {"summary": "2-power shift identity for all in-range pairs",
+                                "failures": rep.get("shift_failures", [])}
 
 
-def _run_sq_comm(k: int) -> VerificationResult:
-    rep = commutator_identity_checks(get_context(k))
-    return _ok("eq-sq-comm", k, rep["square_commutator"],
-               "square-commutator congruence at the top 2-power")
+def _run_sq_comm(ctx):
+    return commutator_identity_checks(ctx)["square_commutator"], {
+        "summary": "square-commutator congruence at the top 2-power"}
 
 
-def _run_power_expansion(k: int) -> VerificationResult:
-    rep = commutator_identity_checks(get_context(k))
-    return _ok("eq-power-expansion", k, rep["power_expansion"],
-               "both power expansion congruences, error terms in the "
-               "weight-filtered closure",
-               details=rep["power_expansion_details"])
+def _run_power_expansion(ctx):
+    rep = commutator_identity_checks(ctx)
+    return rep["power_expansion"], {
+        "summary": "both power expansion congruences, error terms in the "
+                   "weight-filtered closure",
+        "details": rep["power_expansion_details"]}
 
 
-def _run_zij_table(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_zij_table(ctx):
     n = ctx.n
     gam = series(ctx, SeriesKind.GAMMA)
     ok = True
@@ -326,106 +299,94 @@ def _run_zij_table(k: int) -> VerificationResult:
                     nonzero.append([i, j])
                 if i + j <= 2 * n and not gam.term(i + j).contains(z):
                     ok = False
-    return _ok("zij-table", k, ok,
-               f"{len(nonzero)} nonzero pair commutators: symmetric, supported "
-               f"below index {n + 1}, of weight at least i+j",
-               nonzero=nonzero)
+    return ok, {"summary": f"{len(nonzero)} nonzero pair commutators: symmetric, supported "
+                           f"below index {n + 1}, of weight at least i+j",
+                "nonzero": nonzero}
 
 
-def _run_m_density(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_m_density(ctx):
     z = centre_block_subgroup(ctx)
     seq = density_sequence(z, series(ctx, SeriesKind.M), "Z")
     n = ctx.n
     want = Fraction(n + n * (n - 1) // 2, ctx.log_order)
     top = seq.points[-1]
     ratios = [p.ratio for p in seq.points]
-    ok = (top.i == k and top.ratio == want
+    ok = (top.i == ctx.k and top.ratio == want
           and all(a < b for a, b in zip(ratios, ratios[1:])))
-    return _ok("thm-m-density", k, ok,
-               f"top-level ratio {top.num}/{top.den}, increasing within the level",
-               points=[p.as_row() for p in seq.points])
+    return ok, {"summary": f"top-level ratio {top.num}/{top.den}, increasing within the level",
+                "points": [p.as_row() for p in seq.points]}
 
 
-def _run_ld_complement(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_ld_complement(ctx):
     z = centre_block_subgroup(ctx)
     ok = True
     recorded = {}
     # the 2(j-1) law needs both the top 2-power and the wreath layer alive:
     # j <= k+1 steps for the lower 2-series, additionally j <= 3 for the
     # dimension series whose top part is x^(2^ceil(log2 j))
-    for kind, window in ((SeriesKind.LOWER_P, k + 1), (SeriesKind.DIMENSION, min(3, k + 1))):
+    for kind, window in ((SeriesKind.LOWER_P, ctx.k + 1),
+                         (SeriesKind.DIMENSION, min(3, ctx.k + 1))):
         vals = dict(complement_density(z, series(ctx, kind)))
         recorded[kind.value] = sorted(vals.items())
         for j in range(1, min(window, max(vals)) + 1):
             if vals[j] != 2 * (j - 1):
                 ok = False
-    return _ok("thm-ld-complement", k, ok,
-               "log index of S_j Z is twice the step count in the stable window",
-               values=recorded)
+    return ok, {"summary": "log index of S_j Z is twice the step count in the stable window",
+                "values": recorded}
 
 
-def _run_p_power(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_p_power(ctx):
+    k = ctx.k
     z = centre_block_subgroup(ctx)
     gam = series(ctx, SeriesKind.GAMMA)
     tbl = series(ctx, SeriesKind.POWER)
     # the i = 1 sandwich below puts P_1 = tbl.term(1) between gamma_4 and the
     # scaffold gamma_1
     ok = tbl.term(k + 2).is_trivial() and ctx.log_order - tbl.term(1).log_order >= 2
-    details = {"power_logs": [s.log_order for s in tbl.terms]}
-    sw = []
+    sandwiches = []
     for i in range(1, k + 1):
         rep = power_series(ctx, i)
-        sw.append({"i": i, "lower_log": rep.lower.log_order,
-                   "exact_log": rep.exact.log_order,
-                   "upper_log": rep.upper.log_order,
-                   "verified": rep.verified})
+        sandwiches.append({"i": i, "lower_log": rep.lower.log_order,
+                           "exact_log": rep.exact.log_order,
+                           "upper_log": rep.upper.log_order,
+                           "verified": rep.verified})
         ok = ok and rep.verified
-    details["sandwiches"] = sw
-    status = PASS if ok else FAIL
     # scaffold-intersection indices: limit formula within the faithful window
-    win = []
+    indices = []
     for s in range(1, k + 1):
         got = z.log_order - intersect(gamma_n_subgroups(ctx, s).gamma_n, z).log_order
         m = 1 << (s - 1)
-        win.append({"s": s, "log_index": got, "limit_formula": m * (m - 1)})
-    details["scaffold_indices"] = win
-    for row in win:
-        if (1 << row["s"]) <= (1 << (k - 1)) + 1 and row["log_index"] != row["limit_formula"]:
-            status = FAIL
+        indices.append({"s": s, "log_index": got, "limit_formula": m * (m - 1)})
+        if (1 << s) <= (1 << (k - 1)) + 1 and got != m * (m - 1):
+            ok = False
     # decomposition of the level-k scaffold intersection; needs the squared
     # term inside the trivial-top part, so k >= 2
     if k >= 2:
         lhs = intersect(gamma_n_subgroups(ctx, k).gamma_n, z)
         rhs = join(agemo_mod_derived(gam.term(1 << (k - 1))),
                    intersect(gam.term(1 << k), z))
-        if lhs != rhs:
-            status = FAIL
-    details["summary"] = "exact power terms verified inside certified sandwiches"
-    return VerificationResult("thm-p-power", k, status, details)
+        ok = ok and lhs == rhs
+    return ok, {"power_logs": [s.log_order for s in tbl.terms],
+                "sandwiches": sandwiches, "scaffold_indices": indices,
+                "summary": "exact power terms verified inside certified sandwiches"}
 
 
-def _run_f_sandwich(k: int) -> VerificationResult:
-    ctx = get_context(k)
-    s = k - 1
+def _run_f_sandwich(ctx):
+    s = ctx.k - 1
     phi = series(ctx, SeriesKind.FRATTINI).term(s)
     sc = gamma_n_subgroups(ctx, s)
     gam = series(ctx, SeriesKind.GAMMA)
     z = centre_block_subgroup(ctx)
     j = (1 << s) + (1 << (s - 1)) - 1
     low = join(sc.t_n, intersect(gam.term(j), z))
-    ok_low = phi.contains_subgroup(low)
-    ok_up = sc.gamma_n.contains_subgroup(phi)
-    return _ok("thm-f-sandwich", k, ok_low and ok_up,
-               f"level-{s} Frattini term sits between the stated bounds "
-               f"inside level {k}",
-               lower_log=low.log_order, phi_log=phi.log_order,
-               upper_log=sc.gamma_n.log_order)
+    ok = phi.contains_subgroup(low) and sc.gamma_n.contains_subgroup(phi)
+    return ok, {"summary": f"level-{s} Frattini term sits between the stated bounds "
+                           f"inside level {ctx.k}",
+                "lower_log": low.log_order, "phi_log": phi.log_order,
+                "upper_log": sc.gamma_n.log_order}
 
 
-def _run_wreath(k: int) -> VerificationResult:
+def _run_wreath(ctx):
     """Structural certificate for the projection (t, a, z) -> (t, a).
 
     The (t, a) part of g * h is (t1 + t2, base(x^-t2 (a1, z1) x^t2) ^ a2) and
@@ -435,28 +396,25 @@ def _run_wreath(k: int) -> VerificationResult:
     vectors for every t cover every pair.  The kernel is the centre block
     by the normal form, so the image has log order log|G| - log|Z|.
     """
-    ctx = get_context(k)
     units = [(1 << b, 0) for b in range(ctx.n)] + [(0, 1 << b) for b in range(ctx.d)]
     ok = all(ctx.conj_by_x_power(a, z, t)[0] == ctx._rot(a, t)
              for t in range(ctx.tmod) for a, z in units)
     image_log = full_group(ctx).log_order - centre_block_subgroup(ctx).log_order
-    ok = ok and image_log == k + ctx.n
+    ok = ok and image_log == ctx.k + ctx.n
     ker_ok = all(project_to_wreath(g).is_identity()
                  for g in centre_block_subgroup(ctx).igs)
-    return _ok("wreath-quotient", k, ok and ker_ok,
-               f"quotient map is a homomorphism onto 2^{k + ctx.n} elements "
-               f"with the centre block as kernel",
-               image_log=image_log)
+    return ok and ker_ok, {"summary": f"quotient map is a homomorphism onto "
+                                      f"2^{ctx.k + ctx.n} elements with the centre "
+                                      "block as kernel",
+                           "image_log": image_log}
 
 
-def _run_h_generation(k: int) -> VerificationResult:
-    ctx = get_context(k)
+def _run_h_generation(ctx):
     h = base_and_centre_subgroup(ctx)
     via_closure = normal_closure([ctx.y()])
     chain = close([ctx.c(i) for i in range(1, 2 * ctx.n + 1)])
-    ok = via_closure == h == chain
-    return _ok("h-generation", k, ok,
-               "normal closure of y equals the span of the chain commutators")
+    return via_closure == h == chain, {
+        "summary": "normal closure of y equals the span of the chain commutators"}
 
 
 CLAIMS: dict[str, ClaimSpec] = {}
@@ -469,9 +427,9 @@ def _register(claim_id, statement, runner, k_min=1, k_max=DEFAULT_MAX_LEVEL):
 _register("prop-order", "log2 order equals k + 2^(k+1) + C(2^k, 2)", _run_prop_order)
 _register("oracle-k1", "packed arithmetic equals word reduction on all 64x64 products", _run_oracle, k_max=1)
 _register("remark-derived", "squares of the trivial-top part span the centre block; its exponent is 4", _run_remark_derived)
-_register("lemma-exp2-i", "c_i^2 falls into the next lower central term from half the base width on", lambda k: _run_exp2(k, "i"))
-_register("lemma-exp2-ii", "c_i^2 vanishes beyond the base width", lambda k: _run_exp2(k, "ii"))
-_register("lemma-exp2-iii", "c_i falls into the next lower central term beyond 1.5x the base width", lambda k: _run_exp2(k, "iii"))
+_register("lemma-exp2-i", "c_i^2 falls into the next lower central term from half the base width on", lambda ctx: _run_exp2(ctx, "i"))
+_register("lemma-exp2-ii", "c_i^2 vanishes beyond the base width", lambda ctx: _run_exp2(ctx, "ii"))
+_register("lemma-exp2-iii", "c_i falls into the next lower central term beyond 1.5x the base width", lambda ctx: _run_exp2(ctx, "iii"))
 _register("lemma-cm2k", "the double chain c_(m, 2^k) lies 2^k + m + 1 deep for even m", _run_cm2k)
 _register("prop-lcs-class", "nilpotency class is 2^(k+1) - 1", _run_lcs_class)
 _register("prop-lcs-layers", "stated generator lists and layer shapes; layer logs sum to the group log", _run_lcs_layers)
@@ -532,10 +490,14 @@ def _crash_summary(exc: Exception) -> str:
 
 
 def run_claims(k: int, claim_ids: list[str]) -> list[VerificationResult]:
+    """One result per claim id, sorted by id: each runner gets the level's
+    context, and a crashed runner is a failed claim."""
     results = []
     for cid in claim_ids:
         try:
-            results.append(CLAIMS[cid].runner(k))
-        except Exception as exc:  # a crashed runner is a failed claim
-            results.append(VerificationResult(cid, k, FAIL, {"summary": _crash_summary(exc)}))
+            ok, details = CLAIMS[cid].runner(get_context(k))
+            status = PASS if ok else FAIL
+        except Exception as exc:
+            status, details = FAIL, {"summary": _crash_summary(exc)}
+        results.append(VerificationResult(cid, k, status, details))
     return sorted(results, key=lambda r: r.claim_id)

@@ -55,11 +55,12 @@ def _series_json(table) -> str:
 
 
 def cmd_verify(args) -> int:
-    selectors = None
-    if args.claims:
-        selectors = [s for chunk in args.claims for s in chunk.split(",") if s]
-    if selectors and args.all:
+    if args.claims and args.all:
         print("error: choose either --claims or --all", file=sys.stderr)
+        return USAGE_ERROR
+    selectors = [s for chunk in args.claims for s in chunk.split(",") if s]
+    if args.claims and not selectors:
+        print("error: --claims names no claim", file=sys.stderr)
         return USAGE_ERROR
     try:
         ids = select_claims(selectors, args.k)

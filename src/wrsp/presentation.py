@@ -96,7 +96,8 @@ def parse_presentation(text: str) -> tuple[int, list[str], list[tuple]]:
     """Parse the export back into (level, generator names, relations).
 
     Relations come back as tuples: ("power", g, e, rhs), ("comm", g, h, rhs)
-    or ("conj", g, rhs) for conjugation by x.
+    or ("conj", g, rhs) for conjugation by x.  Every name in a relation
+    is 1 or declared by an earlier gen line.
     """
     lines = text.splitlines()
     if not lines:
@@ -109,6 +110,7 @@ def parse_presentation(text: str) -> tuple[int, list[str], list[tuple]]:
     except ValueError:
         raise PresentationError(1, "level is not an integer") from None
     gens: list[str] = []
+    declared = {"1"}
     rels: list[tuple] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -119,6 +121,7 @@ def parse_presentation(text: str) -> tuple[int, list[str], list[tuple]]:
             if len(parts) != 2:
                 raise PresentationError(lineno, "gen lines carry exactly one name")
             gens.append(parts[1])
+            declared.add(parts[1])
             continue
         if parts[0] != "rel" or len(parts) != 4 or parts[2] != "=":
             raise PresentationError(lineno, f"malformed relation {line!r}")
@@ -127,19 +130,23 @@ def parse_presentation(text: str) -> tuple[int, list[str], list[tuple]]:
             inner = lhs[1:-1].split(",")
             if len(inner) != 2:
                 raise PresentationError(lineno, "commutator needs two arguments")
-            rels.append(("comm", inner[0], inner[1], rhs))
+            rel = ("comm", inner[0], inner[1], rhs)
         elif "^" in lhs:
             base, exp = lhs.rsplit("^", 1)
             if exp == "x":
-                rels.append(("conj", base, rhs))
+                rel = ("conj", base, rhs)
             else:
                 try:
                     e = int(exp)
                 except ValueError:
                     raise PresentationError(lineno, f"bad exponent {exp!r}") from None
-                rels.append(("power", base, e, rhs))
+                rel = ("power", base, e, rhs)
         else:
             raise PresentationError(lineno, f"malformed relation {line!r}")
+        for name in rel[1:]:
+            if isinstance(name, str) and name not in declared:
+                raise PresentationError(lineno, f"undeclared generator {name!r}")
+        rels.append(rel)
     return level, gens, rels
 
 

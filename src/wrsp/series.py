@@ -215,24 +215,20 @@ def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
     """
     if i < 1:
         raise ValueError("power index must be >= 1")
-
-    def build():
-        e = 1 << i
-        orbit_bits = [0] + [ctx.pair_bit[0][j] for j in range(1, ctx.n // 2 + 1)]
-        gens = []
-        for t in (1 << v for v in range(ctx.k)):
-            rows = [0, 1] + [1 | 1 << w for w in range(1, t)]
-            gens += [ctx.element(t, a, 0) ** e for a in rows]
-            for b in orbit_bits:
-                img = 1 << b
-                for j in range(i):
-                    img ^= ctx.shift_central(img, t << j)
-                gens.append(ctx.central_from_mask(img))
-        if e == 2:
-            gens += [ctx.element(0, 1 | 1 << w, 0) ** 2 for w in range(ctx.n // 2 + 1)]
-        return normal_closure(gens)
-
-    return ctx.cached(("power", i), build)
+    e = 1 << i
+    orbit_bits = [0] + [ctx.pair_bit[0][j] for j in range(1, ctx.n // 2 + 1)]
+    gens = []
+    for t in (1 << v for v in range(ctx.k)):
+        rows = [0, 1] + [1 | 1 << w for w in range(1, t)]
+        gens += [ctx.element(t, a, 0) ** e for a in rows]
+        for b in orbit_bits:
+            img = 1 << b
+            for j in range(i):
+                img ^= ctx.shift_central(img, t << j)
+            gens.append(ctx.central_from_mask(img))
+    if e == 2:
+        gens += [ctx.element(0, 1 | 1 << w, 0) ** 2 for w in range(ctx.n // 2 + 1)]
+    return normal_closure(gens)
 
 
 def projection_map(ctx: GroupContext, i: int):
@@ -423,7 +419,7 @@ def power_series(ctx: GroupContext, i: int) -> SandwichReport:
     return SandwichReport(
         level=i,
         lower=series(ctx, SeriesKind.GAMMA).term(1 << (i + 1)),
-        exact=exact_power_subgroup(ctx, i),
+        exact=series(ctx, SeriesKind.POWER).term(i),
         upper=gamma_n_subgroups(ctx, i).gamma_n,
     )
 
@@ -520,7 +516,7 @@ def _identity_checks(ctx: GroupContext) -> dict:
         for l in range(2, e + 1):
             rhs1 = rhs1 * (ctx.c(l) ** comb(e, l))
         disc1 = rhs1.inverse() * lhs1
-        k1 = _weight_filtered_closure(ctx, e, include_cij=True)
+        k1 = _weight_filtered_closure(ctx, e, 1)
         ok1 = k1.contains(disc1)
         # second congruence: [x^(2^r), y] against the [x,y,...] chain powers
         lhs2 = commutator(x ** e, y)
@@ -531,7 +527,7 @@ def _identity_checks(ctx: GroupContext) -> dict:
             rhs2 = rhs2 * (term ** comb(e, l))
             term = commutator(term, x)
         disc2 = rhs2.inverse() * lhs2
-        k2 = _weight_filtered_closure(ctx, e + 2, include_cij=False)
+        k2 = _weight_filtered_closure(ctx, e + 2, 2)
         ok2 = k2.contains(disc2)
         d_ok = d_ok and ok1 and ok2
         details.append({"r": r, "product_form": ok1, "commutator_form": ok2,
@@ -543,20 +539,23 @@ def _identity_checks(ctx: GroupContext) -> dict:
     return report
 
 
-def _weight_filtered_closure(ctx: GroupContext, weight: int, include_cij: bool) -> Subgroup:
-    """Normal closure of the double-chain and pair-chain commutators of
-    total weight at least the bound; this is the error subgroup of the
-    power expansion congruences instantiated here (its power part is
-    trivial because all these commutators are central involutions).  The
-    double chains need one member per u >= 2: c_{u,v+1} = [c_{u,v}, x], so
-    c_{u, max(1, weight - u)} stands for every c_{u,v} of enough weight.
-    An empty generator list gives the trivial group."""
+def _weight_filtered_closure(ctx: GroupContext, weight: int, lowest: int) -> Subgroup:
+    """The error subgroup of the power expansion congruences instantiated
+    here: the span of the pair commutators z_{u,v}, lowest <= u < v, of
+    total weight u + v at least the bound (lowest = 1 for the product form,
+    2 for the commutator form).  They are central involutions, so there is
+    no power part.
+
+    The product form also admits the double chains c_{u,v}, u >= 2, of
+    enough weight, but they add nothing: c_{u,1} = [c_u, y] = z_{u,1}, and
+    c_{u,v} = [z_{u,1}, x, ..(v-1).., x] is by the double-product identity
+    a product of z's of weight at least u + v.  The span is normal: y
+    centralises the pair block, and [z_{i,j}, x] = z_{i+1,j} z_{i,j+1}
+    z_{i+1,j+1} has factors of no smaller weight or lowest index (z_{u,u} =
+    1, z_{v,u} = z_{u,v}, and z_{u,v} = 1 once v > n, part (c) of
+    _identity_checks), so a plain closure is the normal closure.  An empty
+    list gives the trivial group."""
     top = 2 * ctx.n + 1
-    gens = []
-    if include_cij:
-        gens += [ctx.cij(u, max(1, weight - u)) for u in range(2, top + 1) if weight - u <= top]
-    # z_{u,u} = 1 and z_{v,u} = z_{u,v} (part (c) of _identity_checks)
-    min_idx = 1 if include_cij else 2
-    gens += [ctx.zij(u, v) for u in range(min_idx, top + 1)
-             for v in range(max(u + 1, weight - u), top + 1)]
-    return normal_closure(gens) if gens else trivial_subgroup(ctx)
+    gens = [ctx.zij(u, v) for u in range(lowest, top + 1)
+            for v in range(max(u + 1, weight - u), top + 1)]
+    return close(gens) if gens else trivial_subgroup(ctx)

@@ -76,15 +76,33 @@ def test_run_claims_catches_runner_errors(monkeypatch):
     from wrsp.subgroup import close
     spec = cl.CLAIMS["prop-order"]
     for runner, want in (
-            (lambda k: (_ for _ in ()).throw(RuntimeError("boom")),
+            (lambda ctx: (_ for _ in ()).throw(RuntimeError("boom")),
              r"error: RuntimeError: boom at wrsp/claims\.py:\d+"),
-            (lambda k: close([]),
+            (lambda ctx: close([]),
              r"error: ValueError: close needs at least one generator at wrsp/subgroup\.py:\d+")):
         monkeypatch.setitem(cl.CLAIMS, "prop-order",
                             cl.ClaimSpec("prop-order", spec.statement, 1, 4, runner))
         (res,) = run_claims(1, ["prop-order"])
         assert res.status == "fail"
         assert re.fullmatch(want, res.details["summary"])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_runner_meets_the_result_contract(k):
+    # run_claims builds each result under the requested id and level from
+    # the runner's (ok, details)
+    ids = [cid for cid, spec in CLAIMS.items() if spec.supports(k)]
+    for cid in ids:
+        (res,) = run_claims(k, [cid])
+        assert (res.claim_id, res.k, res.status) == (cid, k, "pass"), res.details
+        assert isinstance(res.details["summary"], str)
+
+
+def test_oracle_claim_builds_level_one_at_any_level():
+    # the benchmark asks for the oracle claim at level 4
+    (res,) = run_claims(4, ["oracle-k1"])
+    assert (res.claim_id, res.k, res.status) == ("oracle-k1", 4, "pass")
+    assert res.details["table"]["ok"]
 
 
 def test_verify_all_level1():
@@ -129,6 +147,10 @@ def test_usage_errors():
     assert run_cli(["series", "--k", "4", "--kind", "power"])[0] == 2
     assert run_cli(["density", "--k", "2", "--kind", "m", "--target", "seed"])[0] == 2
     assert run_cli(["no-such-command"])[0] == 2
+    # an empty selector list names no claim, with or without --all
+    for selector in ("", ","):
+        _assert_usage_error(run_cli(["verify", "--k", "1", "--claims", selector]))
+        _assert_usage_error(run_cli(["verify", "--k", "1", "--claims", selector, "--all"]))
 
 
 def _assert_usage_error(result):
@@ -242,6 +264,12 @@ def test_presentation_parse_errors():
     with pytest.raises(PresentationError) as err:
         parse_presentation("pcgroup level=1\ngen x\nrel x = 1\n")
     assert "line 3" in str(err.value)
+    # a relation may only name declared generators
+    for text, line, name in (("pcgroup level=1\ngen x\nrel q^2 = 1\n", 3, "q"),
+                             ("pcgroup level=1\ngen x\ngen y0\nrel [y0,zz] = 1\n", 4, "zz")):
+        with pytest.raises(PresentationError) as err:
+            verify_presentation(text)
+        assert f"line {line}: undeclared generator '{name}'" == str(err.value)
 
 
 def test_oracle_command():
