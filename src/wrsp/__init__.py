@@ -21,6 +21,7 @@ from .subgroup import (
     close,
     commutator_subgroup,
     commutator_with_group,
+    extend,
     full_group,
     intersect,
     join,

@@ -32,6 +32,7 @@ from .subgroup import (
     centre_block_subgroup,
     close,
     commutator_subgroup,
+    extend,
     full_group,
     intersect,
     join,
@@ -203,7 +204,7 @@ def _run_lower2(ctx):
     x = ctx.x()
     ok = tbl.length == 2 * n - 1
     bad = []
-    want2 = close([x ** 2, ctx.y() ** 2] + list(gam.term(2).igs))
+    want2 = extend(gam.term(2), [x ** 2, ctx.y() ** 2])
     if tbl.term(2) != want2:
         ok = False
         bad.append(2)
@@ -211,7 +212,7 @@ def _run_lower2(ctx):
         gens = [x ** (1 << (i - 1))]
         if 3 <= i <= n // 2 + 1:
             gens.append(ctx.c(i - 1) ** 2)
-        want = close(gens + list(gam.term(i).igs))
+        want = extend(gam.term(i), gens)
         if tbl.term(i) != want:
             ok = False
             bad.append(i)
@@ -229,15 +230,14 @@ def _run_dimension(ctx):
     for i in range(2, 2 * n + 1):
         l = (i - 1).bit_length()
         half = (i + 1) // 2
-        closed = close([x ** (1 << l)] + [g * g for g in gam.term(half).igs]
-                       + list(gam.term(i).igs))
-        gens2 = list(gam.term(i).igs) + [g * g for g in gam.term(half).igs]
-        gens2 += [x ** (1 << l), y ** (1 << l)]
+        squares = [g * g for g in gam.term(half).igs]
+        closed = extend(gam.term(i), [x ** (1 << l)] + squares)
+        gens2 = squares + [x ** (1 << l), y ** (1 << l)]
         for m in range(2, ctx.k + 3):
             nn = (i + (1 << m) - 1) >> m
             if nn >= 2:
                 gens2 += [g ** (1 << m) for g in gam.term(nn).igs]
-        product = close(gens2)
+        product = extend(gam.term(i), gens2)
         if not (tbl.term(i) == closed == product):
             ok = False
             bad.append(i)
@@ -458,7 +458,12 @@ SELECTOR_ALIASES = {
 
 
 def select_claims(selectors: list[str] | None, k: int) -> list[str]:
-    """Claim identifiers for a selector list (prefix matching), level aware."""
+    """Claim identifiers for a selector list (prefix matching), level aware.
+
+    Raises KeyError for a selector that matches no registered claim and
+    ValueError, naming the level ranges, for one whose claims all lie
+    outside level k.
+    """
     if not selectors:
         ids = [cid for cid, spec in CLAIMS.items() if spec.supports(k)]
         return sorted(ids)
@@ -468,11 +473,12 @@ def select_claims(selectors: list[str] | None, k: int) -> list[str]:
         matched = [cid for cid in CLAIMS if cid == sel or cid.startswith(sel)]
         if not matched:
             raise KeyError(sel)
-        for cid in matched:
-            if CLAIMS[cid].supports(k):
-                out.add(cid)
-    if not out:
-        raise KeyError(",".join(selectors))
+        supported = [cid for cid in matched if CLAIMS[cid].supports(k)]
+        if not supported:
+            ranges = ", ".join(f"{cid} supports k = {CLAIMS[cid].k_min}..{CLAIMS[cid].k_max}"
+                               for cid in matched)
+            raise ValueError(f"no claim matching {sel!r} runs at level {k}: {ranges}")
+        out.update(supported)
     return sorted(out)
 
 

@@ -67,6 +67,9 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         print(f"error: unknown claim selector {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     results = run_claims(args.k, ids)
     lines = [r.line() for r in results]
     n_fail = sum(1 for r in results if not r.passed)

@@ -354,8 +354,7 @@ class Element:
 
 def _hex_le(v: int, nbits: int) -> str:
     """Hex string, one nibble per character, lowest coordinates first."""
-    nnib = max(1, (nbits + 3) // 4)
-    return "".join("0123456789abcdef"[(v >> (4 * i)) & 15] for i in range(nnib))
+    return format(v, f"0{max(1, (nbits + 3) // 4)}x")[::-1]
 
 
 def _unhex_le(s: str, nbits: int) -> int:

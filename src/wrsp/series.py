@@ -12,7 +12,8 @@ m = ceil(i/2).  The square subgroup D^2 = <g^2 : g in D> of any group D
 contains [D, D], because [a, b] = a^-2 (a b^-1)^2 b^2, and D / [D, D] is
 abelian, so D^2 = <u^2 : u in igs(D)> [D, D].  Each term is therefore one
 normal closure of the commutators [u, x], [u, y] over igs(D_{i-1}), the
-squares of igs(D_m) and the igs of [D_m, D_m].
+squares of igs(D_m) and [D_m, D_m]; the last is normal (characteristic in
+the normal D_m), so the closure extends it instead of re-deriving it.
 
 The raw 2-power subgroups P_i = <g^e : g in G>, e = 2**i, have no such
 reduction; they are built in closed form at every level.  Write g = w z
@@ -70,6 +71,7 @@ from .subgroup import (
     close,
     commutator_subgroup,
     commutator_with_group,
+    extend,
     full_group,
     group_commutators,
     layer_shape,
@@ -172,13 +174,13 @@ def _frattini_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
 
 
 def _dimension_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
-    # D_i = [D_{i-1}, G] D_m^2 with m = ceil(i/2), in one normal closure;
-    # D_m^2 = <u^2 : u in igs(D_m)> [D_m, D_m] (module docstring)
+    # D_i = [D_{i-1}, G] D_m^2 with m = ceil(i/2), in one normal closure
+    # that extends the normal [D_m, D_m] (module docstring)
     i = len(terms) + 1  # terms[0] is D_1
     m = (i + 1) // 2
     dm = terms[m - 1]
     der = ctx.cached(("dimension_derived", m), lambda: commutator_subgroup(dm, dm))
-    return normal_closure(group_commutators(terms[-1]) + _squares(dm) + list(der.igs))
+    return extend(der, group_commutators(terms[-1]) + _squares(dm), (ctx.x(), ctx.y()))
 
 
 # kind -> (natural index of the whole group, step from the terms built so
@@ -337,7 +339,7 @@ def lcs_generator_check(ctx: GroupContext) -> dict:
         cur = table.term(i)
         nxt = table.term(i + 1)
         gens = stated_gamma_generators(ctx, i)
-        regen = close(gens + list(nxt.igs)) if (gens or nxt.igs) else trivial_subgroup(ctx)
+        regen = extend(nxt, gens)
         gens_ok = regen == cur
         shape = layer_shape(cur, nxt)
         want = expected_gamma_layer(ctx.k, i)
@@ -387,7 +389,7 @@ def gamma_n_subgroups(ctx: GroupContext, n: int) -> GammaScaffold:
         heads = [ctx.x() ** (1 << n)]
         heads += [ctx.c(i) ** 2 for i in range(1 << (n - 1), top + 1)]
         gamma_2n = series(ctx, SeriesKind.GAMMA).term(1 << n)
-        gamma_n = close(heads + list(gamma_2n.igs))
+        gamma_n = extend(gamma_2n, heads)
         t_n = close(heads + [ctx.c(j) for j in range(1 << n, top + 1)])
         return GammaScaffold(n, gamma_n, t_n)
 

@@ -32,6 +32,19 @@ closes; it raises for any other pair.  For a target T inside the centre
 block Z, T ^ S = T ^ (S ^ Z), and the central tails of a descending chain
 are nested, so central_cap_logs() reads log |T ^ S| for every term of a
 series from one reduced tail, seeded with T and grown deepest term first.
+
+Extension.  extend(B, gens, C) starts close()'s loop from a copy of the
+table of a subgroup B closed under the conjugators C, so it sifts only the
+new generators and their obligations.  close(B.igs + gens, C) run on B's
+canonical sequence first inserts B's members unchanged (each is led below
+the ones before it and already reduced at their positions) and rebuilds
+B's table exactly, queueing what B's leaders owe: their powers, their
+commutators and their conjugates, all of which lie in B.  The result of
+close() is the canonical sequence of the subgroup generated by everything
+it queues, whatever order it works through the queue in; taken first,
+those obligations sift to the identity through B's table and change
+nothing.  So B's leaders owe each other nothing, and extend's run is the
+rest of close's.
 """
 
 from __future__ import annotations
@@ -240,10 +253,35 @@ def close(gens, conjugators=()) -> Subgroup:
     for g in gens:
         if g.ctx.k != ctx.k:
             raise ValueError("generators live at different levels")
+    return _grow(ctx, [], {}, _Tail(), gens, conjugators)
 
-    positions: list[int] = []  # top and base leader positions, increasing
-    members: dict[int, Element] = {}
-    tail = _Tail()
+
+def extend(base: Subgroup, gens, conjugators=()) -> Subgroup:
+    """close(base.igs + gens, conjugators) without re-deriving base.
+
+    base must be a subgroup closed under the conjugators (module
+    docstring, Extension).  Generators that base already contains are
+    dropped; if none is left, base itself is the answer.
+    """
+    ctx = base.ctx
+    positions, members, tail = base._table()
+    rest = []
+    for g in gens:
+        if g.ctx.k != ctx.k:
+            raise ValueError("generator and subgroup live at different levels")
+        h = _reduce(ctx, positions, members, tail, g)
+        if not h.is_identity():
+            rest.append(h)
+    if not rest:
+        return base
+    return _grow(ctx, list(positions), dict(members), _Tail(tail.rows.values()),
+                 rest, conjugators)
+
+
+def _grow(ctx, positions, members, tail, gens, conjugators) -> Subgroup:
+    """Sift gens and their obligations into the table (positions, members,
+    tail) of a subgroup closed under the conjugators, then return the
+    canonical sequence of the result.  The table is updated in place."""
     queue = deque(gens)
     while queue:
         g = queue.popleft()
@@ -340,10 +378,9 @@ def normal_closure(gens) -> Subgroup:
 def join(a: Subgroup, b: Subgroup) -> Subgroup:
     if a.ctx.k != b.ctx.k:
         raise ValueError("subgroups live at different levels")
-    gens = a.igs + b.igs
-    if not gens:
-        return trivial_subgroup(a.ctx)
-    return close(gens)
+    if a.log_order < b.log_order:
+        a, b = b, a
+    return extend(a, b.igs)
 
 
 def _commute_by_form(u: Element, v: Element) -> bool:
@@ -354,14 +391,24 @@ def _commute_by_form(u: Element, v: Element) -> bool:
 
 def _commutators(us, vs):
     """The nontrivial [u, v] for u in us and v in vs, skipping the pairs
-    that _commute_by_form settles.  When us is vs each unordered pair is
-    visited once: [v, u] = [u, v]^-1 and [u, u] = 1."""
-    for i, u in enumerate(us):
-        for v in (vs[i + 1:] if us is vs else vs):
-            if not _commute_by_form(u, v):
-                c = commutator(u, v)
-                if not c.is_identity():
-                    yield c
+    that _commute_by_form settles.
+
+    When us is vs, a canonical sequence, each unordered pair is visited
+    once ([v, u] = [u, v]^-1 and [u, u] = 1).  The sequence lists the top
+    member, then the base members, then the centre-block members, so the
+    pairs left are the top member with every later one and each base
+    member with the later base members.
+    """
+    if us is vs:
+        cut = next((i for i, u in enumerate(us) if not (u.t or u.a)), len(us))
+        pairs = ((u, v) for i, u in enumerate(us[:cut])
+                 for v in us[i + 1:(None if u.t else cut)])
+    else:
+        pairs = ((u, v) for u in us for v in vs if not _commute_by_form(u, v))
+    for u, v in pairs:
+        c = commutator(u, v)
+        if not c.is_identity():
+            yield c
 
 
 def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -390,9 +437,7 @@ def agemo_mod_derived(s: Subgroup) -> Subgroup:
     Equals s^2 [s, s], the Frattini subgroup of s, because s is abelian
     modulo [s, s].
     """
-    der = commutator_subgroup(s, s)
-    gens = list(der.igs) + [g ** 2 for g in s.igs]
-    return close(gens) if gens else trivial_subgroup(s.ctx)
+    return extend(commutator_subgroup(s, s), [g ** 2 for g in s.igs])
 
 
 def _suffix_start_of(sub: Subgroup) -> int | None:
@@ -480,9 +525,10 @@ def layer_shape(s: Subgroup, t: Subgroup) -> tuple[int, ...]:
     largest first.
 
     Read off the ranks of the power subgroups: A^(2^m) has preimage
-    s^(2^m) t, the closure of t and the 2^m-th powers of the members of s
-    (A is abelian), and with logs[m] = log|s^(2^m) t| the number of
-    invariants above 2^m is logs[m] - logs[m+1].
+    s^(2^m) t, t extended by the 2^m-th powers of the members of s (A is
+    abelian), and with logs[m] = log|s^(2^m) t| the number of invariants
+    above 2^m is logs[m] - logs[m+1].  For an elementary abelian layer
+    every square lies in t, and no closure runs.
     """
     ctx = s.ctx
     if t.ctx.k != ctx.k:
@@ -494,7 +540,7 @@ def layer_shape(s: Subgroup, t: Subgroup) -> tuple[int, ...]:
     logs = [s.log_order]
     while logs[-1] > t.log_order:
         e = 1 << len(logs)
-        logs.append(close(list(t.igs) + [g ** e for g in s.igs]).log_order)
+        logs.append(extend(t, [g ** e for g in s.igs]).log_order)
     # ranks[m]: invariants above 2^m; those equal to 2^(m+1) are the drop
     ranks = [hi - lo for hi, lo in zip(logs, logs[1:])] + [0]
     invariants = ()

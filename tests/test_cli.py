@@ -67,6 +67,8 @@ def test_selector_semantics():
     assert "oracle-k1" not in select_claims(None, 2)
     with pytest.raises(KeyError):
         select_claims(["no-such-claim"], 2)
+    with pytest.raises(ValueError, match="oracle-k1 supports k = 1..1"):
+        select_claims(["oracle"], 2)
 
 
 def test_run_claims_catches_runner_errors(monkeypatch):
@@ -151,6 +153,13 @@ def test_usage_errors():
     for selector in ("", ","):
         _assert_usage_error(run_cli(["verify", "--k", "1", "--claims", selector]))
         _assert_usage_error(run_cli(["verify", "--k", "1", "--claims", selector, "--all"]))
+    # a registered claim asked for at a level it does not support is named
+    # with its level range, not reported as unknown
+    for k, selector, want in (("2", "oracle", "oracle-k1 supports k = 1..1"),
+                              ("1", "thm-f", "thm-f-sandwich supports k = 2..4")):
+        result = run_cli(["verify", "--k", k, "--claims", selector])
+        _assert_usage_error(result)
+        assert want in result[2] and "unknown" not in result[2]
 
 
 def _assert_usage_error(result):

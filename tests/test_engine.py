@@ -148,12 +148,13 @@ def test_zij_symmetry_and_vanishing(k):
     assert ctx.zij(1, 1).is_identity()
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_text_round_trip(k):
+    # the identity, the all-ones rows in every field and random elements
     ctx = get_context(k)
     rng = random.Random(99 + k)
-    for _ in range(400):
-        g = random_element(ctx, rng)
+    ones = ctx.element(ctx.tmod - 1, ctx.amask, ctx.zmask)
+    for g in [ctx.identity(), ones] + [random_element(ctx, rng) for _ in range(400)]:
         assert parse_element(ctx, g.text()) == g
 
 

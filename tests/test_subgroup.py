@@ -17,6 +17,7 @@ from wrsp.subgroup import (
     close,
     commutator_subgroup,
     commutator_with_group,
+    extend,
     full_group,
     group_commutators,
     intersect,
@@ -151,6 +152,66 @@ def test_unordered_pairs_and_two_conjugators_match_references(k):
             seeds = group_commutators(s)
             if seeds:
                 assert normal_closure(seeds) == _three_conjugator_closure(seeds)
+
+
+def _ordered_pair_layer_shape(s, t):
+    """Reference layer shape: None unless every ordered pair of members
+    commutes modulo t, else the invariants read off power ranks, each
+    power subgroup closed from t's members afresh."""
+    if not all(t.contains(commutator(u, v)) for u in s.igs for v in s.igs):
+        return None
+    logs = [s.log_order]
+    while logs[-1] > t.log_order:
+        e = 1 << len(logs)
+        logs.append(close(list(t.igs) + [g ** e for g in s.igs]).log_order)
+    ranks = [hi - lo for hi, lo in zip(logs, logs[1:])] + [0]
+    return tuple(q for m in range(len(ranks) - 2, -1, -1)
+                 for q in (2 << m,) * (ranks[m] - ranks[m + 1]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_layer_shapes_match_all_ordered_pairs(k):
+    # on a canonical sequence the pair loop visits the top member with
+    # every later one and base members with base members only; the shape of
+    # every layer, of G over every term and of every term over 1 must match
+    # the all-ordered-pairs route (the derived subgroups are checked in
+    # test_unordered_pairs_and_two_conjugators_match_references)
+    ctx = get_context(k)
+    for kind in SeriesKind:
+        terms = series(ctx, kind).terms
+        pairs = list(zip(terms, terms[1:]))
+        pairs += [(terms[0], t) for t in terms[2:]] + [(s, terms[-1]) for s in terms[1:-2]]
+        for s, t in pairs:
+            try:
+                shape = layer_shape(s, t)
+            except ValueError:
+                shape = None
+            assert shape == _ordered_pair_layer_shape(s, t), (kind, s, t)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_extend_matches_close_on_series_layers(k):
+    # extend(t, gens, C) against close(t.igs + gens, C) for each term t and
+    # the members, the squares and a random element of the term above it
+    ctx = get_context(k)
+    rng = random.Random(5 * k)
+    for kind in SeriesKind:
+        terms = series(ctx, kind).terms
+        for s, t in zip(terms, terms[1:]):
+            for gens in (list(s.igs), [g ** 2 for g in s.igs], [random_element(ctx, rng)]):
+                for conj in ((), (ctx.x(), ctx.y())):
+                    got = extend(t, gens, conj)
+                    want = close(list(t.igs) + gens, conj)
+                    assert got.igs == want.igs and got.log_order == want.log_order
+
+
+def test_extend_edge_cases(ctx1, ctx2):
+    h = base_and_centre_subgroup(ctx2)
+    assert extend(h, []) is h
+    assert extend(h, [ctx2.y()]) is h  # already a member
+    assert extend(trivial_subgroup(ctx2), [ctx2.x()]) == close([ctx2.x()])
+    with pytest.raises(ValueError):
+        extend(h, [ctx1.x()])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -10,6 +10,15 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+
+def _traced(script: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(str(ROOT / d) for d in ("src", "bench"))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave no cache files under bench/
+    return subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 TRACED_RUN = """
 import tracer
 from wrsp.claims import run_claims
@@ -23,15 +32,29 @@ print(*(r.status for r in results), t.calls["series.power_series"],
 
 
 def test_bench_tracer_wraps_a_claim_run():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(str(ROOT / d) for d in ("src", "bench"))
-    env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave no cache files under bench/
-    proc = subprocess.run([sys.executable, "-c", TRACED_RUN], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _traced(TRACED_RUN)
     assert proc.returncode == 0, proc.stderr
     *statuses, sandwiches, powers, complements = proc.stdout.split()
     assert statuses == ["pass", "pass"]
     assert int(sandwiches) >= 1 and int(powers) >= 1 and int(complements) >= 1
+
+
+# claims whose closures extend a closed subgroup: a call routed through the
+# traced close with an argument its wrapper lacks would make them fail
+TRACED_EXTEND_RUN = """
+import tracer
+from wrsp.claims import run_claims
+
+tracer.install(tracer.Tracer())
+results = run_claims(2, ["prop-dimension", "prop-lower2", "lemma-gamma-sq", "prop-lcs-layers"])
+print(*(r.status for r in results))
+"""
+
+
+def test_bench_tracer_runs_the_extending_claims():
+    proc = _traced(TRACED_EXTEND_RUN)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["pass"] * 4
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:
