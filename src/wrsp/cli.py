@@ -124,6 +124,10 @@ def _load_seed_target(ctx, path: str):
 def cmd_density(args) -> int:
     ctx = get_context(args.k)
     if args.target in TARGETS:
+        if args.seed_file:
+            print(f"error: --seed-file needs --target seed, not --target {args.target}",
+                  file=sys.stderr)
+            return USAGE_ERROR
         target, label = TARGETS[args.target](ctx), args.target
     else:  # seed
         if not args.seed_file:

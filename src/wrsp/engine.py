@@ -22,6 +22,26 @@ restoring increasing index order is the sort of those two rows:
 
     x^-t (a, z) x^t = ((lo << t) | hi,  shift^t(z) + corr(lo << t, hi)).
 
+Trivial-top elements.  The elements (0, a, z) form the subgroup H, of
+index 2**k, and the elements (0, 0, z) its centre block Z.  Z commutes
+with H, and a product in H, (0, a, z)(0, b, w) = (0, a + b, z + w +
+corr(a, b)), deposits only a central row.  So H has class 2, [H, H] <= Z
+is central in H, and every square (0, 0, corr(a, a)) is central of order
+2: H has exponent 4.  Almost every product a closure forms has a factor
+in H, and for those there are closed forms that skip the general product
+rule.  For g = (0, a, z) and any h = (s, b, w) = x^s u with u = (0, b, w),
+let (a', z') be the coordinates of x^-s g x^s, so that g^h = u^-1 v u for
+v = (0, a', z').  In H, v u = u v [v, u] with the central
+[v, u] = (0, 0, corr(a', b) + corr(b, a')), so u^-1 v u = v [v, u] and:
+
+    g^-1     = (0, a, z + corr(a, a))
+    g^h      = (0, a', z'' )  with  z'' = z' + corr(a', b) + corr(b, a')
+    [g, h]   = g^-1 g^h = (0, a + a', z + z'' + corr(a, a) + corr(a, a'))
+    g^2      = (0, 0, corr(a, a)),  g^3 = g^-1,  g^4 = 1.
+
+When only h has trivial top, [g, h] = [h, g]^-1.  Only a pair of
+elements that both have a nonzero top exponent takes the general route.
+
 All vectors are packed into Python ints (bit i of a is the i-th base
 exponent, bit j of z the j-th central coordinate).
 """
@@ -173,6 +193,19 @@ class GroupContext:
         a2 = h.a
         return Element(self, (g.t + t2) & self.tmask, a1 ^ a2, z1 ^ h.z ^ self.corr(a1, a2))
 
+    def conj_trivial_top(self, g: "Element", h: "Element") -> "Element":
+        """h^-1 g h for g of trivial top exponent, in closed form (module
+        docstring, Trivial-top elements)."""
+        if g.ctx.k != h.ctx.k:
+            raise ValueError("elements live at different levels")
+        a, z = g.a, g.z
+        if h.t:
+            a, z = self.conj_by_x_power(a, z, h.t)
+        b = h.a
+        if b:
+            z ^= self.corr(a, b) ^ self.corr(b, a)
+        return Element(self, 0, a, z)
+
     def inv(self, g: "Element") -> "Element":
         t = g.t
         a, z = g.a, g.z
@@ -294,6 +327,17 @@ class Element:
         return self.ctx.inv(self)
 
     def __pow__(self, e: int) -> "Element":
+        if not self.t:  # exponent 4 (module docstring)
+            e &= 3
+            if e == 1:
+                return self
+            ctx = self.ctx
+            a = self.a
+            if e == 2:
+                return Element(ctx, 0, 0, ctx.corr(a, a))
+            if e == 3:
+                return Element(ctx, 0, a, self.z ^ ctx.corr(a, a))
+            return ctx.identity()
         base = self
         if e < 0:
             base = base.inverse()
@@ -309,6 +353,8 @@ class Element:
 
     def conj(self, h: "Element") -> "Element":
         """Conjugate self by h, that is h^-1 * self * h."""
+        if not self.t:
+            return self.ctx.conj_trivial_top(self, h)
         return h.inverse() * self * h
 
     def is_identity(self) -> bool:
@@ -377,10 +423,12 @@ def parse_element(ctx: GroupContext, text: str) -> Element:
     parts = text.strip().split(" ")
     if len(parts) != 4 or not parts[0].startswith("x^"):
         raise ValueError(f"malformed element text: {text!r}")
-    try:
-        t = int(parts[0][2:])
-    except ValueError:
-        raise ValueError(f"malformed top exponent in {text!r}") from None
+    digits = parts[0][2:]
+    # the decimal form text() writes; int() would also take a sign,
+    # underscores, non-ASCII digits and leading zeros
+    if not (digits.isascii() and digits.isdigit()) or (len(digits) > 1 and digits[0] == "0"):
+        raise ValueError(f"malformed top exponent in {text!r}")
+    t = int(digits)
     fields = {}
     for part, tag in zip(parts[1:], ("y", "s", "c")):
         if not part.startswith(tag + ":"):
@@ -397,8 +445,17 @@ def parse_element(ctx: GroupContext, text: str) -> Element:
 # -- commutators ------------------------------------------------------------
 
 def commutator(g: Element, h: Element) -> Element:
-    """Left-normed commutator g^-1 h^-1 g h."""
-    return g.inverse() * h.inverse() * g * h
+    """Left-normed commutator g^-1 h^-1 g h, in closed form when either
+    factor has trivial top exponent (module docstring)."""
+    if g.t and h.t:
+        return g.inverse() * h.inverse() * g * h
+    if g.t:
+        c = commutator(h, g)
+        return Element(c.ctx, 0, c.a, c.z ^ c.ctx.corr(c.a, c.a))
+    ctx = g.ctx
+    a = g.a
+    c = ctx.conj_trivial_top(g, h)
+    return Element(ctx, 0, a ^ c.a, g.z ^ c.z ^ ctx.corr(a, a) ^ ctx.corr(a, c.a))
 
 
 # -- wreath quotient --------------------------------------------------------

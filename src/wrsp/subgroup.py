@@ -13,6 +13,12 @@ zero for every leader except the one at position 0), so the reduced
 sequence is canonical: it depends only on the subgroup, not on the
 generators it was computed from.
 
+Integer base step.  A base leader m = (0, b, w) has trivial top, so g m^-1
+for g = (t, a, z) needs no conjugation: m^-1 = (0, b, w + corr(b, b)) and
+the product is (t, a + b, z + w + corr(b, b) + corr(a, b)).  _reduce
+applies these updates to the coordinates as integers and builds one
+Element at the end; only the top leader's power takes the general product.
+
 Central tail.  The members led by central positions are pure central rows,
 and in a canonical sequence they are in reduced row-echelon form: each row
 has a pivot (its lowest set bit) and no row has a set bit at another row's
@@ -31,7 +37,10 @@ the intersection with a suffix subgroup (or the full group) off L and never
 closes; it raises for any other pair.  For a target T inside the centre
 block Z, T ^ S = T ^ (S ^ Z), and the central tails of a descending chain
 are nested, so central_cap_logs() reads log |T ^ S| for every term of a
-series from one reduced tail, seeded with T and grown deepest term first.
+series from one span, seeded with T and grown deepest term first.  It reads
+only the size of that span, so the span is kept in plain echelon form
+(pivot = lowest bit, rows never back-substituted), which a new row's
+reduction keeps by re-reading its bits at the pivots after each XOR.
 
 Extension.  extend(B, gens, C) starts close()'s loop from a copy of the
 table of a subgroup B closed under the conjugators C, so it sifts only the
@@ -196,18 +205,25 @@ class Subgroup:
 
 def _reduce(ctx: GroupContext, positions: list[int], members: dict, tail: _Tail,
             g: Element) -> Element:
+    t = g.t
+    if t and positions and positions[0] == 0:  # positions may be a suffix
+        L = members[0]
+        v = _v2(L.t)  # leader normalised so that L.t == 1 << v
+        if _v2(t) >= v:
+            g = g * (L ** (-(t >> v)))
+            t = g.t
+    a, z = g.a, g.z
+    corr = ctx.corr
     for p in positions:
-        if p == 0:
-            if g.t:
-                L = members[0]
-                v = _v2(L.t)  # leader normalised so that L.t == 1 << v
-                if _v2(g.t) >= v:
-                    g = g * (L ** (-(g.t >> v)))
-        elif (g.a >> (p - 1)) & 1:
-            g = g * ctx.inv(members[p])
-    if g.z & tail.pivots:
-        g = Element(ctx, g.t, g.a, tail.reduce(g.z))
-    return g
+        if p and (a >> (p - 1)) & 1:
+            # g m^-1 for the base leader m = (0, b, w): integer base step
+            m = members[p]
+            b = m.a
+            z ^= m.z ^ corr(b, b) ^ corr(a, b)
+            a ^= b
+    if z & tail.pivots:
+        z = tail.reduce(z)
+    return Element(ctx, t, a, z)
 
 
 def _normalize_top(ctx: GroupContext, h: Element) -> Element:
@@ -228,7 +244,7 @@ def _push_obligations(ctx, members, positions, tail, new, queue, conjugators):
         others = [members[0]] if 0 in members else []
         conjugators = [c for c in conjugators if c.t]
     else:
-        queue.append(new ** (1 << (ctx.k - _v2(new.t))) if new.t else new * new)
+        queue.append(new ** ((1 << (ctx.k - _v2(new.t))) if new.t else 2))
         others = [members[p] for p in positions]
         if new.t:
             others += [Element(ctx, 0, 0, r) for r in tail.rows.values()]
@@ -497,13 +513,16 @@ def central_cap_logs(target: Subgroup, terms) -> list[int]:
     and log |T ^ A| = dim T + dim A - dim(T + A).  The tails of a
     descending chain are nested, and so are the pivot sets of their reduced
     forms, so the rows of A with pivots new to it, added to the next deeper
-    tail, span A.  One tail seeded with T's rows therefore takes, deepest
-    term first, only those rows, and its size is then dim(T + A).
+    tail, span A.  One span seeded with T's rows therefore takes, deepest
+    term first, only those rows, and its size is then dim(T + A).  Only
+    that size is read, so the span stays in plain echelon form (module
+    docstring).
     """
     ctx = target.ctx
     if not all(m.is_central_block() for m in target.igs):
         raise ValueError("target does not lie in the centre block")
-    span = _Tail(m.z for m in target.igs)
+    span = {m.z & -m.z: m.z for m in target.igs}  # pivot (lowest bit) -> row
+    pivots = sum(span)
     deeper = 0  # the pivots of the deeper term's tail
     logs = []
     for sub in reversed(terms):
@@ -512,11 +531,15 @@ def central_cap_logs(target: Subgroup, terms) -> list[int]:
         tail = sub._table()[2]
         for low, row in tail.rows.items():
             if not low & deeper:
-                row = span.reduce(row)
+                hit = row & pivots
+                while hit:
+                    row ^= span[hit & -hit]
+                    hit = row & pivots
                 if row:
-                    span.insert(row)
+                    span[row & -row] = row
+                    pivots |= row & -row
         deeper = tail.pivots
-        logs.append(target.log_order + len(tail.rows) - len(span.rows))
+        logs.append(target.log_order + len(tail.rows) - len(span))
     return logs[::-1]
 
 

@@ -148,6 +148,11 @@ def test_usage_errors():
     assert run_cli(["series", "--k", "2"])[0] == 2
     assert run_cli(["series", "--k", "4", "--kind", "power"])[0] == 2
     assert run_cli(["density", "--k", "2", "--kind", "m", "--target", "seed"])[0] == 2
+    # a seed file with a named target would be ignored
+    result = run_cli(["density", "--k", "1", "--kind", "gamma", "--target", "Z",
+                      "--seed-file", "/nonexistent"])
+    _assert_usage_error(result)
+    assert "--seed-file" in result[2]
     assert run_cli(["no-such-command"])[0] == 2
     # an empty selector list names no claim, with or without --all
     for selector in ("", ","):
@@ -241,6 +246,14 @@ def test_density_seed_file(tmp_path, ctx2):
     code, _, err = run_cli(["density", "--k", "2", "--kind", "m",
                             "--target", "seed", "--seed-file", str(bad)])
     assert code == 2 and "line 1" in err
+
+    signed = tmp_path / "signed.txt"
+    signed.write_text("# a sign on the top exponent\n"
+                      + ctx2.pair_gen(0, 1).text().replace("x^0", "x^+0") + "\n",
+                      encoding="ascii")
+    code, _, err = run_cli(["density", "--k", "2", "--kind", "m",
+                            "--target", "seed", "--seed-file", str(signed)])
+    assert code == 2 and "line 2" in err and "top exponent" in err
 
     noncentral = tmp_path / "noncentral.txt"
     noncentral.write_text(ctx2.y().text() + "\n", encoding="ascii")

@@ -122,6 +122,46 @@ def test_commutator_conventions(ctx2):
     assert commutator(g, h) == commutator(h, g).inverse()
 
 
+def _shaped(ctx, rng, shape):
+    """A random element whose t, a and z are nonzero exactly where shape
+    says so."""
+    t, a, z = shape
+    return ctx.element(rng.randrange(1, ctx.tmod) if t else 0,
+                       rng.randrange(1, 1 << ctx.n) if a else 0,
+                       rng.randrange(1, 1 << ctx.d) if z else 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_closed_forms_match_product_route(k):
+    # commutator, conj and ** take closed forms when a factor has trivial
+    # top; the reference is the general product rule, over all 8 x 8 shape
+    # classes (each of t, a, z zero or nonzero)
+    ctx = get_context(k)
+    rng = random.Random(1500 + k)
+    shapes = [(t, a, z) for t in (0, 1) for a in (0, 1) for z in (0, 1)]
+    for gs in shapes:
+        for hs in shapes:
+            for _ in range(3):
+                g, h = _shaped(ctx, rng, gs), _shaped(ctx, rng, hs)
+                assert commutator(g, h) == g.inverse() * h.inverse() * g * h
+                assert g.conj(h) == h.inverse() * g * h
+        g = _shaped(ctx, rng, gs)
+        for e in range(-8, 9):
+            step = g if e >= 0 else g.inverse()
+            want = ctx.identity()
+            for _ in range(abs(e)):
+                want = want * step
+            assert g ** e == want
+    other = get_context(1 if k > 1 else 2)
+    for g in (ctx.y(), ctx.x()):
+        for h in (other.y(), other.x()):
+            for pair in ((g, h), (h, g)):
+                with pytest.raises(ValueError):
+                    commutator(*pair)
+                with pytest.raises(ValueError):
+                    pair[0].conj(pair[1])
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_named_chain_membership_facts(k):
     ctx = get_context(k)
@@ -167,6 +207,13 @@ def test_text_parse_rejects_garbage(ctx2):
         good.replace("y:", "q:"),
         "x^0 y:zz s:0 c:0",
         "x^0 y:1 s:0 c:",
+        # int() takes a sign, underscores, non-ASCII digits, leading zeros
+        good.replace("x^0", "x^+1"),
+        good.replace("x^0", "x^-0"),
+        good.replace("x^0", "x^0_1"),
+        good.replace("x^0", "x^\u0661"),
+        good.replace("x^0", "x^"),
+        good.replace("x^0", "x^01"),
     ):
         with pytest.raises(ValueError):
             parse_element(ctx2, bad)

@@ -205,6 +205,30 @@ def test_extend_matches_close_on_series_layers(k):
                     assert got.igs == want.igs and got.log_order == want.log_order
 
 
+def _assert_reduced_tail(sub):
+    tail = sub._table()[2]
+    assert tail.pivots == sum(tail.rows)
+    for q, row in tail.rows.items():
+        assert q == row & -row
+        assert not row & (tail.pivots ^ q), "a row has a bit at another row's pivot"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_central_tails_stay_reduced(k):
+    # _reduce clears the central tail in one pass, which needs it in reduced
+    # row-echelon form: every series term and every extend result
+    ctx = get_context(k)
+    rng = random.Random(17 * k)
+    for kind in SeriesKind:
+        terms = series(ctx, kind).terms
+        for t in terms:
+            _assert_reduced_tail(t)
+        for s, t in zip(terms, terms[1:]):
+            for gens in (list(s.igs), [random_element(ctx, rng)]):
+                for conj in ((), (ctx.x(), ctx.y())):
+                    _assert_reduced_tail(extend(t, gens, conj))
+
+
 def test_extend_edge_cases(ctx1, ctx2):
     h = base_and_centre_subgroup(ctx2)
     assert extend(h, []) is h
