@@ -6,11 +6,9 @@ exact logarithmic-density data."""
 from .engine import (
     Element,
     GroupContext,
-    WreathElement,
     commutator,
     get_context,
     parse_element,
-    project_to_wreath,
 )
 from .subgroup import (
     Subgroup,
@@ -42,7 +40,6 @@ from .series import (
     lcs_generator_check,
     power_series,
     projection_kernel,
-    projection_map,
     stated_gamma_generators,
     expected_gamma_layer,
 )

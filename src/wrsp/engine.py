@@ -51,6 +51,13 @@ from __future__ import annotations
 DEFAULT_MAX_LEVEL = 4
 
 
+def level_log_order(k: int) -> int:
+    """log2 of the order of level k: k top bits, n base and d central
+    coordinates."""
+    n = 1 << k
+    return k + 2 * n + n * (n - 1) // 2
+
+
 def pair_slot(i: int, j: int, n: int) -> int:
     """Lexicographic index of the unordered pair {i, j} with i < j."""
     return i * (n - 1) - i * (i - 1) // 2 + (j - i - 1)
@@ -112,7 +119,7 @@ class GroupContext:
         self.tmask = self.tmod - 1
         self.amask = (1 << n) - 1
         self.zmask = (1 << self.d) - 1
-        self.log_order = k + 2 * n + self.num_pairs
+        self.log_order = level_log_order(k)
         self.total_positions = 1 + n + self.d
 
         pair_bit = [[0] * n for _ in range(n)]
@@ -456,47 +463,3 @@ def commutator(g: Element, h: Element) -> Element:
     a = g.a
     c = ctx.conj_trivial_top(g, h)
     return Element(ctx, 0, a ^ c.a, g.z ^ c.z ^ ctx.corr(a, a) ^ ctx.corr(a, c.a))
-
-
-# -- wreath quotient --------------------------------------------------------
-
-class WreathElement:
-    """Element of the quotient by the central block: a pair (t, a)."""
-
-    __slots__ = ("ctx", "t", "a")
-
-    def __init__(self, ctx: GroupContext, t: int, a: int):
-        self.ctx = ctx
-        self.t = t
-        self.a = a
-
-    def __mul__(self, other: "WreathElement") -> "WreathElement":
-        if self.ctx.k != other.ctx.k:
-            raise ValueError("elements live at different levels")
-        ctx = self.ctx
-        return WreathElement(ctx, (self.t + other.t) & ctx.tmask,
-                             ctx._rot(self.a, other.t) ^ other.a)
-
-    def inverse(self) -> "WreathElement":
-        ctx = self.ctx
-        t = (ctx.tmod - self.t) & ctx.tmask
-        return WreathElement(ctx, t, ctx._rot(self.a, t))
-
-    def is_identity(self) -> bool:
-        return self.t == 0 and self.a == 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WreathElement):
-            return NotImplemented
-        return (self.ctx.k, self.t, self.a) == (other.ctx.k, other.t, other.a)
-
-    def __hash__(self) -> int:
-        return hash(("w", self.ctx.k, self.t, self.a))
-
-    def __repr__(self) -> str:
-        return f"w(x^{self.t} y:{_hex_le(self.a, self.ctx.n)})"
-
-
-def project_to_wreath(g: Element) -> WreathElement:
-    """Quotient map killing the central block; a surjective homomorphism."""
-    return WreathElement(g.ctx, g.t, g.a)

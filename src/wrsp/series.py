@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from .engine import Element, GroupContext, commutator, get_context
+from .engine import Element, GroupContext, commutator, level_log_order
 from .subgroup import (
     Subgroup,
     agemo_mod_derived,
@@ -233,37 +233,6 @@ def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
     return normal_closure(gens)
 
 
-def projection_map(ctx: GroupContext, i: int):
-    """The level projection G_k -> G_i folding base indices mod 2**i."""
-    if not 1 <= i <= ctx.k:
-        raise ValueError("target level out of range")
-    low = get_context(i)
-    fold = 1 << i
-
-    def pi(g: Element) -> Element:
-        out = low.x() ** g.t
-        a = g.a
-        u = 0
-        while a:
-            if a & 1:
-                out = out * low.base_gen(u % fold)
-            a >>= 1
-            u += 1
-        z = g.z
-        for u in range(ctx.n):
-            if (z >> u) & 1:
-                out = out * low.square_gen(u % fold)
-        for u in range(ctx.n):
-            for v in range(u + 1, ctx.n):
-                if (z >> ctx.pair_bit[u][v]) & 1:
-                    uu, vv = u % fold, v % fold
-                    if uu != vv:
-                        out = out * low.pair_gen(uu, vv)
-        return out
-
-    return pi
-
-
 def projection_kernel(ctx: GroupContext, i: int) -> Subgroup:
     """Kernel of the level projection, the finite shadow of the i-th
     construction-series term: the normal closure K of x^(2^i) and
@@ -276,7 +245,7 @@ def projection_kernel(ctx: GroupContext, i: int) -> Subgroup:
         raise ValueError("kernel level must be strictly below the context level")
     fold = 1 << i
     ker = normal_closure([ctx.x() ** fold, ctx.base_gen(fold) * ctx.base_gen(0).inverse()])
-    expected = ctx.log_order - get_context(i).log_order
+    expected = ctx.log_order - level_log_order(i)
     if ker.log_order != expected:
         raise RuntimeError(
             f"projection kernel to level {i} has log order {ker.log_order}, "
@@ -428,34 +397,41 @@ def power_series(ctx: GroupContext, i: int) -> SandwichReport:
 
 # -- exact instances of the commutator expansion identities -----------------
 
-def _binom_parity(n: int, r: int) -> int:
-    # Kummer: C(n, r) is odd iff r's bits are a submask of n's
-    if r < 0 or r > n:
-        return 0
-    return 1 if (r & n) == r else 0
-
-
-def double_product_rhs(ctx: GroupContext, i: int, j: int, m: int) -> Element:
-    """Product form for the m-fold commutator of z_{i,j} with x: the double
-    product of z_{i+m-n, j+m-s+n} over 0 <= n <= s <= m with exponent
-    C(m,s) C(s,n), reduced mod 2 since the factors are central involutions."""
-    out = ctx.identity()
-    for s in range(m + 1):
-        for nn in range(s + 1):
-            if _binom_parity(m, s) and _binom_parity(s, nn):
-                out = out * ctx.zij(i + m - nn, j + m - s + nn)
-    return out
-
-
 def commutator_identity_checks(ctx: GroupContext) -> dict:
     """Exact element identities: the square-commutator congruence, the
-    double-product expansion, its 2-power corollary, and the two power
-    expansion congruences with their normal-closure error terms.  Computed
-    once per level; several claims read the same report."""
+    2-power shift identity for pair commutators (whose one-step case gives
+    the double-product expansion), and the two power expansion congruences
+    with their normal-closure error terms.  Computed once per level;
+    several claims read the same report."""
     return ctx.cached("identity_checks", lambda: _identity_checks(ctx))
 
 
 def _identity_checks(ctx: GroupContext) -> dict:
+    """Parts (a), (c) and (d) of the report.  Part (b), the double-product
+    expansion
+
+        [z_(i,j), x, ..(m).., x] = prod z_(i+m-n', j+m-s+n')^(C(m,s) C(s,n'))
+
+    over 0 <= n' <= s <= m, is not checked: it follows from part (c) at
+    t = 0 for every i, j and m.  The centre block Z is elementary abelian
+    and normal, so on Z the map w -> [w, x] = w^-1 w^x = w shift(w) is
+    GF(2)-linear.  Let A and B act on formal GF(2) sums of index pairs by
+    A(i, j) = (i+1, j) and B(i, j) = (i, j+1), and let zeta be the linear
+    map (i, j) -> z_(i,j).  Part (c) at t = 0 says [zeta(p), x] =
+    zeta(T p), T = A + B + AB, for every pair 1 <= i <= j <= n.  The
+    comment in part (c) argues it for the pairs with j < i (symmetry) and
+    with max(i, j) > n (both sides are 1).  So [., x] zeta = zeta T on
+    every sum, and m steps give zeta T^m.  A and B commute, so the
+    binomial theorem gives
+
+        T^m = sum_s C(m,s) (AB)^(m-s) (A+B)^s,
+        (A+B)^s = sum_n' C(s,n') A^(s-n') B^n',
+
+    and (AB)^(m-s) A^(s-n') B^n' (i, j) = (i+m-n', j+m-s+n'); the image of
+    T^m (i, j) under zeta is the double product, with the exponents read
+    mod 2 as the z's are central involutions.  So the lemma-double-product
+    claim reads the t = 0 entries of part (c).
+    """
     k = ctx.k
     n = ctx.n
     x, y = ctx.x(), ctx.y()
@@ -469,20 +445,6 @@ def _identity_checks(ctx: GroupContext) -> dict:
     modulus = gamma_tbl.term(n + 2)
     a_ok = lhs.is_identity() and modulus.contains(rhs.inverse() * lhs)
     report["square_commutator"] = a_ok
-
-    # (b) the double-product expansion for sampled (i, j, m)
-    samples = [(1, 2, 0), (1, 2, 1), (2, 3, 2), (1, 3, 3)]
-    if k >= 3:
-        samples += [(2, 5, 4), (3, 4, 5), (1, 2, 6), (5, 2, 3)]
-    b_ok = True
-    for (ii, jj, m) in samples:
-        w = ctx.zij(ii, jj)
-        for _ in range(m):
-            w = commutator(w, x)
-        if w != double_product_rhs(ctx, ii, jj, m):
-            b_ok = False
-            report.setdefault("double_product_failures", []).append([ii, jj, m])
-    report["double_product"] = b_ok
 
     # (c) [z_{i,j}, x^(2^t)] = z_{i+2^t, j} z_{i, j+2^t} z_{i+2^t, j+2^t};
     # checked for i, j <= n only.  Once max(i, j) > n both sides are 1:
@@ -537,7 +499,7 @@ def _identity_checks(ctx: GroupContext) -> dict:
     report["power_expansion"] = d_ok
     report["power_expansion_details"] = details
 
-    report["ok"] = a_ok and b_ok and c_ok and d_ok
+    report["ok"] = a_ok and c_ok and d_ok
     return report
 
 

@@ -13,13 +13,12 @@ notes.  It is kept as stated rather than weakened.
 import random
 import time
 
-from conftest import random_element
+from conftest import double_product_rhs, project_to_wreath, random_element
 from wrsp.claims import run_claims, select_claims
-from wrsp.engine import commutator, get_context, project_to_wreath
+from wrsp.engine import commutator, get_context
 from wrsp.oracle import build_oracle, compare_multiplication_tables
 from wrsp.series import (
     SeriesKind,
-    double_product_rhs,
     gamma_n_subgroups,
     lcs_generator_check,
     power_series,

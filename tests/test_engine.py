@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from conftest import random_element
+from conftest import project_to_wreath, random_element
 from wrsp.claims import run_claims
 from wrsp.engine import (
     _apply_chunks,
     commutator,
     get_context,
     parse_element,
-    project_to_wreath,
 )
 
 

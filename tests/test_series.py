@@ -7,20 +7,20 @@ import pytest
 
 import wrsp
 
-from conftest import random_element
-from wrsp.engine import WreathElement, commutator, get_context
+from conftest import WreathElement, double_product_rhs, projection_map, random_element
+from wrsp import claims, engine
+from wrsp.claims import run_claims
+from wrsp.engine import commutator, get_context
 from wrsp.series import (
     SeriesKind,
     _weight_filtered_closure,
     commutator_identity_checks,
-    double_product_rhs,
     exact_power_subgroup,
     expected_gamma_layer,
     gamma_n_subgroups,
     lcs_generator_check,
     power_series,
     projection_kernel,
-    projection_map,
     series,
     stated_gamma_generators,
 )
@@ -446,6 +446,18 @@ def test_projection_is_homomorphism(ctx3):
             assert pi(g * h) == pi(g) * pi(h)
 
 
+def test_projection_kernel_above_the_level_cap(monkeypatch):
+    # a context above the cap, built with allow_large, projects onto a
+    # lower level that is itself above the cap: the kernel's expected order
+    # comes from the level formula, not from a context of that level
+    monkeypatch.setattr(engine, "DEFAULT_MAX_LEVEL", 1)
+    monkeypatch.setattr(engine, "_CONTEXTS", {})
+    with pytest.raises(ValueError):
+        get_context(2)
+    ctx = get_context(3, allow_large=True)
+    assert projection_kernel(ctx, 2).log_order == 47 - 16
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_scaffold_squares_descend(k):
     ctx = get_context(k)
@@ -495,7 +507,7 @@ def test_frattini_sandwich(s, k):
 def test_identity_checks(k):
     rep = commutator_identity_checks(get_context(k))
     assert rep["square_commutator"]
-    assert rep["double_product"], rep.get("double_product_failures")
+    assert run_claims(k, ["lemma-double-product"])[0].passed
     assert rep["power_shift"], rep.get("shift_failures")
     assert rep["power_expansion"], rep.get("power_expansion_details")
     assert rep["ok"]
@@ -565,6 +577,38 @@ def test_series_submodule_is_not_shadowed():
 def test_double_product_base_case(ctx2):
     # m = 0 is the empty shift: both sides are the pair commutator itself
     assert double_product_rhs(ctx2, 2, 3, 0) == ctx2.zij(2, 3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_double_product_exhaustive(k):
+    # reference for the structural certificate: the m-fold commutator,
+    # formed one step at a time, against the double product for every
+    # i < j <= n and 0 <= m <= 2n
+    ctx = get_context(k)
+    x = ctx.x()
+    for i in range(1, ctx.n + 1):
+        for j in range(i + 1, ctx.n + 1):
+            w = ctx.zij(i, j)
+            for m in range(2 * ctx.n + 1):
+                assert w == double_product_rhs(ctx, i, j, m), (k, i, j, m)
+                w = commutator(w, x)
+    assert run_claims(k, ["lemma-double-product"])[0].passed
+
+
+def test_double_product_claim_reads_the_one_step_shift(monkeypatch):
+    # the claim rests on the t = 0 entries of the shift identity only
+    real = commutator_identity_checks(get_context(2))
+
+    def run_with_shift_failures(failures):
+        rep = dict(real, ok=False, power_shift=False, shift_failures=failures)
+        monkeypatch.setattr(claims, "commutator_identity_checks", lambda ctx: rep)
+        return run_claims(2, ["cor-zij-shift", "lemma-double-product"])
+
+    shift, double = run_with_shift_failures([[1, 2, 0]])
+    assert not shift.passed and not double.passed
+    assert double.details["failures"] == [[1, 2]]
+    shift, double = run_with_shift_failures([[1, 2, 1]])
+    assert not shift.passed and double.passed
 
 
 def test_series_table_indexing(ctx2):

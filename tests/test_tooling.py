@@ -1,6 +1,7 @@
 """Repository tooling checks: the benchmark tracer in bench/ wraps wrsp
 functions by name from outside the package, so a run under it fails if one
-of those names disappears; and no module imports a name it never uses."""
+of those names disappears; no module imports a name it never uses; and the
+package defines no function or class that only tests reach."""
 
 import ast
 import os
@@ -78,3 +79,27 @@ def test_no_unused_imports():
     paths = sorted((ROOT / "src" / "wrsp").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = [hit for p in paths if p.name != "__init__.py" for hit in _unused_imports(p)]
     assert not unused, unused
+
+
+def _unreferenced_definitions(src: pathlib.Path) -> list[str]:
+    """file:line name for every function or class (dunders exempt) that no
+    module of the package names outside the definition's own body;
+    __init__.py re-exports are not references."""
+    defs, refs = [], {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((node.name, path, node.lineno, node.end_lineno))
+            elif path.name != "__init__.py" and isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                refs.setdefault(name, []).append((path, node.lineno))
+    return [f"{path.relative_to(ROOT)}:{lo} {name}" for name, path, lo, hi in defs
+            if not (name.startswith("__") and name.endswith("__"))
+            and not any(where != path or not lo <= line <= hi
+                        for where, line in refs.get(name, ()))]
+
+
+def test_no_definitions_only_tests_reach():
+    unreferenced = _unreferenced_definitions(ROOT / "src" / "wrsp")
+    assert not unreferenced, unreferenced
