@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import DEFAULT_MAX_LEVEL, get_context
-from .oracle import build_oracle, compare_multiplication_tables, oracle_index_of
+from .oracle import oracle_index_of, oracle_report
 from .series import (
     SeriesKind,
     commutator_identity_checks,
@@ -84,18 +84,15 @@ def _run_prop_order(ctx):
 
 def _run_oracle(_ctx):
     # the word oracle exists at level 1 only, whatever level is asked for
-    ctx = get_context(1)
-    oracle = build_oracle()
-    rep = compare_multiplication_tables(ctx, oracle)
-    census = oracle.order_census()
-    centre = oracle.centre()
-    z_idx = {oracle_index_of(oracle, g)
-             for g in centre_block_subgroup(ctx).enumerate_elements()}
-    ok = rep["ok"] and max(census) == 8 and set(centre) <= z_idx
+    rep = oracle_report()
+    census, centre = rep["census"], rep["centre"]
+    z_idx = {oracle_index_of(rep["oracle"], g)
+             for g in centre_block_subgroup(get_context(1)).enumerate_elements()}
+    ok = rep["table"]["ok"] and max(census) == 8 and set(centre) <= z_idx
     return ok, {"summary": f"64x64 table equal, max order {max(census)}, "
                            f"centre size {len(centre)}",
                 "census": {str(o): c for o, c in sorted(census.items())},
-                "table": rep}
+                "table": rep["table"]}
 
 
 def _run_remark_derived(ctx):

@@ -13,7 +13,7 @@ import sys
 
 from .claims import run_claims, select_claims
 from .engine import DEFAULT_MAX_LEVEL, get_context, parse_element
-from .oracle import build_oracle, compare_multiplication_tables
+from .oracle import oracle_report
 from .presentation import export_presentation, verify_presentation
 from .series import SeriesKind, series
 from .spectra import density_sequence, invariant_subspace
@@ -158,17 +158,16 @@ def cmd_export_presentation(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    oracle = build_oracle()
-    rep = compare_multiplication_tables(get_context(1), oracle)
-    census = oracle.order_census()
+    rep = oracle_report()
+    table = rep["table"]
     lines = [
-        f"elements {oracle.order}",
-        f"table_equal {str(rep['ok']).lower()} pairs {rep['pairs_checked']}",
-        "order_census " + " ".join(f"{o}:{c}" for o, c in sorted(census.items())),
-        f"centre_size {len(oracle.centre())}",
+        f"elements {rep['oracle'].order}",
+        f"table_equal {str(table['ok']).lower()} pairs {table['pairs_checked']}",
+        "order_census " + " ".join(f"{o}:{c}" for o, c in sorted(rep["census"].items())),
+        f"centre_size {len(rep['centre'])}",
     ]
     _write("\n".join(lines) + "\n", args.out)
-    return 0 if rep["ok"] else 1
+    return 0 if table["ok"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

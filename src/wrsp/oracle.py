@@ -12,7 +12,7 @@ agreement with the fast engine on all 64 x 64 products is a real check.
 
 from __future__ import annotations
 
-from .engine import Element, GroupContext
+from .engine import Element, GroupContext, get_context
 
 X, Y0, Y1, S0, S1, C = range(6)
 GEN_NAMES = ("x", "y0", "y1", "s0", "s1", "c")
@@ -125,6 +125,16 @@ def build_oracle() -> OracleGroup:
     if g.order != 64:
         raise RuntimeError(f"level-1 word closure found {g.order} elements, expected 64")
     return g
+
+
+def oracle_report() -> dict:
+    """The level-1 cross check, built once per process: the oracle, its
+    table comparison with the engine, its order census and its centre."""
+    def build():
+        oracle = build_oracle()
+        return {"oracle": oracle, "census": oracle.order_census(), "centre": oracle.centre(),
+                "table": compare_multiplication_tables(get_context(1), oracle)}
+    return get_context(1).cached("oracle", build)
 
 
 def oracle_index_of(oracle: OracleGroup, g: Element) -> int:

@@ -19,12 +19,21 @@ the product is (t, a + b, z + w + corr(b, b) + corr(a, b)).  _reduce
 applies these updates to the coordinates as integers and builds one
 Element at the end; only the top leader's power takes the general product.
 
-Central tail.  The members led by central positions are pure central rows,
-and in a canonical sequence they are in reduced row-echelon form: each row
-has a pivot (its lowest set bit) and no row has a set bit at another row's
-pivot.  So reduction modulo the tail XORs one row per set bit of
-z & pivot_mask, in one pass.  close() keeps the form as it goes: a new
-central row, already reduced, clears its pivot from the older rows.
+Echelon tables.  A table holds the top member, if any, the base members
+keyed by the lowest set bit of their base row and the central rows keyed
+by the lowest set bit of z, each keyed layer with a mask of its pivots.
+close() keeps the layers in plain echelon form (distinct pivots, never
+back-substituted), so a central row goes in without touching the others,
+and its canonical pass back-substitutes once: the central rows, then the
+base members deep to shallow, then the top member.  No output can change.
+A sift settles the top coordinate by a power of the top member, leaving
+one coset g'(S ^ H), H the normal subgroup of trivial top, and then the
+unique element of it that is zero at every base and central leader
+position (two such differ by an s in S ^ H, which if nontrivial is led at
+one of those positions).  Right multiplication by a member led at p keeps
+every coordinate below p and flips p, so a sift that takes the lowest
+pivot hit and reads the hits again after each step reaches that element:
+it depends only on the pivots, not on what the rows hold beyond them.
 
 Suffix lemma.  Let S have canonical sequence L and let s >= 1.  The members
 of L led at s or deeper are the canonical sequence of the intersection of S
@@ -37,10 +46,7 @@ the intersection with a suffix subgroup (or the full group) off L and never
 closes; it raises for any other pair.  For a target T inside the centre
 block Z, T ^ S = T ^ (S ^ Z), and the central tails of a descending chain
 are nested, so central_cap_logs() reads log |T ^ S| for every term of a
-series from one span, seeded with T and grown deepest term first.  It reads
-only the size of that span, so the span is kept in plain echelon form
-(pivot = lowest bit, rows never back-substituted), which a new row's
-reduction keeps by re-reading its bits at the pivots after each XOR.
+series from one span, seeded with T and grown deepest term first.
 
 Extension.  extend(B, gens, C) starts close()'s loop from a copy of the
 table of a subgroup B closed under the conjugators C, so it sifts only the
@@ -58,7 +64,6 @@ rest of close's.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 
 from .engine import Element, GroupContext, commutator
@@ -83,43 +88,31 @@ def _lead(ctx: GroupContext, g: Element) -> int:
 
 
 class _Tail:
-    """The central rows of an induced sequence in reduced row-echelon form.
-
-    rows maps each pivot (a one-bit mask, the lowest set bit of its row) to
-    the row, and pivots is the union of the pivots.  No row has a set bit at
-    another row's pivot, so XOR-ing a row in never changes another pivot
-    bit, and reduction XORs one row per set bit of z & pivots.
-    """
+    """Central rows keyed by pivot (a one-bit mask, the row's lowest set
+    bit), with pivots their union: in plain echelon form while close()
+    grows them, reduced (no row has a bit at another row's pivot) after
+    its canonical pass (module docstring, Echelon tables)."""
 
     __slots__ = ("pivots", "rows")
 
     def __init__(self, rows=()):
-        """Start from rows already in reduced row-echelon form."""
+        """Start from rows with distinct lowest set bits."""
         self.rows: dict[int, int] = {r & -r: r for r in rows}
         self.pivots = sum(self.rows)  # distinct one-bit keys: their union
 
     def reduce(self, z: int) -> int:
-        hit = z & self.pivots
-        rows = self.rows
+        rows, pivots = self.rows, self.pivots
+        hit = z & pivots
         while hit:
-            low = hit & -hit
-            z ^= rows[low]
-            hit ^= low
+            z ^= rows[hit & -hit]
+            hit = z & pivots
         return z
 
     def insert(self, z: int) -> None:
-        """Add a nonzero row already reduced by the tail; its pivot is
-        cleared from the older rows to keep the form reduced."""
+        """Add a nonzero row already reduced by the tail: its pivot is new."""
         low = z & -z
-        rows = self.rows
-        for q, r in rows.items():
-            if r & low:
-                rows[q] = r ^ z
-        rows[low] = z
+        self.rows[low] = z
         self.pivots |= low
-
-    def elements(self, ctx: GroupContext) -> tuple[Element, ...]:
-        return tuple(Element(ctx, 0, 0, self.rows[q]) for q in sorted(self.rows))
 
 
 class Subgroup:
@@ -133,13 +126,15 @@ class Subgroup:
         self.log_order = log_order
         self._tab = None
 
-    # internal: sorted top and base leader positions, position -> member
-    # map, and the central rows (already reduced in a canonical sequence)
+    # internal: the reduced echelon table (module docstring): top member or
+    # None, base pivot -> member, base pivot mask, central rows
     def _table(self):
         if self._tab is None:
-            members = {_lead(self.ctx, m): m for m in self.igs if m.t or m.a}
-            tail = _Tail(m.z for m in self.igs if not (m.t or m.a))
-            self._tab = (sorted(members), members, tail)
+            igs = self.igs
+            top = igs[0] if igs and igs[0].t else None
+            base = {m.a & -m.a: m for m in igs if not m.t and m.a}
+            tail = _Tail(m.z for m in igs if not (m.t or m.a))
+            self._tab = (top, base, sum(base), tail)
         return self._tab
 
     def reduce(self, g: Element) -> Element:
@@ -203,24 +198,25 @@ class Subgroup:
         return f"Subgroup(k={self.ctx.k}, log_order={self.log_order})"
 
 
-def _reduce(ctx: GroupContext, positions: list[int], members: dict, tail: _Tail,
+def _reduce(ctx: GroupContext, top, base: dict, pivots: int, tail: _Tail,
             g: Element) -> Element:
+    """Sift g through a table; only base members with pivots in pivots act."""
     t = g.t
-    if t and positions and positions[0] == 0:  # positions may be a suffix
-        L = members[0]
-        v = _v2(L.t)  # leader normalised so that L.t == 1 << v
+    if t and top is not None:
+        v = _v2(top.t)  # leader normalised so that top.t == 1 << v
         if _v2(t) >= v:
-            g = g * (L ** (-(t >> v)))
+            g = g * (top ** (-(t >> v)))
             t = g.t
     a, z = g.a, g.z
     corr = ctx.corr
-    for p in positions:
-        if p and (a >> (p - 1)) & 1:
-            # g m^-1 for the base leader m = (0, b, w): integer base step
-            m = members[p]
-            b = m.a
-            z ^= m.z ^ corr(b, b) ^ corr(a, b)
-            a ^= b
+    hit = a & pivots
+    while hit:
+        # g m^-1 for the base leader m = (0, b, w): integer base step
+        m = base[hit & -hit]
+        b = m.a
+        z ^= m.z ^ corr(b, b) ^ corr(a, b)
+        a ^= b
+        hit = a & pivots
     if z & tail.pivots:
         z = tail.reduce(z)
     return Element(ctx, t, a, z)
@@ -234,18 +230,18 @@ def _normalize_top(ctx: GroupContext, h: Element) -> Element:
     return h ** pow(u, -1, 1 << (ctx.k - v))
 
 
-def _push_obligations(ctx, members, positions, tail, new, queue, conjugators):
+def _push_obligations(ctx, top, base, tail, new, queue, conjugators):
     """Queue what a new leader owes the closure: its relative-order power,
     its commutators with the other leaders and its conjugates.  The central
     block commutes with every element of trivial top exponent, so a central
     leader pairs only with the top leader and conjugators with a nonzero top
     exponent, and a base leader pairs only with the top and base leaders."""
+    others = [top] if top is not None else []
     if not (new.t or new.a):
-        others = [members[0]] if 0 in members else []
         conjugators = [c for c in conjugators if c.t]
     else:
         queue.append(new ** ((1 << (ctx.k - _v2(new.t))) if new.t else 2))
-        others = [members[p] for p in positions]
+        others += [base[q] for q in sorted(base)]
         if new.t:
             others += [Element(ctx, 0, 0, r) for r in tail.rows.values()]
     for L in others:
@@ -269,7 +265,7 @@ def close(gens, conjugators=()) -> Subgroup:
     for g in gens:
         if g.ctx.k != ctx.k:
             raise ValueError("generators live at different levels")
-    return _grow(ctx, [], {}, _Tail(), gens, conjugators)
+    return _grow(ctx, None, {}, 0, _Tail(), gens, conjugators)
 
 
 def extend(base: Subgroup, gens, conjugators=()) -> Subgroup:
@@ -280,57 +276,61 @@ def extend(base: Subgroup, gens, conjugators=()) -> Subgroup:
     dropped; if none is left, base itself is the answer.
     """
     ctx = base.ctx
-    positions, members, tail = base._table()
+    top, members, pivots, tail = base._table()
     rest = []
     for g in gens:
         if g.ctx.k != ctx.k:
             raise ValueError("generator and subgroup live at different levels")
-        h = _reduce(ctx, positions, members, tail, g)
+        h = _reduce(ctx, top, members, pivots, tail, g)
         if not h.is_identity():
             rest.append(h)
     if not rest:
         return base
-    return _grow(ctx, list(positions), dict(members), _Tail(tail.rows.values()),
+    return _grow(ctx, top, dict(members), pivots, _Tail(tail.rows.values()),
                  rest, conjugators)
 
 
-def _grow(ctx, positions, members, tail, gens, conjugators) -> Subgroup:
-    """Sift gens and their obligations into the table (positions, members,
-    tail) of a subgroup closed under the conjugators, then return the
-    canonical sequence of the result.  The table is updated in place."""
+def _grow(ctx, top, base, pivots, tail, gens, conjugators) -> Subgroup:
+    """Sift gens and their obligations into the table (top, base, pivots,
+    tail) of a subgroup closed under the conjugators, in plain echelon
+    form, then back-substitute once and return the canonical sequence of
+    the result.  base and tail are updated in place."""
     queue = deque(gens)
     while queue:
         g = queue.popleft()
-        h = _reduce(ctx, positions, members, tail, g)
+        h = _reduce(ctx, top, base, pivots, tail, g)
         if h.is_identity():
             continue
         if not (h.t or h.a):
             tail.insert(h.z)
         elif h.t:
             h = _normalize_top(ctx, h)
-            old = members.get(0)
-            members[0] = h
-            if old is not None:
+            if top is not None:
                 # irreducible top coordinate: smaller 2-adic value replaces
-                queue.append(old)
-            else:
-                positions.insert(0, 0)
+                queue.append(top)
+            top = h
         else:
-            p = _lead(ctx, h)
-            insort(positions, p)
-            members[p] = h
-        _push_obligations(ctx, members, positions, tail, h, queue, conjugators)
+            low = h.a & -h.a
+            base[low] = h
+            pivots |= low
+        _push_obligations(ctx, top, base, tail, h, queue, conjugators)
 
     # canonical pass: clear every deeper leader position, deep to shallow;
-    # the central rows are already reduced
-    for i in range(len(positions) - 1, -1, -1):
-        p = positions[i]
-        members[p] = _reduce(ctx, positions[i + 1:], members, tail, members[p])
-
-    log = len(tail.rows)
-    for p in positions:
-        log += (ctx.k - _v2(members[p].t)) if p == 0 else 1
-    return Subgroup(ctx, tuple(members[p] for p in positions) + tail.elements(ctx), log)
+    # a central row is cleared above its pivot q
+    rows = tail.rows
+    for q in sorted(rows, reverse=True):
+        rows[q] = tail.reduce(rows[q] ^ q) ^ q
+    deeper = 0
+    for q in sorted(base, reverse=True):
+        base[q] = _reduce(ctx, None, base, deeper, tail, base[q])
+        deeper |= q
+    members = [base[q] for q in sorted(base)]
+    log = len(members) + len(rows)
+    if top is not None:
+        members.insert(0, _reduce(ctx, None, base, pivots, tail, top))
+        log += ctx.k - _v2(top.t)
+    members += [Element(ctx, 0, 0, rows[q]) for q in sorted(rows)]
+    return Subgroup(ctx, tuple(members), log)
 
 
 def trivial_subgroup(ctx: GroupContext) -> Subgroup:
@@ -515,31 +515,25 @@ def central_cap_logs(target: Subgroup, terms) -> list[int]:
     forms, so the rows of A with pivots new to it, added to the next deeper
     tail, span A.  One span seeded with T's rows therefore takes, deepest
     term first, only those rows, and its size is then dim(T + A).  Only
-    that size is read, so the span stays in plain echelon form (module
-    docstring).
+    that size is read, so the span is never back-substituted.
     """
     ctx = target.ctx
     if not all(m.is_central_block() for m in target.igs):
         raise ValueError("target does not lie in the centre block")
-    span = {m.z & -m.z: m.z for m in target.igs}  # pivot (lowest bit) -> row
-    pivots = sum(span)
+    span = _Tail(m.z for m in target.igs)
     deeper = 0  # the pivots of the deeper term's tail
     logs = []
     for sub in reversed(terms):
         if sub.ctx.k != ctx.k:
             raise ValueError("subgroups live at different levels")
-        tail = sub._table()[2]
+        tail = sub._table()[3]
         for low, row in tail.rows.items():
             if not low & deeper:
-                hit = row & pivots
-                while hit:
-                    row ^= span[hit & -hit]
-                    hit = row & pivots
+                row = span.reduce(row)
                 if row:
-                    span[row & -row] = row
-                    pivots |= row & -row
+                    span.insert(row)
         deeper = tail.pivots
-        logs.append(target.log_order + len(tail.rows) - len(span))
+        logs.append(target.log_order + len(tail.rows) - len(span.rows))
     return logs[::-1]
 
 

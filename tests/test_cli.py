@@ -300,6 +300,26 @@ def test_oracle_command():
     assert "elements 64" in out and "table_equal true" in out
 
 
+def test_oracle_built_once_for_claim_and_command(monkeypatch):
+    # the claim and the command read one memoised report of a fresh context
+    from wrsp import engine, oracle
+
+    built = []
+    build_oracle = oracle.build_oracle
+
+    def counting_build():
+        built.append(1)
+        return build_oracle()
+
+    monkeypatch.setattr(engine, "_CONTEXTS", {})
+    monkeypatch.setattr(oracle, "build_oracle", counting_build)
+    (res,) = run_claims(1, ["oracle-k1"])
+    assert res.status == "pass"
+    code, out, _ = run_cli(["oracle"])
+    assert code == 0 and "table_equal true" in out
+    assert len(built) == 1
+
+
 def test_cli_outputs_are_deterministic(tmp_path):
     pairs = [
         ["series", "--k", "2", "--kind", "dimension"],

@@ -1,6 +1,8 @@
 """Closure, sifting, membership, normal closures and subgroup arithmetic."""
 
 import random
+from functools import reduce as fold
+from operator import mul, xor
 
 import pytest
 
@@ -9,6 +11,8 @@ from wrsp.engine import commutator, get_context
 from wrsp.series import SeriesKind, series
 from wrsp.subgroup import (
     _lead,
+    _reduce,
+    _Tail,
     UnsupportedExactIntersection,
     agemo_mod_derived,
     base_and_centre_subgroup,
@@ -206,7 +210,7 @@ def test_extend_matches_close_on_series_layers(k):
 
 
 def _assert_reduced_tail(sub):
-    tail = sub._table()[2]
+    tail = sub._table()[3]
     assert tail.pivots == sum(tail.rows)
     for q, row in tail.rows.items():
         assert q == row & -row
@@ -215,8 +219,8 @@ def _assert_reduced_tail(sub):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_central_tails_stay_reduced(k):
-    # _reduce clears the central tail in one pass, which needs it in reduced
-    # row-echelon form: every series term and every extend result
+    # close() back-substitutes its plain tail once, at the canonical pass:
+    # every series term and every extend result is in reduced row-echelon form
     ctx = get_context(k)
     rng = random.Random(17 * k)
     for kind in SeriesKind:
@@ -424,6 +428,49 @@ def test_reduce_matches_position_walk(k):
         g = random_element(ctx, rng)
         for sub, members in terms[j % 16::16]:
             assert sub.reduce(g) == _reference_reduce(sub, members, g)
+
+
+def _scrambled_table(sub, rng):
+    """sub's table with the same pivots in plain echelon form: each central
+    row XOR-ed with random deeper rows, each base member and the top member
+    multiplied on the right by random deeper members."""
+    ctx = sub.ctx
+    top, base, pivots, tail = sub._table()
+    rows = tail.rows
+    plain = _Tail(fold(xor, _some(rng, [rows[p] for p in rows if p > q]), rows[q])
+                  for q in rows)
+    centrals = [ctx.central_from_mask(r) for r in rows.values()]
+    scrambled = {}
+    for q, m in base.items():
+        m = fold(mul, _some(rng, [base[p] for p in base if p > q] + centrals), m)
+        assert m.a & -m.a == q
+        scrambled[q] = m
+    if top is not None:
+        top = fold(mul, _some(rng, list(base.values()) + centrals), top)
+    return top, scrambled, pivots, plain
+
+
+def _some(rng, items):
+    """A random subset of items, in order."""
+    return [x for x in items if rng.random() < 0.5]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_plain_table_sifts_canonically(k):
+    # a sift depends only on the pivots of the table, not on whether its
+    # rows are back-substituted (subgroup module docstring, Echelon tables)
+    ctx = get_context(k)
+    rng = random.Random(90 + k)
+    changed = 0
+    for sub in _all_terms(ctx):
+        table = _scrambled_table(sub, rng)
+        changed += table[3].rows != sub._table()[3].rows
+        changed += table[1] != sub._table()[1]
+        gs = [random_element(ctx, rng) for _ in range(8)]
+        gs += [fold(mul, _some(rng, sub.igs), g) for g in gs[:2]]
+        for g in gs:
+            assert _reduce(ctx, *table, g) == sub.reduce(g)
+    assert changed
 
 
 @pytest.mark.parametrize("k", [2, 3])
