@@ -22,6 +22,9 @@ restoring increasing index order is the sort of those two rows:
 
     x^-t (a, z) x^t = ((lo << t) | hi,  shift^t(z) + corr(lo << t, hi)).
 
+shift^t composes the shifts by 2^v of the set bits v of t, so a context
+keeps k shift tables, one per 2^v.
+
 Trivial-top elements.  The elements (0, a, z) form the subgroup H, of
 index 2**k, and the elements (0, 0, z) its centre block Z.  Z commutes
 with H, and a product in H, (0, a, z)(0, b, w) = (0, a + b, z + w +
@@ -80,18 +83,6 @@ def _linear_chunk_tables(bit_images: list[int]) -> list[list[int]]:
     return tabs
 
 
-def _apply_chunks(tabs: list[list[int]], v: int) -> int:
-    out = 0
-    c = 0
-    while v:
-        byte = v & 255
-        if byte:
-            out ^= tabs[c][byte]
-        v >>= 8
-        c += 1
-    return out
-
-
 class GroupContext:
     """Parameters, lookup tables and the memo of named commutators, derived
     subgroups, series and reports for one level."""
@@ -138,12 +129,12 @@ class GroupContext:
             for j in range(i + 1, n):
                 zshift[pair_bit[i][j]] = pair_bit[(i + 1) % n][(j + 1) % n]
 
-        # chunk tables for every power of the shift (power 0 is the identity)
+        # chunk tables of the shifts by 2^v, v < k, each the square of the last
         self._ztabs = []
-        perm = list(range(self.d))
-        for _ in range(self.tmod):
+        perm = zshift
+        for _ in range(k):
             self._ztabs.append(_linear_chunk_tables([1 << p for p in perm]))
-            perm = [zshift[p] for p in perm]
+            perm = [perm[p] for p in perm]
 
         # pair part of corr: the pairs (i, j), j > i, fill contiguous bits
         # from this offset on
@@ -167,11 +158,25 @@ class GroupContext:
         cut = self.n - t
         lo = (a & ((1 << cut) - 1)) << t
         hi = a >> cut
-        return lo | hi, _apply_chunks(self._ztabs[t], z) ^ self.corr(lo, hi)
+        return lo | hi, self.shift_central(z, t) ^ self.corr(lo, hi)
 
     def shift_central(self, z: int, t: int) -> int:
-        """The central row z shifted by x^t: every index moves by t mod n."""
-        return _apply_chunks(self._ztabs[t & self.tmask], z)
+        """The central row z shifted by x^t: every index moves by t mod n.
+        shift^t composes the shifts by 2^v of the set bits v of t."""
+        t &= self.tmask
+        v = 0
+        while t:
+            if t & 1:
+                out = 0
+                for tab in self._ztabs[v]:  # one table per byte of z
+                    if not z:
+                        break
+                    out ^= tab[z & 255]
+                    z >>= 8
+                z = out
+            t >>= 1
+            v += 1
+        return z
 
     def corr(self, a_left: int, a_right: int) -> int:
         """Central deposit from sorting the concatenation of two base rows:
@@ -425,17 +430,23 @@ def _unhex_le(s: str, nbits: int) -> int:
     return v
 
 
+def plain_decimal(text: str) -> int | None:
+    """The value of text in the decimal form text() writes, else None;
+    int() would also take a sign, underscores, non-ASCII digits and leading
+    zeros."""
+    if text.isascii() and text.isdigit() and (text == "0" or text[0] != "0"):
+        return int(text)
+    return None
+
+
 def parse_element(ctx: GroupContext, text: str) -> Element:
     """Inverse of Element.text, bit exact."""
     parts = text.strip().split(" ")
     if len(parts) != 4 or not parts[0].startswith("x^"):
         raise ValueError(f"malformed element text: {text!r}")
-    digits = parts[0][2:]
-    # the decimal form text() writes; int() would also take a sign,
-    # underscores, non-ASCII digits and leading zeros
-    if not (digits.isascii() and digits.isdigit()) or (len(digits) > 1 and digits[0] == "0"):
+    t = plain_decimal(parts[0][2:])
+    if t is None:
         raise ValueError(f"malformed top exponent in {text!r}")
-    t = int(digits)
     fields = {}
     for part, tag in zip(parts[1:], ("y", "s", "c")):
         if not part.startswith(tag + ":"):

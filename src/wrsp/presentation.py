@@ -18,12 +18,22 @@ computer algebra system can ingest it with a few lines of scripting:
 
 Generator names: x, y<i>, s<i> and c_<i>_<j> with i < j.  The parser
 rebuilds the level from the header and can evaluate every relation inside
-the packed engine, which gives the round-trip self check.
+the packed engine, which gives the round-trip self check.  It reads the
+level and the exponents only in the plain ASCII decimal form the export
+writes (no sign, underscore or leading zero), and the level only in
+1..DEFAULT_MAX_LEVEL.
 """
 
 from __future__ import annotations
 
-from .engine import Element, GroupContext, commutator, get_context
+from .engine import (
+    DEFAULT_MAX_LEVEL,
+    Element,
+    GroupContext,
+    commutator,
+    get_context,
+    plain_decimal,
+)
 
 
 def _gen_names(ctx: GroupContext) -> list[str]:
@@ -105,10 +115,11 @@ def parse_presentation(text: str) -> tuple[int, list[str], list[tuple]]:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "pcgroup" or not head[1].startswith("level="):
         raise PresentationError(1, f"bad header {lines[0]!r}")
-    try:
-        level = int(head[1].split("=", 1)[1])
-    except ValueError:
-        raise PresentationError(1, "level is not an integer") from None
+    level = plain_decimal(head[1].split("=", 1)[1])
+    if level is None:
+        raise PresentationError(1, "level is not a plain decimal integer")
+    if not 1 <= level <= DEFAULT_MAX_LEVEL:
+        raise PresentationError(1, f"level {level} is outside 1..{DEFAULT_MAX_LEVEL}")
     gens: list[str] = []
     declared = {"1"}
     rels: list[tuple] = []
@@ -136,10 +147,9 @@ def parse_presentation(text: str) -> tuple[int, list[str], list[tuple]]:
             if exp == "x":
                 rel = ("conj", base, rhs)
             else:
-                try:
-                    e = int(exp)
-                except ValueError:
-                    raise PresentationError(lineno, f"bad exponent {exp!r}") from None
+                e = plain_decimal(exp)
+                if e is None:
+                    raise PresentationError(lineno, f"bad exponent {exp!r}")
                 rel = ("power", base, e, rhs)
         else:
             raise PresentationError(lineno, f"malformed relation {line!r}")

@@ -294,6 +294,28 @@ def test_presentation_parse_errors():
         assert f"line {line}: undeclared generator '{name}'" == str(err.value)
 
 
+@pytest.mark.parametrize("header, message", [
+    ("pcgroup level=\u0663", "level is not a plain decimal integer"),
+    ("pcgroup level=+2", "level is not a plain decimal integer"),
+    ("pcgroup level=0_2", "level is not a plain decimal integer"),
+    ("pcgroup level=02", "level is not a plain decimal integer"),
+    ("pcgroup level=0", "level 0 is outside 1..4"),
+    ("pcgroup level=9", "level 9 is outside 1..4"),
+])
+def test_presentation_header_level_is_plain_decimal_in_range(header, message):
+    with pytest.raises(PresentationError) as err:
+        verify_presentation(header + "\ngen x\n")
+    assert str(err.value) == f"line 1: {message}"
+
+
+@pytest.mark.parametrize("exp", ["+2", "-2", "0_2", "02", "\u0662"])
+def test_presentation_exponent_is_plain_decimal(exp):
+    text = f"pcgroup level=1\ngen x\nrel x^{exp} = 1\n"
+    with pytest.raises(PresentationError) as err:
+        parse_presentation(text)
+    assert str(err.value) == f"line 3: bad exponent {exp!r}"
+
+
 def test_oracle_command():
     code, out, _ = run_cli(["oracle"])
     assert code == 0

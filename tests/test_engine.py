@@ -1,13 +1,14 @@
 """Normal-form arithmetic: hand-checked products, inverses, powers, chains."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import project_to_wreath, random_element
 from wrsp.claims import run_claims
 from wrsp.engine import (
-    _apply_chunks,
+    GroupContext,
     commutator,
     get_context,
     parse_element,
@@ -47,13 +48,25 @@ def test_inverses_and_associativity_sampled(k):
         assert (g * h) * f == g * (h * f)
 
 
+def _one_step_images(ctx):
+    """Bit images of the one-step index shift of the central block, written
+    out bit by bit: s_i -> s_(i+1) and c_(i,j) -> c_(i+1,j+1), mod n."""
+    n = ctx.n
+    images = {i: (i + 1) % n for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            images[ctx.pair_bit[i][j]] = ctx.pair_bit[(i + 1) % n][(j + 1) % n]
+    return images
+
+
 def _conj_by_x_stepwise(ctx, a, z, t):
     """x^-t (a, z) x^t by t single steps: each shifts z by one index and,
     when base index n-1 wraps round to 0, deposits the pair {0, i+1} for
     every other occupied base index i."""
     n = ctx.n
+    images = _one_step_images(ctx)
     for _ in range(t):
-        z = _apply_chunks(ctx._ztabs[1], z)
+        z = sum(1 << images[b] for b in range(ctx.d) if (z >> b) & 1)
         if (a >> (n - 1)) & 1:
             for i in range(n - 1):
                 if (a >> i) & 1:
@@ -238,6 +251,17 @@ def test_level_gate():
     assert get_context(3, False) is ctx and get_context(3, allow_large=True) is ctx
     with pytest.raises(ValueError):
         get_context(5)
+
+
+def test_context_memory_level5():
+    # one chunk table per shift by 2^v, v < k: about 6 MB at level 5
+    tracemalloc.start()
+    try:
+        GroupContext(5, allow_large=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20, peak
 
 
 def test_level_four_smoke():

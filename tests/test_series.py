@@ -410,6 +410,14 @@ def test_m_series_logs_level5():
     assert [s.log_order for s in tbl.terms] == [565, 559, 549, 518, 409, 0]
 
 
+def test_m_series_logs_level6(monkeypatch):
+    # a private context cache, so the level-6 tables are freed afterwards;
+    # projection_kernel's order check certifies every term
+    monkeypatch.setattr(engine, "_CONTEXTS", {})
+    tbl = series(get_context(6, allow_large=True), SeriesKind.M)
+    assert [s.log_order for s in tbl.terms] == [2150, 2144, 2134, 2103, 1994, 1585, 0]
+
+
 def _kernel_from_enumerated_generators(ctx, i):
     """The projection kernel from every folded generator: x^(2^i), and each
     base, square and pair generator times the inverse of its image under
