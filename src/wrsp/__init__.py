@@ -30,7 +30,6 @@ from .subgroup import (
 )
 # the function series() is not re-exported: wrsp.series stays the submodule
 from .series import (
-    GammaScaffold,
     SandwichReport,
     SeriesKind,
     SeriesTable,

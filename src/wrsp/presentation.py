@@ -36,11 +36,11 @@ from .engine import (
 )
 
 
-def _gen_names(ctx: GroupContext) -> list[str]:
+def _gen_names(n: int) -> list[str]:
     names = ["x"]
-    names += [f"y{i}" for i in range(ctx.n)]
-    names += [f"s{i}" for i in range(ctx.n)]
-    names += [f"c_{i}_{j}" for i in range(ctx.n) for j in range(i + 1, ctx.n)]
+    names += [f"y{i}" for i in range(n)]
+    names += [f"s{i}" for i in range(n)]
+    names += [f"c_{i}_{j}" for i in range(n) for j in range(i + 1, n)]
     return names
 
 
@@ -63,7 +63,7 @@ def _pair_name(i: int, j: int) -> str:
 def export_presentation(ctx: GroupContext) -> str:
     n = ctx.n
     lines = [f"pcgroup level={ctx.k}"]
-    for name in _gen_names(ctx):
+    for name in _gen_names(n):
         lines.append(f"gen {name}")
     lines.append(f"rel x^{ctx.tmod} = 1")
     for i in range(n):
@@ -107,7 +107,8 @@ def parse_presentation(text: str) -> tuple[int, list[str], list[tuple]]:
 
     Relations come back as tuples: ("power", g, e, rhs), ("comm", g, h, rhs)
     or ("conj", g, rhs) for conjugation by x.  Every name in a relation
-    is 1 or declared by an earlier gen line.
+    is 1 or declared by an earlier gen line, and the gen lines list the
+    level's generators in export order, no more and no fewer.
     """
     lines = text.splitlines()
     if not lines:
@@ -120,9 +121,11 @@ def parse_presentation(text: str) -> tuple[int, list[str], list[tuple]]:
         raise PresentationError(1, "level is not a plain decimal integer")
     if not 1 <= level <= DEFAULT_MAX_LEVEL:
         raise PresentationError(1, f"level {level} is outside 1..{DEFAULT_MAX_LEVEL}")
+    want = _gen_names(1 << level)
     gens: list[str] = []
     declared = {"1"}
     rels: list[tuple] = []
+    last_gen = 1
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -131,7 +134,15 @@ def parse_presentation(text: str) -> tuple[int, list[str], list[tuple]]:
         if parts[0] == "gen":
             if len(parts) != 2:
                 raise PresentationError(lineno, "gen lines carry exactly one name")
+            if len(gens) == len(want):
+                raise PresentationError(
+                    lineno, f"extra generator {parts[1]!r}: level {level} has {len(want)}")
+            if parts[1] != want[len(gens)]:
+                raise PresentationError(
+                    lineno, f"generator {len(gens) + 1} of level {level} is "
+                            f"{want[len(gens)]!r}, not {parts[1]!r}")
             gens.append(parts[1])
+            last_gen = lineno
             declared.add(parts[1])
             continue
         if parts[0] != "rel" or len(parts) != 4 or parts[2] != "=":
@@ -157,6 +168,9 @@ def parse_presentation(text: str) -> tuple[int, list[str], list[tuple]]:
             if isinstance(name, str) and name not in declared:
                 raise PresentationError(lineno, f"undeclared generator {name!r}")
         rels.append(rel)
+    if len(gens) < len(want):
+        raise PresentationError(last_gen + 1, f"level {level} has {len(want)} generators, "
+                                              f"not {len(gens)}")
     return level, gens, rels
 
 
@@ -164,11 +178,6 @@ def verify_presentation(text: str) -> dict:
     """Rebuild the context from the export and evaluate every relation."""
     level, gens, rels = parse_presentation(text)
     ctx = get_context(level)
-    want = _gen_names(ctx)
-    if gens != want:
-        raise ValueError(
-            f"generator list does not match level {level}: expected {len(want)} names"
-        )
     env = _gen_elements(ctx)
     failures = []
     for rel in rels:

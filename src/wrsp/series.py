@@ -337,32 +337,19 @@ def lcs_generator_check(ctx: GroupContext) -> dict:
 
 # -- the power-series scaffolding subgroups ---------------------------------
 
-@dataclass(frozen=True)
-class GammaScaffold:
-    """Images of the scaffolding subgroups used to bound power terms:
-    gamma_n = <x^(2^n), c_i^2 for i >= 2^(n-1)> gamma_{2^n}, and t_n is
-    generated by the same x-power and squares and the chains c_j for
-    j >= 2^n."""
-
-    n: int
-    gamma_n: Subgroup
-    t_n: Subgroup
+def scaffold_heads(ctx: GroupContext, n: int) -> list[Element]:
+    """x^(2^n) and c_i^2 for 2^(n-1) <= i <= 2^(k+1), the class bound: what
+    gamma_n and T_n add to their lower central and chain parts."""
+    return [ctx.x() ** (1 << n)] + [ctx.c(i) ** 2 for i in range(1 << (n - 1), 2 * ctx.n + 1)]
 
 
-def gamma_n_subgroups(ctx: GroupContext, n: int) -> GammaScaffold:
+def gamma_n_subgroups(ctx: GroupContext, n: int) -> Subgroup:
+    """The scaffold subgroup gamma_n = <x^(2^n), c_i^2 for i >= 2^(n-1)>
+    gamma_{2^n} that bounds the power terms, for 1 <= n <= k + 1."""
     if not 1 <= n <= ctx.k + 1:
         raise ValueError("scaffold level out of range")
-
-    def build():
-        top = 2 * ctx.n  # chains beyond the class bound are trivial
-        heads = [ctx.x() ** (1 << n)]
-        heads += [ctx.c(i) ** 2 for i in range(1 << (n - 1), top + 1)]
-        gamma_2n = series(ctx, SeriesKind.GAMMA).term(1 << n)
-        gamma_n = extend(gamma_2n, heads)
-        t_n = close(heads + [ctx.c(j) for j in range(1 << n, top + 1)])
-        return GammaScaffold(n, gamma_n, t_n)
-
-    return ctx.cached(("scaffold", n), build)
+    return ctx.cached(("scaffold", n), lambda: extend(
+        series(ctx, SeriesKind.GAMMA).term(1 << n), scaffold_heads(ctx, n)))
 
 
 @dataclass(frozen=True)
@@ -391,7 +378,7 @@ def power_series(ctx: GroupContext, i: int) -> SandwichReport:
         level=i,
         lower=series(ctx, SeriesKind.GAMMA).term(1 << (i + 1)),
         exact=series(ctx, SeriesKind.POWER).term(i),
-        upper=gamma_n_subgroups(ctx, i).gamma_n,
+        upper=gamma_n_subgroups(ctx, i),
     )
 
 

@@ -9,6 +9,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from wrsp.engine import get_context  # noqa: E402
+from wrsp.subgroup import close  # noqa: E402
 
 _SESSION_T0 = time.time()
 
@@ -105,6 +106,17 @@ def double_product_rhs(ctx, i, j, m):
             if s & m == s and nn & s == nn:
                 out = out * ctx.zij(i + m - nn, j + m - s + nn)
     return out
+
+
+def scaffold_t(ctx, s):
+    """T_s from its definition: generated by x^(2^s), the squares c_i^2 for
+    i >= 2^(s-1) and the chains c_j for j >= 2^s (chains beyond the class
+    bound 2^(k+1) are trivial)."""
+    top = 2 * ctx.n
+    gens = [ctx.x() ** (1 << s)]
+    gens += [ctx.c(i) ** 2 for i in range(1 << (s - 1), top + 1)]
+    gens += [ctx.c(j) for j in range(1 << s, top + 1)]
+    return close(gens)
 
 
 @pytest.fixture(scope="session")

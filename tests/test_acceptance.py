@@ -13,7 +13,7 @@ notes.  It is kept as stated rather than weakened.
 import random
 import time
 
-from conftest import double_product_rhs, project_to_wreath, random_element
+from conftest import double_product_rhs, project_to_wreath, random_element, scaffold_t
 from wrsp.claims import run_claims, select_claims
 from wrsp.engine import commutator, get_context
 from wrsp.oracle import build_oracle, compare_multiplication_tables
@@ -186,19 +186,18 @@ def test_criterion_08_shift_identities_and_sandwiches(ctx3):
     for k in (1, 2, 3):
         ctx = get_context(k)
         for n in range(1, k + 1):
-            cur = gamma_n_subgroups(ctx, n).gamma_n
-            nxt = gamma_n_subgroups(ctx, n + 1).gamma_n
+            cur = gamma_n_subgroups(ctx, n)
+            nxt = gamma_n_subgroups(ctx, n + 1)
             assert nxt.contains_subgroup(agemo_mod_derived(cur)), (k, n)
     # Frattini sandwich one level down
     for s, k in ((1, 2), (2, 3)):
         ctx = get_context(k)
         phi = series(ctx, SeriesKind.FRATTINI).term(s)
-        sc = gamma_n_subgroups(ctx, s)
         j = (1 << s) + (1 << (s - 1)) - 1
-        low = join(sc.t_n, intersect(series(ctx, SeriesKind.GAMMA).term(j),
-                                     centre_block_subgroup(ctx)))
+        low = join(scaffold_t(ctx, s), intersect(series(ctx, SeriesKind.GAMMA).term(j),
+                                                 centre_block_subgroup(ctx)))
         assert phi.contains_subgroup(low), (s, k)
-        assert sc.gamma_n.contains_subgroup(phi), (s, k)
+        assert gamma_n_subgroups(ctx, s).contains_subgroup(phi), (s, k)
     # power sandwiches at level 3 certify both inclusions
     for i in (1, 2, 3):
         rep = power_series(ctx3, i)
@@ -256,7 +255,7 @@ def _shuffle_family(k):
             subs.extend(series(ctx, kind).terms)
     else:
         gam = series(ctx, SeriesKind.GAMMA)
-        subs.extend([gam.term(6), gam.term(10), gamma_n_subgroups(ctx, 2).gamma_n])
+        subs.extend([gam.term(6), gam.term(10), gamma_n_subgroups(ctx, 2)])
     return ctx, [s for s in subs if s.igs]
 
 

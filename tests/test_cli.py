@@ -1,5 +1,6 @@
 """CLI surface, presentation export, claim registry and determinism."""
 
+import hashlib
 import io
 import json
 import re
@@ -9,6 +10,7 @@ import pytest
 
 from wrsp.claims import CLAIMS, run_claims, select_claims
 from wrsp.cli import main
+from wrsp.engine import get_context
 from wrsp.presentation import (
     PresentationError,
     export_presentation,
@@ -294,6 +296,36 @@ def test_presentation_parse_errors():
         assert f"line {line}: undeclared generator '{name}'" == str(err.value)
 
 
+def _level1_gen_lines():
+    return [line for line in export_presentation(get_context(1)).splitlines()
+            if line.startswith("gen ")]
+
+
+def test_presentation_generator_name_mismatch_names_its_line():
+    lines = _level1_gen_lines()
+    lines[2] = "gen q"
+    with pytest.raises(PresentationError) as err:
+        verify_presentation("\n".join(["pcgroup level=1"] + lines) + "\n")
+    assert str(err.value) == "line 4: generator 3 of level 1 is 'y1', not 'q'"
+
+
+def test_presentation_extra_generator_names_its_line():
+    lines = _level1_gen_lines() + ["gen y2", "gen y3"]
+    with pytest.raises(PresentationError) as err:
+        verify_presentation("\n".join(["pcgroup level=1"] + lines) + "\n")
+    assert str(err.value) == "line 8: extra generator 'y2': level 1 has 6"
+
+
+def test_presentation_short_generator_list_names_the_next_line():
+    with pytest.raises(PresentationError) as err:
+        verify_presentation("pcgroup level=2\ngen x\n")
+    assert str(err.value) == "line 3: level 2 has 15 generators, not 1"
+    text = "pcgroup level=1\ngen x\ngen y0\n\nrel y0^2 = 1\n"
+    with pytest.raises(PresentationError) as err:
+        parse_presentation(text)
+    assert str(err.value) == "line 4: level 1 has 6 generators, not 2"
+
+
 @pytest.mark.parametrize("header, message", [
     ("pcgroup level=\u0663", "level is not a plain decimal integer"),
     ("pcgroup level=+2", "level is not a plain decimal integer"),
@@ -314,6 +346,25 @@ def test_presentation_exponent_is_plain_decimal(exp):
     with pytest.raises(PresentationError) as err:
         parse_presentation(text)
     assert str(err.value) == f"line 3: bad exponent {exp!r}"
+
+
+# sha256 of `verify --k K --all --format json` (with --deep at K = 4): every
+# claim's status and details are pinned byte for byte, so a change to a
+# runner that alters its report must update the digest on purpose
+VERIFY_JSON_SHA256 = {
+    1: "4220f11c3e4944b63ccd5a0f9e69c14c12969fc6e4e276f48b36fa74a0939b83",
+    2: "dd722e769e55400afe0fecc858c0c9a094d2d861fcaf5242db0128dd09bb24dd",
+    3: "b35e58f6b5c0c359fbafe223be0d874c8fff774b7a0aa13d8f2b83c97e65d522",
+    4: "77b19052ac40628382cecf899a90841dda51048034833ef952ae30317e47a5b5",
+}
+
+
+@pytest.mark.parametrize("k", sorted(VERIFY_JSON_SHA256))
+def test_verify_json_is_pinned(k):
+    code, out, _ = run_cli(["verify", "--k", str(k), "--all", "--format", "json"]
+                           + (["--deep"] if k == 4 else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == VERIFY_JSON_SHA256[k]
 
 
 def test_oracle_command():

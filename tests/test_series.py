@@ -7,7 +7,13 @@ import pytest
 
 import wrsp
 
-from conftest import WreathElement, double_product_rhs, projection_map, random_element
+from conftest import (
+    WreathElement,
+    double_product_rhs,
+    projection_map,
+    random_element,
+    scaffold_t,
+)
 from wrsp import claims, engine
 from wrsp.claims import run_claims
 from wrsp.engine import commutator, get_context
@@ -273,7 +279,7 @@ def test_power_series_exact(k):
     assert tbl.term(k + 2).is_trivial()
     assert not tbl.term(k + 1).is_trivial()
     sq = tbl.term(1)
-    assert gamma_n_subgroups(ctx, 1).gamma_n.contains_subgroup(sq)
+    assert gamma_n_subgroups(ctx, 1).contains_subgroup(sq)
     assert ctx.log_order - sq.log_order >= 2
     assert sq.contains_subgroup(series(ctx, SeriesKind.GAMMA).term(4))
     assert exact_power_subgroup(ctx, 1) == sq
@@ -472,19 +478,19 @@ def test_scaffold_squares_descend(k):
     for n in range(1, k + 1):
         cur = gamma_n_subgroups(ctx, n)
         nxt = gamma_n_subgroups(ctx, n + 1)
-        assert nxt.gamma_n.contains_subgroup(agemo_mod_derived(cur.gamma_n))
+        assert nxt.contains_subgroup(agemo_mod_derived(cur))
 
 
 def test_scaffold_intersection_values(ctx2, ctx3):
     # the limit formula 2 C(2^(s-1), 2) within the faithful window, and the
     # computed level-3 value for the record
     z2 = centre_block_subgroup(ctx2)
-    got = z2.log_order - intersect(gamma_n_subgroups(ctx2, 2).gamma_n, z2).log_order
+    got = z2.log_order - intersect(gamma_n_subgroups(ctx2, 2), z2).log_order
     assert got == 2  # 2 C(2,2)
     z3 = centre_block_subgroup(ctx3)
-    got2 = z3.log_order - intersect(gamma_n_subgroups(ctx3, 2).gamma_n, z3).log_order
+    got2 = z3.log_order - intersect(gamma_n_subgroups(ctx3, 2), z3).log_order
     assert got2 == 2
-    got3 = z3.log_order - intersect(gamma_n_subgroups(ctx3, 3).gamma_n, z3).log_order
+    got3 = z3.log_order - intersect(gamma_n_subgroups(ctx3, 3), z3).log_order
     assert got3 == 12  # 2 C(4,2)
 
 
@@ -493,7 +499,7 @@ def test_scaffold_decomposition(ctx2, ctx3):
         k = ctx.k
         z = centre_block_subgroup(ctx)
         gam = series(ctx, SeriesKind.GAMMA)
-        lhs = intersect(gamma_n_subgroups(ctx, k).gamma_n, z)
+        lhs = intersect(gamma_n_subgroups(ctx, k), z)
         rhs = join(agemo_mod_derived(gam.term(1 << (k - 1))),
                    intersect(gam.term(1 << k), z))
         assert lhs == rhs
@@ -503,12 +509,11 @@ def test_scaffold_decomposition(ctx2, ctx3):
 def test_frattini_sandwich(s, k):
     ctx = get_context(k)
     phi = series(ctx, SeriesKind.FRATTINI).term(s)
-    sc = gamma_n_subgroups(ctx, s)
     gam = series(ctx, SeriesKind.GAMMA)
     j = (1 << s) + (1 << (s - 1)) - 1
-    low = join(sc.t_n, intersect(gam.term(j), centre_block_subgroup(ctx)))
+    low = join(scaffold_t(ctx, s), intersect(gam.term(j), centre_block_subgroup(ctx)))
     assert phi.contains_subgroup(low)
-    assert sc.gamma_n.contains_subgroup(phi)
+    assert gamma_n_subgroups(ctx, s).contains_subgroup(phi)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
