@@ -72,8 +72,8 @@ from .subgroup import (
     commutator_subgroup,
     commutator_with_group,
     extend,
+    extend_by_group_commutators,
     full_group,
-    group_commutators,
     layer_shape,
     normal_closure,
     trivial_subgroup,
@@ -155,7 +155,8 @@ def _build_series(ctx: GroupContext, kind: SeriesKind) -> SeriesTable:
 
 
 def _squares(sub: Subgroup) -> list[Element]:
-    return [g ** 2 for g in sub.igs]
+    # a central member squares to 1
+    return [g ** 2 for g in sub.igs if not g.is_central_block()]
 
 
 def _lower_p_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
@@ -163,7 +164,7 @@ def _lower_p_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
     # normal closure of [u, x], [u, y] over the igs, and the square part
     # closes on generator squares because [P, P] <= [P, G]
     prev = terms[-1]
-    return normal_closure(group_commutators(prev) + _squares(prev))
+    return extend_by_group_commutators(trivial_subgroup(ctx), prev, _squares(prev))
 
 
 def _frattini_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
@@ -180,7 +181,7 @@ def _dimension_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
     m = (i + 1) // 2
     dm = terms[m - 1]
     der = ctx.cached(("dimension_derived", m), lambda: commutator_subgroup(dm, dm))
-    return extend(der, group_commutators(terms[-1]) + _squares(dm), (ctx.x(), ctx.y()))
+    return extend_by_group_commutators(der, terms[-1], _squares(dm))
 
 
 # kind -> (natural index of the whole group, step from the terms built so

@@ -60,6 +60,34 @@ it queues, whatever order it works through the queue in; taken first,
 those obligations sift to the identity through B's table and change
 nothing.  So B's leaders owe each other nothing, and extend's run is the
 rest of close's.
+
+Central rows in closed form.  Write X for the one-step central shift, so
+that a central row r = (0, 0, r) has r^x = X r.  The trivial-top part H
+centralises the centre block Z, so r^(x^t u) = X^t r for u in H, and
+[r, g] = r + X^t r for every g of top exponent t.  A central element sifts
+through the central rows alone, so it lies in S exactly when S's tail
+reduces its row to 0.  Three consequences:
+
+(a) For normal a and b, A = a ^ Z is X-invariant, and the top exponent of
+    every element of b is a multiple of t, that of b's top member (t = 0
+    when it has none).  As 1 + X^(tj) = (1 + X^t)(1 + X^t + ... +
+    X^(t(j-1))), [A, b] = (1 + X^t)A: the span of r + X^t r over the rows
+    r of A, one shift and one reduce per row.  X commutes with 1 + X^t, so
+    the span is X-invariant, and y centralises it: it is a normal subgroup
+    whose leaders owe a closure nothing.  commutator_subgroup and the
+    [a, G] closures start close()'s loop from it and sift only the
+    commutators among members outside Z, plus the squares they are given.
+(b) In a closure under a conjugator x^c with c odd, each central leader
+    queues its conjugate X^c r, and X^c generates the group that X does (X
+    has order n = 2^k on Z).  So when the queue is empty the span V of the
+    central rows is X-invariant: a starting table's rows span the central
+    part of a normal subgroup, and every other row's conjugate was sifted
+    into V.  Then [r, g] = r + X^t r lies in V for the top member g, so a
+    central leader owes the closure only its conjugates, and a new top
+    member owes nothing to the central rows.
+(c) layer_shape(s, t) checks the pairs of the top member with a central
+    member r as r + X^t r reduced through t's tail, and extends t by no
+    power of a central member, since r^e = 1 for e >= 2.
 """
 
 from __future__ import annotations
@@ -147,9 +175,13 @@ class Subgroup:
         return self.reduce(g).is_identity()
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
+        """Every member of other lies in self; a central member exactly when
+        the tail reduces its row to 0 (module docstring)."""
         if other.ctx.k != self.ctx.k:
             raise ValueError("subgroups live at different levels")
-        return all(self.contains(m) for m in other.igs)
+        tail = self._table()[3]
+        return all(not tail.reduce(m.z) if m.is_central_block() else self.contains(m)
+                   for m in other.igs)
 
     def leader_orders(self) -> list[int]:
         """Relative order of each member along the chain."""
@@ -230,19 +262,23 @@ def _normalize_top(ctx: GroupContext, h: Element) -> Element:
     return h ** pow(u, -1, 1 << (ctx.k - v))
 
 
-def _push_obligations(ctx, top, base, tail, new, queue, conjugators):
+def _push_obligations(ctx, top, base, tail, new, queue, conjugators, shifting):
     """Queue what a new leader owes the closure: its relative-order power,
     its commutators with the other leaders and its conjugates.  The central
     block commutes with every element of trivial top exponent, so a central
     leader pairs only with the top leader and conjugators with a nonzero top
-    exponent, and a base leader pairs only with the top and base leaders."""
+    exponent, and a base leader pairs only with the top and base leaders.
+    When shifting (a conjugator has odd top exponent), the central rows and
+    the top leader owe each other nothing (module docstring, (b))."""
     others = [top] if top is not None else []
     if not (new.t or new.a):
+        if shifting:
+            others = []
         conjugators = [c for c in conjugators if c.t]
     else:
         queue.append(new ** ((1 << (ctx.k - _v2(new.t))) if new.t else 2))
         others += [base[q] for q in sorted(base)]
-        if new.t:
+        if new.t and not shifting:
             others += [Element(ctx, 0, 0, r) for r in tail.rows.values()]
     for L in others:
         if L is not new:
@@ -295,6 +331,7 @@ def _grow(ctx, top, base, pivots, tail, gens, conjugators) -> Subgroup:
     tail) of a subgroup closed under the conjugators, in plain echelon
     form, then back-substitute once and return the canonical sequence of
     the result.  base and tail are updated in place."""
+    shifting = any(c.t & 1 for c in conjugators)
     queue = deque(gens)
     while queue:
         g = queue.popleft()
@@ -313,7 +350,7 @@ def _grow(ctx, top, base, pivots, tail, gens, conjugators) -> Subgroup:
             low = h.a & -h.a
             base[low] = h
             pivots |= low
-        _push_obligations(ctx, top, base, tail, h, queue, conjugators)
+        _push_obligations(ctx, top, base, tail, h, queue, conjugators, shifting)
 
     # canonical pass: clear every deeper leader position, deep to shallow;
     # a central row is cleared above its pivot q
@@ -399,28 +436,41 @@ def join(a: Subgroup, b: Subgroup) -> Subgroup:
     return extend(a, b.igs)
 
 
-def _commute_by_form(u: Element, v: Element) -> bool:
-    """True when the normal form alone shows that u and v commute: both
-    have trivial top part and one of them lies in the centre block."""
-    return u.t == 0 and v.t == 0 and (u.a == 0 or v.a == 0)
+def _noncentral(s: Subgroup) -> list[Element]:
+    """The members of s outside the centre block: its top and base members."""
+    return [m for m in s.igs if m.t or m.a]
 
 
-def _commutators(us, vs):
-    """The nontrivial [u, v] for u in us and v in vs, skipping the pairs
-    that _commute_by_form settles.
+def _top_exponent(s: Subgroup) -> int:
+    """The top exponent of s's top member, 0 when it has none."""
+    return s.igs[0].t if s.igs else 0
 
-    When us is vs, a canonical sequence, each unordered pair is visited
-    once ([v, u] = [u, v]^-1 and [u, u] = 1).  The sequence lists the top
-    member, then the base members, then the centre-block members, so the
-    pairs left are the top member with every later one and each base
-    member with the later base members.
+
+def _insert_commutator_rows(tail: _Tail, s: Subgroup, t: int) -> None:
+    """Insert into a plain echelon tail the rows r + X^t r over the central
+    rows r of s: for normal s they span [s ^ Z, b] for every normal b whose
+    top member has exponent t (module docstring, (a))."""
+    shift = s.ctx.shift_central
+    for m in s.igs:
+        if not (m.t or m.a):
+            w = tail.reduce(m.z ^ shift(m.z, t))
+            if w:
+                tail.insert(w)
+
+
+def _commutators(a: Subgroup, b: Subgroup):
+    """The nontrivial [u, v] for the members u of a and v of b outside the
+    centre block, the pairs that the closed form of (a) leaves.
+
+    When a is b, each unordered pair is visited once ([v, u] = [u, v]^-1
+    and [u, u] = 1): the top member with every base member and each base
+    member with the later ones.
     """
-    if us is vs:
-        cut = next((i for i, u in enumerate(us) if not (u.t or u.a)), len(us))
-        pairs = ((u, v) for i, u in enumerate(us[:cut])
-                 for v in us[i + 1:(None if u.t else cut)])
+    us = _noncentral(a)
+    if b is a:
+        pairs = ((u, v) for i, u in enumerate(us) for v in us[i + 1:])
     else:
-        pairs = ((u, v) for u in us for v in vs if not _commute_by_form(u, v))
+        pairs = ((u, v) for u in us for v in _noncentral(b))
     for u, v in pairs:
         c = commutator(u, v)
         if not c.is_identity():
@@ -428,32 +478,50 @@ def _commutators(us, vs):
 
 
 def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
-    """[a, b] for normal a, b: the normal closure of generator commutators."""
+    """[a, b] for normal a, b: the normal closure of the commutators of
+    their members.  Those with a central member span [a ^ Z, b][a, b ^ Z],
+    which is built in closed form (module docstring, (a)); the closure
+    starts from it and sifts the commutators of the other members."""
     if a.ctx.k != b.ctx.k:
         raise ValueError("subgroups live at different levels")
-    seeds = list(_commutators(a.igs, b.igs))
-    return normal_closure(seeds) if seeds else trivial_subgroup(a.ctx)
+    ctx = a.ctx
+    tail = _Tail()
+    _insert_commutator_rows(tail, a, _top_exponent(b))
+    if b is not a:
+        _insert_commutator_rows(tail, b, _top_exponent(a))
+    return _grow(ctx, None, {}, 0, tail, list(_commutators(a, b)), (ctx.x(), ctx.y()))
 
 
-def group_commutators(a: Subgroup) -> list[Element]:
-    """The nontrivial [u, x] and [u, y] for u in the igs of a; for normal a
-    their normal closure is [a, G]."""
-    return list(_commutators(a.igs, (a.ctx.x(), a.ctx.y())))
+def extend_by_group_commutators(base: Subgroup, a: Subgroup, gens=()) -> Subgroup:
+    """The normal closure of base, [a, G] and gens, for normal base and a:
+    extend(base, the [u, x] and [u, y] over the members u of a, plus gens,
+    with x and y as conjugators).  [a ^ Z, G] = (1 + X)(a ^ Z) goes into a
+    copy of base's central rows in closed form (module docstring, (a)), so
+    only the commutators of a's top and base members are sifted."""
+    if a.ctx.k != base.ctx.k:
+        raise ValueError("subgroups live at different levels")
+    ctx = a.ctx
+    x, y = ctx.x(), ctx.y()
+    top, members, pivots, tail = base._table()
+    tail = _Tail(tail.rows.values())
+    _insert_commutator_rows(tail, a, 1)
+    seeds = [c for u in _noncentral(a) for c in (commutator(u, x), commutator(u, y))
+             if not c.is_identity()]
+    return _grow(ctx, top, dict(members), pivots, tail, seeds + list(gens), (x, y))
 
 
 def commutator_with_group(a: Subgroup) -> Subgroup:
-    """[a, G] using the two group generators on the right."""
-    seeds = group_commutators(a)
-    return normal_closure(seeds) if seeds else trivial_subgroup(a.ctx)
+    """[a, G] for normal a, using the two group generators on the right."""
+    return extend_by_group_commutators(trivial_subgroup(a.ctx), a)
 
 
 def agemo_mod_derived(s: Subgroup) -> Subgroup:
     """[s, s] joined with the squares of the members of s.
 
     Equals s^2 [s, s], the Frattini subgroup of s, because s is abelian
-    modulo [s, s].
+    modulo [s, s].  A central member squares to 1.
     """
-    return extend(commutator_subgroup(s, s), [g ** 2 for g in s.igs])
+    return extend(commutator_subgroup(s, s), [g ** 2 for g in _noncentral(s)])
 
 
 def _suffix_start_of(sub: Subgroup) -> int | None:
@@ -545,19 +613,24 @@ def layer_shape(s: Subgroup, t: Subgroup) -> tuple[int, ...]:
     s^(2^m) t, t extended by the 2^m-th powers of the members of s (A is
     abelian), and with logs[m] = log|s^(2^m) t| the number of invariants
     above 2^m is logs[m] - logs[m+1].  For an elementary abelian layer
-    every square lies in t, and no closure runs.
+    every square lies in t, and no closure runs.  The pairs and powers of
+    s's central members are read in closed form (module docstring, (c)).
     """
     ctx = s.ctx
     if t.ctx.k != ctx.k:
         raise ValueError("subgroups live at different levels")
     if not s.contains_subgroup(t):
         raise ValueError("second subgroup is not contained in the first")
-    if not all(t.contains(c) for c in _commutators(s.igs, s.igs)):
+    tail, shift, top_t = t._table()[3], ctx.shift_central, _top_exponent(s)
+    if not (all(t.contains(c) for c in _commutators(s, s))
+            and all(not tail.reduce(m.z ^ shift(m.z, top_t))
+                    for m in s.igs if m.is_central_block())):
         raise ValueError("quotient is not abelian")
+    noncentral = _noncentral(s)
     logs = [s.log_order]
     while logs[-1] > t.log_order:
         e = 1 << len(logs)
-        logs.append(extend(t, [g ** e for g in s.igs]).log_order)
+        logs.append(extend(t, [g ** e for g in noncentral]).log_order)
     # ranks[m]: invariants above 2^m; those equal to 2^(m+1) are the drop
     ranks = [hi - lo for hi, lo in zip(logs, logs[1:])] + [0]
     invariants = ()

@@ -7,12 +7,14 @@ from operator import mul, xor
 import pytest
 
 from conftest import random_element
+from wrsp import subgroup as subgroup_module
 from wrsp.engine import commutator, get_context
 from wrsp.series import SeriesKind, series
 from wrsp.subgroup import (
     _lead,
     _reduce,
     _Tail,
+    _top_exponent,
     UnsupportedExactIntersection,
     agemo_mod_derived,
     base_and_centre_subgroup,
@@ -23,7 +25,6 @@ from wrsp.subgroup import (
     commutator_with_group,
     extend,
     full_group,
-    group_commutators,
     intersect,
     join,
     layer_shape,
@@ -144,18 +145,78 @@ def _ordered_pair_commutator_subgroup(a, b):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_unordered_pairs_and_two_conjugators_match_references(k):
-    # commutator_subgroup(s, s) visits each unordered pair once and
+    # commutator_subgroup(s, s) visits each unordered pair once,
+    # commutator_with_group builds [s ^ Z, G] in closed form and
     # normal_closure conjugates by x and y only; on every term of every
-    # series both must give what the ordered pairs and x, x^-1, y give
+    # series each must give what the ordered pairs and x, x^-1, y give
     ctx = get_context(k)
     for kind in SeriesKind:
         for s in series(ctx, kind).terms:
             if s.is_trivial():
                 continue
             assert commutator_subgroup(s, s) == _ordered_pair_commutator_subgroup(s, s)
-            seeds = group_commutators(s)
-            if seeds:
-                assert normal_closure(seeds) == _three_conjugator_closure(seeds)
+            seeds = [commutator(u, c) for u in s.igs for c in (ctx.x(), ctx.y())]
+            assert commutator_with_group(s) == normal_closure(seeds) \
+                == _three_conjugator_closure(seeds)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_mixed_pair_commutator_subgroups_match_reference(k):
+    # for a != b, commutator_subgroup builds [a ^ Z, b] from b's top
+    # exponent and [a, b ^ Z] from a's; pairs of terms of different series
+    # cover one side without a top member (G or P_i against gamma_j) and,
+    # from level 2 on, top members of different 2-adic value (P_i against
+    # D_j, G against M_i)
+    ctx = get_context(k)
+
+    def inner(kind):
+        return [s for s in series(ctx, kind).terms[1:] if not s.is_trivial()]
+
+    g, gam, power, dim, m = full_group(ctx), *(inner(kind) for kind in (
+        SeriesKind.GAMMA, SeriesKind.POWER, SeriesKind.DIMENSION, SeriesKind.M))
+    pairs = ([(g, s) for s in m + gam[::2]] + [(p, d) for p in power for d in dim[::2]]
+             + [(s, p) for s in gam[::3] for p in power[:2]])
+    tops = [(_top_exponent(a), _top_exponent(b)) for a, b in pairs]
+    assert any(bool(ta) != bool(tb) for ta, tb in tops)
+    assert k == 1 or any(ta and tb and ta != tb for ta, tb in tops)
+    for a, b in pairs:
+        assert a is not b
+        assert commutator_subgroup(a, b) == _ordered_pair_commutator_subgroup(a, b)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_central_gamma_terms_close_without_sifting(k, monkeypatch):
+    # [a, G] for a lower central term inside the centre block is (1 + X)a,
+    # built by shifting and reducing central rows: no _reduce call
+    ctx = get_context(k)
+    calls = []
+    sift = subgroup_module._reduce
+
+    def counted(*args):
+        calls.append(1)
+        return sift(*args)
+
+    terms = [s for s in series(ctx, SeriesKind.GAMMA).terms
+             if not s.is_trivial() and all(m.is_central_block() for m in s.igs)]
+    assert terms
+    monkeypatch.setattr(subgroup_module, "_reduce", counted)
+    for s in terms:
+        del calls[:]
+        got = commutator_with_group(s)
+        assert not calls, (s, len(calls))
+        assert got == normal_closure([commutator(u, ctx.x()) for u in s.igs])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_closed_form_central_checks(k):
+    # only the pairs of x with central members fail to commute in <Z, x>,
+    # and central containment is read from the tail alone
+    ctx = get_context(k)
+    z, pairs = centre_block_subgroup(ctx), pair_block_subgroup(ctx)
+    with pytest.raises(ValueError, match="not abelian"):
+        layer_shape(extend(z, [ctx.x()]), trivial_subgroup(ctx))
+    assert not pairs.contains_subgroup(z)
+    assert z.contains_subgroup(pairs)
 
 
 def _ordered_pair_layer_shape(s, t):
