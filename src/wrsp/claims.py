@@ -398,12 +398,14 @@ def _run_wreath(ctx):
     the rotation.  That base row is (lo << t) | hi, built from a alone, so
     z plays no part; both sides are GF(2)-linear in a, so the n base unit
     vectors for every t cover every pair.  The kernel is the centre block
-    by the normal form, so the image has log order log|G| - log|Z|.
+    by the normal form, so the image has log order log|G| - log|Z|.  That
+    difference is reported, not checked: both orders are read off the
+    coordinate layout (k + n + d and d positions), so it is k + n by
+    construction.
     """
     ok = all(ctx.conj_by_x_power(1 << b, 0, t)[0] == ctx._rot(1 << b, t)
              for t in range(ctx.tmod) for b in range(ctx.n))
     image_log = full_group(ctx).log_order - centre_block_subgroup(ctx).log_order
-    ok = ok and image_log == ctx.k + ctx.n
     return ok, {"summary": f"quotient map is a homomorphism onto 2^{ctx.k + ctx.n} "
                            "elements with the centre block as kernel",
                 "image_log": image_log}

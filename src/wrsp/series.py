@@ -11,9 +11,36 @@ The dimension series follows Lazard's recursion D_i = [D_{i-1}, G] D_m^2,
 m = ceil(i/2).  The square subgroup D^2 = <g^2 : g in D> of any group D
 contains [D, D], because [a, b] = a^-2 (a b^-1)^2 b^2, and D / [D, D] is
 abelian, so D^2 = <u^2 : u in igs(D)> [D, D].  Each term is therefore one
-normal closure of the commutators [u, x], [u, y] over igs(D_{i-1}), the
-squares of igs(D_m) and [D_m, D_m]; the last is normal (characteristic in
-the normal D_m), so the closure extends it instead of re-deriving it.
+normal closure of [D_{i-1}, G], the squares of igs(D_m) and [D_m, D_m],
+the last cached per m.  The lower 2-series P_i = [P_{i-1}, G] P_{i-1}^2
+is one normal closure of [P_{i-1}, G] and the squares of igs(P_{i-1}),
+as [P, P] <= [P, G].
+
+Both steps extend the lower central term gamma_i, which the gamma series
+already holds, instead of re-deriving it.  Let S be either series, so
+S_1 = gamma_1 = G and [S_{i-1}, G] <= S_i.  Two facts about normal
+subgroups of G = <x, y>:
+
+- [AB, G] = [A, G][B, G]: modulo the normal [A, G][B, G], A and B are
+  central, so AB is too; the other inclusion is plain.
+- For N = <R>^G, [N, G] is the normal closure K of the [r, x], [r, y],
+  r in R: modulo K every r commutes with x and y, so N is central.
+
+By induction gamma_i = [gamma_{i-1}, G] <= [S_{i-1}, G] <= S_i.  Let R be
+the nonidentity reductions of the members of S_{i-1} modulo gamma_{i-1};
+each member is its reduction times an element of gamma_{i-1}, so
+S_{i-1} = gamma_{i-1} <R>^G and [S_{i-1}, G] = gamma_i <[r, x], [r, y] :
+r in R>^G.  So a step is extend(gamma_i, those commutators and the other
+generators of its recurrence, (x, y)).
+
+Layers.  The gamma, lower 2-, dimension and Frattini recurrences all put
+[S_i, S_i] in S_{i+1}: the first three contain [S_i, G], and Phi(S_i)
+contains [S_i, S_i].  Those layers S_i / S_{i+1} are abelian, and
+_build_series certifies S_{i+1} <= S_i for every kind, so
+SeriesTable.layer reads their invariants without checking either fact.
+The power and construction series have nonabelian layers (the level-2
+power layer i = 1, the level-3 construction layers i = 0..2), so their
+layers keep the abelian check.
 
 The raw 2-power subgroups P_i = <g^e : g in G>, e = 2**i, have no such
 reduction; they are built in closed form at every level.  Write g = w z
@@ -67,12 +94,13 @@ from math import comb
 from .engine import Element, GroupContext, commutator, level_log_order
 from .subgroup import (
     Subgroup,
+    abelian_invariants,
     agemo_mod_derived,
+    check_abelian_quotient,
     close,
     commutator_subgroup,
     commutator_with_group,
     extend,
-    extend_by_group_commutators,
     full_group,
     layer_shape,
     normal_closure,
@@ -118,7 +146,14 @@ class SeriesTable:
         return [(self.first_index + off, sub) for off, sub in enumerate(self.terms)]
 
     def layer(self, i: int) -> tuple[int, ...]:
-        return layer_shape(self.term(i), self.term(i + 1))
+        """layer_shape(S_i, S_(i+1)), without the checks that the series
+        certifies: containment for every kind, and an abelian quotient
+        for the kinds whose recurrence gives one (module docstring)."""
+        s, t = self.term(i), self.term(i + 1)
+        _, _, abelian = _STEPS[self.kind]
+        if not abelian:
+            check_abelian_quotient(s, t)
+        return abelian_invariants(s, t)
 
     def to_rows(self) -> list[dict]:
         rows = []
@@ -144,7 +179,7 @@ def series(ctx: GroupContext, kind: SeriesKind) -> SeriesTable:
 
 
 def _build_series(ctx: GroupContext, kind: SeriesKind) -> SeriesTable:
-    first, step = _STEPS[kind]
+    first, step, _ = _STEPS[kind]
     terms = [full_group(ctx)]
     while not terms[-1].is_trivial():
         nxt = step(ctx, terms)
@@ -159,12 +194,23 @@ def _squares(sub: Subgroup) -> list[Element]:
     return [g ** 2 for g in sub.igs if not g.is_central_block()]
 
 
+def _gamma_and_commutators(ctx: GroupContext,
+                           terms: list[Subgroup]) -> tuple[Subgroup, list[Element]]:
+    """gamma_i and the [r, x], [r, y] over the nonidentity reductions r of
+    the members of S_(i-1) = terms[-1] modulo gamma_(i-1): [S_(i-1), G] is
+    gamma_i extended by these under conjugation (module docstring)."""
+    i = len(terms) + 1  # terms[0] is S_1 = G
+    gamma = series(ctx, SeriesKind.GAMMA)
+    prev = gamma.term(i - 1)
+    x, y = ctx.x(), ctx.y()
+    reps = [r for r in map(prev.reduce, terms[-1].igs) if not r.is_identity()]
+    return gamma.term(i), [commutator(r, g) for r in reps for g in (x, y)]
+
+
 def _lower_p_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
-    # P_i = P_{i-1}^2 [P_{i-1}, G] in one normal closure: [P_{i-1}, G] is the
-    # normal closure of [u, x], [u, y] over the igs, and the square part
-    # closes on generator squares because [P, P] <= [P, G]
-    prev = terms[-1]
-    return extend_by_group_commutators(trivial_subgroup(ctx), prev, _squares(prev))
+    # P_i = [P_{i-1}, G] P_{i-1}^2 on top of gamma_i (module docstring)
+    gamma, seeds = _gamma_and_commutators(ctx, terms)
+    return extend(gamma, seeds + _squares(terms[-1]), (ctx.x(), ctx.y()))
 
 
 def _frattini_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
@@ -175,25 +221,26 @@ def _frattini_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
 
 
 def _dimension_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
-    # D_i = [D_{i-1}, G] D_m^2 with m = ceil(i/2), in one normal closure
-    # that extends the normal [D_m, D_m] (module docstring)
-    i = len(terms) + 1  # terms[0] is D_1
-    m = (i + 1) // 2
+    # D_i = [D_{i-1}, G] D_m^2 with m = ceil(i/2) on top of gamma_i, with
+    # D_m^2 = the squares of igs(D_m) and [D_m, D_m] (module docstring)
+    gamma, seeds = _gamma_and_commutators(ctx, terms)
+    m = (len(terms) + 2) // 2  # ceil(i/2), i = len(terms) + 1
     dm = terms[m - 1]
     der = ctx.cached(("dimension_derived", m), lambda: commutator_subgroup(dm, dm))
-    return extend_by_group_commutators(der, terms[-1], _squares(dm))
+    return extend(gamma, seeds + _squares(dm) + list(der.igs), (ctx.x(), ctx.y()))
 
 
 # kind -> (natural index of the whole group, step from the terms built so
-# far to the next term)
+# far to the next term, whether the recurrence makes every layer abelian)
 _STEPS = {
-    SeriesKind.GAMMA: (1, lambda ctx, terms: commutator_with_group(terms[-1])),
-    SeriesKind.LOWER_P: (1, _lower_p_step),
-    SeriesKind.FRATTINI: (0, _frattini_step),
-    SeriesKind.DIMENSION: (1, _dimension_step),
-    SeriesKind.POWER: (0, lambda ctx, terms: exact_power_subgroup(ctx, len(terms))),
+    SeriesKind.GAMMA: (1, lambda ctx, terms: commutator_with_group(terms[-1]), True),
+    SeriesKind.LOWER_P: (1, _lower_p_step, True),
+    SeriesKind.FRATTINI: (0, _frattini_step, True),
+    SeriesKind.DIMENSION: (1, _dimension_step, True),
+    SeriesKind.POWER: (0, lambda ctx, terms: exact_power_subgroup(ctx, len(terms)), False),
     SeriesKind.M: (0, lambda ctx, terms: (projection_kernel(ctx, len(terms))
-                                         if len(terms) < ctx.k else trivial_subgroup(ctx))),
+                                         if len(terms) < ctx.k else trivial_subgroup(ctx)),
+                   False),
 }
 
 

@@ -74,9 +74,9 @@ reduces its row to 0.  Three consequences:
     X^(t(j-1))), [A, b] = (1 + X^t)A: the span of r + X^t r over the rows
     r of A, one shift and one reduce per row.  X commutes with 1 + X^t, so
     the span is X-invariant, and y centralises it: it is a normal subgroup
-    whose leaders owe a closure nothing.  commutator_subgroup and the
-    [a, G] closures start close()'s loop from it and sift only the
-    commutators among members outside Z, plus the squares they are given.
+    whose leaders owe a closure nothing.  commutator_subgroup and
+    commutator_with_group start close()'s loop from it and sift only the
+    commutators among members outside Z.
 (b) In a closure under a conjugator x^c with c odd, each central leader
     queues its conjugate X^c r, and X^c generates the group that X does (X
     has order n = 2^k on Z).  So when the queue is empty the span V of the
@@ -85,9 +85,10 @@ reduces its row to 0.  Three consequences:
     into V.  Then [r, g] = r + X^t r lies in V for the top member g, so a
     central leader owes the closure only its conjugates, and a new top
     member owes nothing to the central rows.
-(c) layer_shape(s, t) checks the pairs of the top member with a central
-    member r as r + X^t r reduced through t's tail, and extends t by no
-    power of a central member, since r^e = 1 for e >= 2.
+(c) The abelian check of a layer s/t checks the pairs of the top member
+    with a central member r as r + X^t r reduced through t's tail, and its
+    invariants extend t by no power of a central member, since r^e = 1 for
+    e >= 2.
 """
 
 from __future__ import annotations
@@ -492,27 +493,18 @@ def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     return _grow(ctx, None, {}, 0, tail, list(_commutators(a, b)), (ctx.x(), ctx.y()))
 
 
-def extend_by_group_commutators(base: Subgroup, a: Subgroup, gens=()) -> Subgroup:
-    """The normal closure of base, [a, G] and gens, for normal base and a:
-    extend(base, the [u, x] and [u, y] over the members u of a, plus gens,
-    with x and y as conjugators).  [a ^ Z, G] = (1 + X)(a ^ Z) goes into a
-    copy of base's central rows in closed form (module docstring, (a)), so
-    only the commutators of a's top and base members are sifted."""
-    if a.ctx.k != base.ctx.k:
-        raise ValueError("subgroups live at different levels")
+def commutator_with_group(a: Subgroup) -> Subgroup:
+    """[a, G] for normal a: the normal closure of the [u, x] and [u, y] over
+    the members u of a.  [a ^ Z, G] = (1 + X)(a ^ Z) goes into the central
+    rows in closed form (module docstring, (a)), so only the commutators of
+    a's top and base members are sifted."""
     ctx = a.ctx
     x, y = ctx.x(), ctx.y()
-    top, members, pivots, tail = base._table()
-    tail = _Tail(tail.rows.values())
+    tail = _Tail()
     _insert_commutator_rows(tail, a, 1)
     seeds = [c for u in _noncentral(a) for c in (commutator(u, x), commutator(u, y))
              if not c.is_identity()]
-    return _grow(ctx, top, dict(members), pivots, tail, seeds + list(gens), (x, y))
-
-
-def commutator_with_group(a: Subgroup) -> Subgroup:
-    """[a, G] for normal a, using the two group generators on the right."""
-    return extend_by_group_commutators(trivial_subgroup(a.ctx), a)
+    return _grow(ctx, None, {}, 0, tail, seeds, (x, y))
 
 
 def agemo_mod_derived(s: Subgroup) -> Subgroup:
@@ -607,25 +599,39 @@ def central_cap_logs(target: Subgroup, terms) -> list[int]:
 
 def layer_shape(s: Subgroup, t: Subgroup) -> tuple[int, ...]:
     """Abelian invariants of A = s/t for t normal in s with abelian quotient,
-    largest first.
+    largest first; raises ValueError when t is not contained in s or the
+    quotient is not abelian."""
+    if t.ctx.k != s.ctx.k:
+        raise ValueError("subgroups live at different levels")
+    if not s.contains_subgroup(t):
+        raise ValueError("second subgroup is not contained in the first")
+    check_abelian_quotient(s, t)
+    return abelian_invariants(s, t)
+
+
+def check_abelian_quotient(s: Subgroup, t: Subgroup) -> None:
+    """Raise ValueError unless s/t is abelian, for t normal in s: every pair
+    of members of s commutes modulo t.  The pairs of the top member with a
+    central member r are r + X^t r reduced through t's tail (module
+    docstring, (c))."""
+    tail, shift, top_t = t._table()[3], s.ctx.shift_central, _top_exponent(s)
+    if not (all(t.contains(c) for c in _commutators(s, s))
+            and all(not tail.reduce(m.z ^ shift(m.z, top_t))
+                    for m in s.igs if m.is_central_block())):
+        raise ValueError("quotient is not abelian")
+
+
+def abelian_invariants(s: Subgroup, t: Subgroup) -> tuple[int, ...]:
+    """Abelian invariants of A = s/t, largest first, for t normal in s with
+    abelian quotient; the caller certifies both, nothing here checks them.
 
     Read off the ranks of the power subgroups: A^(2^m) has preimage
     s^(2^m) t, t extended by the 2^m-th powers of the members of s (A is
     abelian), and with logs[m] = log|s^(2^m) t| the number of invariants
     above 2^m is logs[m] - logs[m+1].  For an elementary abelian layer
-    every square lies in t, and no closure runs.  The pairs and powers of
-    s's central members are read in closed form (module docstring, (c)).
+    every square lies in t, and no closure runs.  No power of a central
+    member is extended, since r^e = 1 for e >= 2 (module docstring, (c)).
     """
-    ctx = s.ctx
-    if t.ctx.k != ctx.k:
-        raise ValueError("subgroups live at different levels")
-    if not s.contains_subgroup(t):
-        raise ValueError("second subgroup is not contained in the first")
-    tail, shift, top_t = t._table()[3], ctx.shift_central, _top_exponent(s)
-    if not (all(t.contains(c) for c in _commutators(s, s))
-            and all(not tail.reduce(m.z ^ shift(m.z, top_t))
-                    for m in s.igs if m.is_central_block())):
-        raise ValueError("quotient is not abelian")
     noncentral = _noncentral(s)
     logs = [s.log_order]
     while logs[-1] > t.log_order:

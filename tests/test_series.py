@@ -192,10 +192,16 @@ REFERENCE_TERMS = {
 }
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-@pytest.mark.parametrize("kind", list(REFERENCE_TERMS), ids=lambda kind: kind.value)
-def test_recurrence_matches_reference(k, kind):
-    ctx = get_context(k)
+# at level 5 the lower 2-series case takes about 2 s, but the from-scratch
+# dimension reference alone takes 7-11 s, so that case stays at k <= 4
+REFERENCE_CASES = [(kind, k) for kind in REFERENCE_TERMS for k in (1, 2, 3, 4)] \
+    + [(SeriesKind.LOWER_P, 5)]
+
+
+@pytest.mark.parametrize("kind,k", REFERENCE_CASES,
+                         ids=[f"{kind.value}-{k}" for kind, k in REFERENCE_CASES])
+def test_recurrence_matches_reference(kind, k):
+    ctx = get_context(k, allow_large=True)
     got = series(ctx, kind).terms
     want = REFERENCE_TERMS[kind](ctx)
     assert [s.igs for s in got] == [s.igs for s in want], (k, kind.value)
@@ -270,6 +276,52 @@ def test_layer_shape_matches_coset_census(k, kind):
             assert layer_shape(sub, nxt) == _census_shape(sub, nxt), (k, kind.value, i)
             checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_series_layer_matches_layer_shape(k):
+    # SeriesTable.layer skips the checks the series certifies; the public
+    # layer_shape runs them all, so the two agree on every layer, and a
+    # nonabelian layer raises in both
+    ctx = get_context(k)
+    nonabelian = 0
+    for kind in SeriesKind:
+        tbl = series(ctx, kind)
+        for i, sub in tbl.indexed_terms():
+            try:
+                want = layer_shape(sub, tbl.term(i + 1))
+            except ValueError:
+                nonabelian += 1
+                with pytest.raises(ValueError):
+                    tbl.layer(i)
+            else:
+                assert tbl.layer(i) == want, (kind.value, i)
+    assert nonabelian
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_lower2_steps_extend_gamma(k, monkeypatch):
+    # with gamma built, no lower 2-series step derives an [a, G] from
+    # scratch: no call to commutator_with_group, nor to the closed-form
+    # central rows that start every commutator-subgroup build
+    ctx = engine.GroupContext(k)
+    gamma = series(ctx, SeriesKind.GAMMA)
+    calls = []
+
+    def counted(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return orig(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(wrsp.series, "commutator_with_group")
+    counted(wrsp.subgroup, "commutator_with_group")
+    counted(wrsp.subgroup, "_insert_commutator_rows")
+    tbl = series(ctx, SeriesKind.LOWER_P)
+    assert calls == []
+    assert tbl.length == gamma.length == 2 * ctx.n - 1
 
 
 @pytest.mark.parametrize("k", [1, 2])
