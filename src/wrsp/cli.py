@@ -7,6 +7,7 @@ Outputs are deterministic: identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,12 +32,28 @@ TARGETS = {
 }
 
 
+class _OutError(Exception):
+    """The --out file cannot be written: a usage error."""
+
+
+def _check_out(path: str) -> None:
+    """Raise _OutError when --out PATH cannot be written, before any work."""
+    if os.path.isdir(path):
+        raise _OutError(f"--out {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise _OutError(f"--out {path}: directory {parent} does not exist")
+
+
 def _write(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _OutError(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
 def _series_csv(table) -> str:
@@ -89,16 +106,6 @@ def cmd_series(args) -> int:
     text = _series_csv(table) if args.format == "csv" else _series_json(table)
     _write(text, args.out)
     return 0
-
-
-def _out_error(path: str) -> str | None:
-    """Why --out PATH cannot be written, checked before any work is done."""
-    if os.path.isdir(path):
-        return f"--out {path} is a directory"
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        return f"--out {path}: directory {parent} does not exist"
-    return None
 
 
 def _load_seed_target(ctx, path: str):
@@ -170,6 +177,9 @@ def cmd_oracle(args) -> int:
     return 0 if table["ok"] else 1
 
 
+# built on the first call, not at import, so that it binds the cmd_* functions
+# as wrapped after import (bench/tracer.py)
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wrsp",
@@ -239,11 +249,13 @@ def main(argv=None) -> int:
             hint = "" if args.deep else f" (use --deep for level {DEFAULT_MAX_LEVEL})"
             print(f"error: --k must be in 1..{cap}{hint}", file=sys.stderr)
             return USAGE_ERROR
-    why = _out_error(args.out) if args.out else None
-    if why:
-        print(f"error: {why}", file=sys.stderr)
+    try:
+        if args.out:
+            _check_out(args.out)
+        return args.func(args)
+    except _OutError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from __future__ import annotations
 from .engine import Element, GroupContext, get_context
 
 X, Y0, Y1, S0, S1, C = range(6)
-GEN_NAMES = ("x", "y0", "y1", "s0", "s1", "c")
 
 _X_CONJ = {Y0: Y1, Y1: Y0, S0: S1, S1: S0, C: C}
 _CENTRAL = (S0, S1, C)
@@ -67,7 +66,8 @@ def word_of_form(t: int, a0: int, a1: int, z0: int, z1: int, z2: int) -> tuple[i
 
 
 class OracleGroup:
-    """The 64 canonical forms with multiplication by word reduction."""
+    """The 64 canonical forms and their multiplication table, each product
+    reduced from the concatenated words once."""
 
     def __init__(self):
         gens = [reduce_word([X]), reduce_word([Y0])]
@@ -86,38 +86,29 @@ class OracleGroup:
             frontier = nxt
         self.forms = forms
         self.index = seen
+        # table[i][j] is the index of forms[i] forms[j]; index 0 is the identity
+        self.table = [[seen[reduce_word(u + v)] for v in forms] for u in forms]
 
     @property
     def order(self) -> int:
         return len(self.forms)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.index[reduce_word(self.forms[i] + self.forms[j])]
-
-    def identity(self) -> int:
-        return self.index[()]
-
-    def order_of(self, i: int) -> int:
-        o = 1
-        cur = i
-        e = self.identity()
-        while cur != e:
-            cur = self.mul(cur, cur)
-            o <<= 1
-            if o > 64:
-                raise RuntimeError("oracle element order out of range")
-        return o
-
     def order_census(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for i in range(self.order):
-            o = self.order_of(i)
+            o, cur = 1, i
+            while cur:
+                cur = self.table[cur][cur]
+                o <<= 1
+                if o > 64:
+                    raise RuntimeError("oracle element order out of range")
             out[o] = out.get(o, 0) + 1
         return out
 
     def centre(self) -> list[int]:
+        table = self.table
         return [i for i in range(self.order)
-                if all(self.mul(i, j) == self.mul(j, i) for j in range(self.order))]
+                if all(table[i][j] == table[j][i] for j in range(self.order))]
 
 
 def build_oracle() -> OracleGroup:
@@ -152,17 +143,20 @@ def oracle_index_of(oracle: OracleGroup, g: Element) -> int:
 
 
 def compare_multiplication_tables(ctx: GroupContext, oracle: OracleGroup) -> dict:
-    """Full 64 x 64 comparison of engine products against word reduction."""
+    """Full 64 x 64 comparison of engine products against word reduction:
+    each engine element is mapped to its oracle index once, and a product
+    outside the 64 is a mismatch."""
     if ctx.k != 1:
         raise ValueError("the oracle only covers level 1")
     elements = list(ctx.all_elements())
-    idx = [oracle_index_of(oracle, g) for g in elements]
-    if len(set(idx)) != 64:
+    pos = {g: oracle_index_of(oracle, g) for g in elements}
+    if len(set(pos.values())) != 64:
         return {"ok": False, "reason": "engine forms are not pairwise distinct in the oracle"}
     mismatches = []
-    for i, g in enumerate(elements):
-        for j, h in enumerate(elements):
-            if oracle.mul(idx[i], idx[j]) != oracle_index_of(oracle, g * h):
+    for g in elements:
+        row = oracle.table[pos[g]]
+        for h in elements:
+            if row[pos[h]] != pos.get(g * h):
                 mismatches.append((g.text(), h.text()))
     return {"ok": not mismatches, "mismatches": mismatches[:4],
             "pairs_checked": len(elements) ** 2}

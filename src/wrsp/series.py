@@ -40,7 +40,8 @@ _build_series certifies S_{i+1} <= S_i for every kind, so
 SeriesTable.layer reads their invariants without checking either fact.
 The power and construction series have nonabelian layers (the level-2
 power layer i = 1, the level-3 construction layers i = 0..2), so their
-layers keep the abelian check.
+few layers per level go through layer_shape, which checks the abelian
+quotient and also re-checks containment.
 
 The raw 2-power subgroups P_i = <g^e : g in G>, e = 2**i, have no such
 reduction; they are built in closed form at every level.  Write g = w z
@@ -96,7 +97,6 @@ from .subgroup import (
     Subgroup,
     abelian_invariants,
     agemo_mod_derived,
-    check_abelian_quotient,
     close,
     commutator_subgroup,
     commutator_with_group,
@@ -146,14 +146,11 @@ class SeriesTable:
         return [(self.first_index + off, sub) for off, sub in enumerate(self.terms)]
 
     def layer(self, i: int) -> tuple[int, ...]:
-        """layer_shape(S_i, S_(i+1)), without the checks that the series
-        certifies: containment for every kind, and an abelian quotient
-        for the kinds whose recurrence gives one (module docstring)."""
+        """layer_shape(S_i, S_(i+1)), without its checks for the kinds whose
+        recurrence certifies an abelian layer (module docstring)."""
         s, t = self.term(i), self.term(i + 1)
         _, _, abelian = _STEPS[self.kind]
-        if not abelian:
-            check_abelian_quotient(s, t)
-        return abelian_invariants(s, t)
+        return abelian_invariants(s, t) if abelian else layer_shape(s, t)
 
     def to_rows(self) -> list[dict]:
         rows = []
@@ -358,7 +355,7 @@ def lcs_generator_check(ctx: GroupContext) -> dict:
         gens = stated_gamma_generators(ctx, i)
         regen = extend(nxt, gens)
         gens_ok = regen == cur
-        shape = layer_shape(cur, nxt)
+        shape = table.layer(i)
         want = expected_gamma_layer(ctx.k, i)
         shape_ok = shape == want
         total += cur.log_order - nxt.log_order

@@ -600,25 +600,20 @@ def central_cap_logs(target: Subgroup, terms) -> list[int]:
 def layer_shape(s: Subgroup, t: Subgroup) -> tuple[int, ...]:
     """Abelian invariants of A = s/t for t normal in s with abelian quotient,
     largest first; raises ValueError when t is not contained in s or the
-    quotient is not abelian."""
+    quotient is not abelian.  The quotient is abelian when every pair of
+    members of s commutes modulo t; the pairs of the top member with a
+    central member r are r + X^t r reduced through t's tail (module
+    docstring, (c))."""
     if t.ctx.k != s.ctx.k:
         raise ValueError("subgroups live at different levels")
     if not s.contains_subgroup(t):
         raise ValueError("second subgroup is not contained in the first")
-    check_abelian_quotient(s, t)
-    return abelian_invariants(s, t)
-
-
-def check_abelian_quotient(s: Subgroup, t: Subgroup) -> None:
-    """Raise ValueError unless s/t is abelian, for t normal in s: every pair
-    of members of s commutes modulo t.  The pairs of the top member with a
-    central member r are r + X^t r reduced through t's tail (module
-    docstring, (c))."""
     tail, shift, top_t = t._table()[3], s.ctx.shift_central, _top_exponent(s)
     if not (all(t.contains(c) for c in _commutators(s, s))
             and all(not tail.reduce(m.z ^ shift(m.z, top_t))
                     for m in s.igs if m.is_central_block())):
         raise ValueError("quotient is not abelian")
+    return abelian_invariants(s, t)
 
 
 def abelian_invariants(s: Subgroup, t: Subgroup) -> tuple[int, ...]:

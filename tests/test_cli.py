@@ -193,6 +193,16 @@ def test_out_path_checked_before_work(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path):
+    # the directory exists, so the pre-check passes and the open itself fails
+    # (ENAMETOOLONG, whatever the user's permissions)
+    path = tmp_path / ("a" * 300)
+    result = run_cli(["series", "--k", "1", "--kind", "gamma", "--out", str(path)])
+    _assert_usage_error(result)
+    assert result[2].startswith(f"error: cannot write --out {path}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_ascii_seed_file_names_the_line(tmp_path, ctx2):
     seeds = tmp_path / "seeds.txt"
     seeds.write_bytes(ctx2.pair_gen(0, 1).text().encode("ascii") + b"\n"

@@ -1,5 +1,7 @@
 """The level-1 word-reduction oracle and its agreement with the engine."""
 
+from wrsp import oracle as oracle_module
+from wrsp.engine import Element, GroupContext
 from wrsp.oracle import (
     build_oracle,
     compare_multiplication_tables,
@@ -40,6 +42,42 @@ def test_engine_table_equals_oracle_table(ctx1):
     rep = compare_multiplication_tables(ctx1, oracle)
     assert rep["ok"], rep
     assert rep["pairs_checked"] == 64 * 64
+
+
+def test_table_comparison_catches_engine_faults(ctx1, monkeypatch):
+    # one product with a central bit flipped, one outside the 64 elements
+    x, y = ctx1.x(), ctx1.y()
+    mul = GroupContext.mul
+
+    def faulty(ctx, g, h):
+        p = mul(ctx, g, h)
+        if (g, h) == (x, y):
+            return Element(ctx, p.t, p.a, p.z ^ 1)
+        if (g, h) == (y, x):
+            return Element(ctx, p.t, p.a, p.z | 1 << ctx.d)
+        return p
+
+    oracle = build_oracle()
+    monkeypatch.setattr(GroupContext, "mul", faulty)
+    rep = compare_multiplication_tables(ctx1, oracle)
+    assert not rep["ok"]
+    assert sorted(rep["mismatches"]) == sorted([(x.text(), y.text()), (y.text(), x.text())])
+
+
+def test_table_comparison_reduces_each_engine_form_once(ctx1, monkeypatch):
+    # the oracle's table holds every product; the comparison only checks
+    # that each engine form is an oracle-canonical word
+    oracle = build_oracle()
+    calls = []
+    reduce = oracle_module.reduce_word
+
+    def counting_reduce(word):
+        calls.append(1)
+        return reduce(word)
+
+    monkeypatch.setattr(oracle_module, "reduce_word", counting_reduce)
+    assert compare_multiplication_tables(ctx1, oracle)["ok"]
+    assert len(calls) <= 64
 
 
 def test_engine_forms_inject_into_oracle(ctx1):

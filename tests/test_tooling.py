@@ -58,6 +58,25 @@ def test_bench_tracer_runs_the_extending_claims():
     assert proc.stdout.split() == ["pass"] * 4
 
 
+# the CLI parser binds the cmd_* functions: built before install, it would
+# bind the unwrapped ones and no cli.* span would be recorded
+TRACED_CLI_RUN = """
+import tracer
+from wrsp.cli import main
+
+t = tracer.Tracer()
+tracer.install(t)
+codes = [main(["verify", "--k", "1", "--claims", "prop-order"]), main(["oracle"])]
+print(*codes, t.calls["cli.verify"], t.calls["cli.oracle"])
+"""
+
+
+def test_bench_tracer_sees_cli_commands():
+    proc = _traced(TRACED_CLI_RUN)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0", "0", "1", "1"]
+
+
 def _unused_imports(path: pathlib.Path) -> list[str]:
     """file:line name for every imported name the module never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
