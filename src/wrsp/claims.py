@@ -77,7 +77,8 @@ class ClaimSpec:
 # -- individual runners: the level's context -> (ok, details) ---------------
 
 def _run_prop_order(ctx):
-    got = full_group(ctx).log_order
+    # the closure certifies the order; full_group reads it off the layout
+    got = close([ctx.x(), ctx.y()]).log_order
     want = ctx.k + (1 << (ctx.k + 1)) + (ctx.n * (ctx.n - 1)) // 2
     return got == want, {"summary": f"log2 order {got}, formula {want}",
                          "got": got, "want": want}
@@ -87,8 +88,9 @@ def _run_oracle(_ctx):
     # the word oracle exists at level 1 only, whatever level is asked for
     rep = oracle_report()
     census, centre = rep["census"], rep["centre"]
-    z_idx = {oracle_index_of(rep["oracle"], g)
-             for g in centre_block_subgroup(get_context(1)).enumerate_elements()}
+    ctx1 = get_context(1)
+    z_idx = {oracle_index_of(rep["oracle"], ctx1.central_from_mask(z))
+             for z in range(1 << ctx1.d)}
     ok = rep["table"]["ok"] and max(census) == 8 and set(centre) <= z_idx
     return ok, {"summary": f"64x64 table equal, max order {max(census)}, "
                            f"centre size {len(centre)}",

@@ -142,7 +142,7 @@ def cmd_density(args) -> int:
             return USAGE_ERROR
         try:
             sub = _load_seed_target(ctx, args.seed_file)
-        except (OSError, ValueError, RuntimeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_ERROR
         target, label = sub.span, sub.label

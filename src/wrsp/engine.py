@@ -89,7 +89,7 @@ class GroupContext:
 
     __slots__ = (
         "k", "n", "num_pairs", "d", "tmod", "tmask", "amask", "zmask",
-        "log_order", "total_positions", "pair_bit",
+        "log_order", "total_positions",
         "_ztabs", "_pairoff", "_memo",
     )
 
@@ -113,21 +113,13 @@ class GroupContext:
         self.log_order = level_log_order(k)
         self.total_positions = 1 + n + self.d
 
-        pair_bit = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                b = n + pair_slot(i, j, n)
-                pair_bit[i][j] = b
-                pair_bit[j][i] = b
-        self.pair_bit = pair_bit
-
-        # one-step index shift on the central block
-        zshift = [0] * self.d
-        for i in range(n):
-            zshift[i] = (i + 1) % n
-        for i in range(n):
-            for j in range(i + 1, n):
-                zshift[pair_bit[i][j]] = pair_bit[(i + 1) % n][(j + 1) % n]
+        # one-step index shift on the central block: s_i -> s_(i+1), and the pair
+        # at bit n + pair_slot(i, j) -> (i + 1, j + 1), or (0, i + 1) if j = n - 1
+        zshift = list(range(1, n)) + [0]
+        for i in range(n - 1):
+            for j in range(i + 1, n - 1):
+                zshift.append(n + pair_slot(i + 1, j + 1, n))
+            zshift.append(n + pair_slot(0, i + 1, n))
 
         # chunk tables of the shifts by 2^v, v < k, each the square of the last
         self._ztabs = []
@@ -250,7 +242,7 @@ class GroupContext:
     def pair_gen(self, i: int, j: int) -> "Element":
         if i == j or not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError("pair indices must be distinct and in range")
-        return Element(self, 0, 0, 1 << self.pair_bit[i][j])
+        return Element(self, 0, 0, 1 << (self.n + pair_slot(min(i, j), max(i, j), self.n)))
 
     def central_from_mask(self, zmask: int) -> "Element":
         if zmask & ~self.zmask:

@@ -92,7 +92,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from .engine import Element, GroupContext, commutator, level_log_order
+from .engine import Element, GroupContext, commutator, level_log_order, pair_slot
 from .subgroup import (
     Subgroup,
     abelian_invariants,
@@ -126,12 +126,10 @@ class SeriesTable:
 
     @property
     def length(self) -> int:
-        """Largest natural index with a nontrivial term."""
-        last = self.first_index - 1
-        for off, sub in enumerate(self.terms):
-            if not sub.is_trivial():
-                last = self.first_index + off
-        return last
+        """Largest natural index with a nontrivial term, the one before the
+        last: _build_series stops at the first trivial term, so the last term
+        is the only trivial one (term() relies on this too)."""
+        return self.first_index + len(self.terms) - 2
 
     def term(self, i: int) -> Subgroup:
         """Term with natural index i; indices beyond the table are trivial."""
@@ -263,7 +261,7 @@ def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
     if i < 1:
         raise ValueError("power index must be >= 1")
     e = 1 << i
-    orbit_bits = [0] + [ctx.pair_bit[0][j] for j in range(1, ctx.n // 2 + 1)]
+    orbit_bits = [0] + [ctx.n + pair_slot(0, j, ctx.n) for j in range(1, ctx.n // 2 + 1)]
     gens = []
     for t in (1 << v for v in range(ctx.k)):
         rows = [0, 1] + [1 | 1 << w for w in range(1, t)]

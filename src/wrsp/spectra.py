@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .engine import GroupContext
 from .series import SeriesKind, SeriesTable
-from .subgroup import Subgroup, central_cap_logs, close, intersect, trivial_subgroup
+from .subgroup import Subgroup, central_cap_logs, intersect, normal_closure, trivial_subgroup
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,13 @@ class InvariantSubspace:
 
 
 def invariant_subspace(ctx: GroupContext, seeds, label: str = "seed") -> InvariantSubspace:
+    """The normal closure of central seeds (the trivial group for none): y
+    centralises the centre block, so it is the span of the seeds' x-shifts."""
     seeds = tuple(seeds)
     for s in seeds:
         if s.ctx.k != ctx.k:
             raise ValueError("seed lives at a different level")
         if not s.is_central_block():
             raise ValueError("seeds must lie in the centre block")
-    span = close(seeds, conjugators=(ctx.x(),)) if seeds else trivial_subgroup(ctx)
-    if not span.is_normal():
-        raise RuntimeError("shift-closed central subspace must be normal")
+    span = normal_closure(seeds) if seeds else trivial_subgroup(ctx)
     return InvariantSubspace(label, span)

@@ -184,38 +184,6 @@ class Subgroup:
         return all(not tail.reduce(m.z) if m.is_central_block() else self.contains(m)
                    for m in other.igs)
 
-    def leader_orders(self) -> list[int]:
-        """Relative order of each member along the chain."""
-        out = []
-        for m in self.igs:
-            if m.t:
-                out.append(1 << (self.ctx.k - _v2(m.t)))
-            else:
-                out.append(2)
-        return out
-
-    def enumerate_elements(self) -> list[Element]:
-        if self.log_order > 20:
-            raise ValueError("enumeration is limited to subgroups of order 2**20 or less")
-        els = [self.ctx.identity()]
-        for m, r in zip(self.igs, self.leader_orders()):
-            nxt = []
-            for e in els:
-                cur = e
-                for _ in range(r):
-                    nxt.append(cur)
-                    cur = cur * m
-            els = nxt
-        return els
-
-    def is_normal(self) -> bool:
-        ctx = self.ctx
-        for c in (ctx.x(), ctx.y()):
-            for m in self.igs:
-                if not self.contains(m.conj(c)):
-                    return False
-        return True
-
     def is_trivial(self) -> bool:
         return self.log_order == 0
 
@@ -376,26 +344,24 @@ def trivial_subgroup(ctx: GroupContext) -> Subgroup:
 
 
 def full_group(ctx: GroupContext) -> Subgroup:
-    def build():
-        got = close([ctx.x(), ctx.y()])
-        if got.log_order != ctx.log_order:
-            raise RuntimeError("closure of the two generators missed the full group")
-        return got
-
-    return ctx.cached("full", build)
+    """The whole group: the suffix subgroup from position 0."""
+    return _suffix_subgroup(ctx, 0, "full")
 
 
 def _suffix_subgroup(ctx: GroupContext, start: int, cache_key: str) -> Subgroup:
-    """The unit vectors from start >= 1 on; they are already a canonical
-    sequence, each of relative order 2."""
+    """The unit vectors from start on, already a canonical sequence: x (of
+    relative order 2**k) at position 0, then the base and central ones, each
+    of relative order 2."""
     def build():
         gens = []
         for p in range(start, ctx.total_positions):
-            if p <= ctx.n:
+            if p == 0:
+                gens.append(ctx.x())
+            elif p <= ctx.n:
                 gens.append(ctx.base_gen(p - 1))
             else:
                 gens.append(ctx.central_from_mask(1 << (p - 1 - ctx.n)))
-        return Subgroup(ctx, tuple(gens), len(gens))
+        return Subgroup(ctx, tuple(gens), len(gens) + (ctx.k - 1 if start == 0 else 0))
 
     return ctx.cached(cache_key, build)
 

@@ -8,7 +8,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from wrsp.engine import get_context  # noqa: E402
+from wrsp.engine import get_context, pair_slot  # noqa: E402
 from wrsp.subgroup import close  # noqa: E402
 
 _SESSION_T0 = time.time()
@@ -21,6 +21,40 @@ def random_element(ctx, rng):
 
 # -- references for the tests: maps and products the package proves or
 # certifies without building them
+
+def pair_bit(ctx, i, j):
+    """Central bit of the pair commutator c_{i,j}, i != j, in either order."""
+    return ctx.n + pair_slot(min(i, j), max(i, j), ctx.n)
+
+
+def leader_orders(sub):
+    """Relative order of each member of sub's canonical sequence: 2**k / 2**v
+    for a top member x^(2**v) u, 2 for every other."""
+    k = sub.ctx.k
+    return [1 << (k - ((m.t & -m.t).bit_length() - 1)) if m.t else 2 for m in sub.igs]
+
+
+def enumerate_elements(sub):
+    """Every element of sub, as products of powers of its members."""
+    if sub.log_order > 20:
+        raise ValueError("enumeration is limited to subgroups of order 2**20 or less")
+    els = [sub.ctx.identity()]
+    for m, r in zip(sub.igs, leader_orders(sub)):
+        nxt = []
+        for e in els:
+            cur = e
+            for _ in range(r):
+                nxt.append(cur)
+                cur = cur * m
+        els = nxt
+    return els
+
+
+def is_normal(sub):
+    """Every member's conjugates by x and y lie in sub."""
+    ctx = sub.ctx
+    return all(sub.contains(m.conj(c)) for c in (ctx.x(), ctx.y()) for m in sub.igs)
+
 
 class WreathElement:
     """Element of the quotient by the centre block: a pair (t, a)."""
@@ -86,7 +120,7 @@ def projection_map(ctx, i):
                 out = out * low.square_gen(u % fold)
         for u in range(ctx.n):
             for v in range(u + 1, ctx.n):
-                if (z >> ctx.pair_bit[u][v]) & 1:
+                if (z >> pair_bit(ctx, u, v)) & 1:
                     uu, vv = u % fold, v % fold
                     if uu != vv:
                         out = out * low.pair_gen(uu, vv)

@@ -91,6 +91,18 @@ def test_run_claims_catches_runner_errors(monkeypatch):
         assert re.fullmatch(want, res.details["summary"])
 
 
+def test_prop_order_reports_a_closure_that_misses_the_group(monkeypatch):
+    # prop-order certifies the order with its own closure of x and y, not
+    # with full_group, which reads the group off the layout
+    import wrsp.claims as cl
+    real = cl.close
+    monkeypatch.setattr(cl, "close", lambda gens: real([g for g in gens if g != g.ctx.y()]))
+    (res,) = run_claims(2, ["prop-order"])
+    assert res.status == "fail"
+    assert (res.details["got"], res.details["want"]) == (2, 16)
+    assert res.details["summary"] == "log2 order 2, formula 16"
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_every_runner_meets_the_result_contract(k):
     # run_claims builds each result under the requested id and level from
@@ -375,6 +387,34 @@ def test_verify_json_is_pinned(k):
                            + (["--deep"] if k == 4 else []))
     assert code == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == VERIFY_JSON_SHA256[k]
+
+
+# sha256 of the six kinds' exports, gamma to m, concatenated in that order
+# (with --deep at K = 4): `series --k K --kind KIND` and `density --k K
+# --kind KIND --target Z`, pinned byte for byte like the verify report
+EXPORT_KINDS = ("gamma", "lowerp", "frattini", "dimension", "power", "m")
+EXPORT_SHA256 = {
+    ("series", 1): "f41a035c780ed772882be54d893210caa16ef548e32deb3df691107205e85818",
+    ("series", 2): "cab079af8324a7c5ba24714721b984b01906c7ab218ad80002a026a8b0441d37",
+    ("series", 3): "d14ccb46b8ae6bff1fba0a4153bbe374ea8f255b393ab3e1a0fe4895045d0344",
+    ("series", 4): "09aa6360bb1fb87d2eea26477b3683372e940d46bb242ea4f8b96ec4d6ac39d5",
+    ("density", 1): "02d8865fa0ef29a7b24ce07c0f9c06b8dbe51917116db29529f58c5a86c2b6c3",
+    ("density", 2): "28b0b2a9be3bdcb876173e2ba8f9e4b9c5cadb66e7407497b415052507518e25",
+    ("density", 3): "68ff97741744b2285495af54d0af8b6f95ca3235146846e1a1c16671791c3af7",
+    ("density", 4): "d3927d764ce7eceb8a2ffaea0ddd65cb12fd4a8636a8376df2bbd21c933f5355",
+}
+
+
+@pytest.mark.parametrize("command,k", sorted(EXPORT_SHA256))
+def test_series_and_density_exports_are_pinned(command, k):
+    digest = hashlib.sha256()
+    for kind in EXPORT_KINDS:
+        code, out, _ = run_cli([command, "--k", str(k), "--kind", kind]
+                               + (["--target", "Z"] if command == "density" else [])
+                               + (["--deep"] if k == 4 else []))
+        assert code == 0
+        digest.update(out.encode("ascii"))
+    assert digest.hexdigest() == EXPORT_SHA256[command, k]
 
 
 def test_oracle_command():

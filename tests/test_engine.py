@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import project_to_wreath, random_element
+from conftest import pair_bit, project_to_wreath, random_element
 from wrsp.claims import run_claims
 from wrsp.engine import (
     GroupContext,
@@ -55,7 +55,7 @@ def _one_step_images(ctx):
     images = {i: (i + 1) % n for i in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
-            images[ctx.pair_bit[i][j]] = ctx.pair_bit[(i + 1) % n][(j + 1) % n]
+            images[pair_bit(ctx, i, j)] = pair_bit(ctx, (i + 1) % n, (j + 1) % n)
     return images
 
 
@@ -70,7 +70,7 @@ def _conj_by_x_stepwise(ctx, a, z, t):
         if (a >> (n - 1)) & 1:
             for i in range(n - 1):
                 if (a >> i) & 1:
-                    z ^= 1 << ctx.pair_bit[0][i + 1]
+                    z ^= 1 << pair_bit(ctx, 0, i + 1)
         a = ((a << 1) | (a >> (n - 1))) & ctx.amask
     return a, z
 

@@ -1,5 +1,6 @@
 """The level-1 word-reduction oracle and its agreement with the engine."""
 
+from conftest import enumerate_elements
 from wrsp import oracle as oracle_module
 from wrsp.engine import Element, GroupContext
 from wrsp.oracle import (
@@ -89,7 +90,7 @@ def test_engine_forms_inject_into_oracle(ctx1):
 def test_oracle_centre_sits_in_the_centre_block(ctx1):
     oracle = build_oracle()
     z_idx = {oracle_index_of(oracle, g)
-             for g in centre_block_subgroup(ctx1).enumerate_elements()}
+             for g in enumerate_elements(centre_block_subgroup(ctx1))}
     assert set(oracle.centre()) <= z_idx
 
 

@@ -10,6 +10,7 @@ import wrsp
 from conftest import (
     WreathElement,
     double_product_rhs,
+    is_normal,
     projection_map,
     random_element,
     scaffold_t,
@@ -79,7 +80,7 @@ def test_series_terms_are_normal(k):
     for kind in (SeriesKind.GAMMA, SeriesKind.LOWER_P, SeriesKind.FRATTINI,
                  SeriesKind.DIMENSION, SeriesKind.M):
         for sub in series(ctx, kind).terms:
-            assert sub.is_normal()
+            assert is_normal(sub)
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -1,9 +1,11 @@
 """Density sequences, complements and invariant subspaces."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import enumerate_elements, is_normal
 from wrsp.engine import get_context
 from wrsp.series import SeriesKind, series
 from wrsp.spectra import (
@@ -13,6 +15,7 @@ from wrsp.spectra import (
 )
 from wrsp.subgroup import (
     centre_block_subgroup,
+    close,
     full_group,
     trivial_subgroup,
 )
@@ -73,7 +76,7 @@ def test_gamma_density_cross_check_level2(ctx2):
     gam = series(ctx2, SeriesKind.GAMMA)
     for i in range(1, 9):
         term = gam.term(i)
-        count = sum(1 for g in term.enumerate_elements() if z.contains(g))
+        count = sum(1 for g in enumerate_elements(term) if z.contains(g))
         log_cap = count.bit_length() - 1
         assert 1 << log_cap == count
         assert z.log_order - log_cap == GAMMA_Z_INDEX[2][i - 1]
@@ -116,7 +119,7 @@ def test_invariant_subspace_basics(ctx2):
     assert empty.span.is_trivial()
     orb = invariant_subspace(ctx2, [ctx2.pair_gen(0, 1)], "near-pairs")
     assert orb.span.log_order == 4
-    assert orb.span.is_normal()
+    assert is_normal(orb.span)
     zfull = invariant_subspace(
         ctx2,
         [ctx2.square_gen(0)] + [ctx2.pair_gen(i, j)
@@ -124,6 +127,19 @@ def test_invariant_subspace_basics(ctx2):
         "all",
     )
     assert zfull.span == centre_block_subgroup(ctx2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_seed_spans_are_the_shift_closures_of_their_seeds(k):
+    # invariant_subspace is normal_closure(seeds): the same span as closing
+    # under x alone, and normal, for 1-3 random central masks per target
+    ctx = get_context(k)
+    rng = random.Random(k)
+    for j in range(10):
+        seeds = [ctx.central_from_mask(rng.getrandbits(ctx.d)) for _ in range(1 + j % 3)]
+        span = invariant_subspace(ctx, seeds).span
+        assert span == close(seeds, (ctx.x(),))
+        assert is_normal(span)
 
 
 def test_invariant_subspace_rejects_non_central(ctx2):

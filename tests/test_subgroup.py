@@ -6,9 +6,9 @@ from operator import mul, xor
 
 import pytest
 
-from conftest import random_element
+from conftest import enumerate_elements, is_normal, leader_orders, random_element
 from wrsp import subgroup as subgroup_module
-from wrsp.engine import commutator, get_context
+from wrsp.engine import GroupContext, commutator, get_context
 from wrsp.series import SeriesKind, series
 from wrsp.subgroup import (
     _lead,
@@ -70,12 +70,26 @@ def test_full_group_log_order(k, want):
     assert full_group(ctx).log_order == want
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_full_group_is_the_closure_of_x_and_y(k, monkeypatch):
+    # full_group reads the group off the layout: on a fresh context it runs
+    # no closure, and it equals the closure of the generators
+    ctx = GroupContext(k, allow_large=True)
+    grow, calls = subgroup_module._grow, []
+    monkeypatch.setattr(subgroup_module, "_grow",
+                        lambda *args: calls.append(args) or grow(*args))
+    g = full_group(ctx)
+    assert calls == []
+    want = close([ctx.x(), ctx.y()])
+    assert g == want and g.log_order == want.log_order == ctx.log_order
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_lagrange_consistency(k):
     ctx = get_context(k)
-    sub = full_group(ctx)
+    sub = close([ctx.x(), ctx.y()])
     total = 1
-    for r in sub.leader_orders():
+    for r in leader_orders(sub):
         total *= r
     assert total == 1 << sub.log_order
 
@@ -355,7 +369,7 @@ def test_flat_intersection_agrees_with_enumeration(ctx2):
         for _ in range(10):
             sub = normal_closure([random_element(ctx2, rng)])
             got = intersect(sub, flat)
-            want = close([g for g in sub.enumerate_elements() if flat.contains(g)]
+            want = close([g for g in enumerate_elements(sub) if flat.contains(g)]
                          or [ctx2.identity()])
             assert got == want
 
@@ -554,7 +568,7 @@ def test_flat_intersection_exactness_invariant(ctx3):
         image_log = sub.log_order - capz.log_order
         noncentral = sum(
             r.bit_length() - 1
-            for m, r in zip(sub.igs, sub.leader_orders())
+            for m, r in zip(sub.igs, leader_orders(sub))
             if not m.is_central_block()
         )
         assert noncentral == image_log
@@ -586,6 +600,6 @@ def test_layer_shape_rejects_non_subgroup(ctx2):
 
 
 def test_normality_checks(ctx2):
-    assert centre_block_subgroup(ctx2).is_normal()
-    assert base_and_centre_subgroup(ctx2).is_normal()
-    assert not close([ctx2.y()]).is_normal()
+    assert is_normal(centre_block_subgroup(ctx2))
+    assert is_normal(base_and_centre_subgroup(ctx2))
+    assert not is_normal(close([ctx2.y()]))

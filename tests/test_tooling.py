@@ -1,13 +1,16 @@
 """Repository tooling checks: the benchmark tracer in bench/ wraps wrsp
 functions by name from outside the package, so a run under it fails if one
-of those names disappears; no module imports a name it never uses; and the
-package defines no function or class that only tests reach."""
+of those names disappears; no module imports a name it never uses; the
+package defines no function or class that only tests reach; and it reads
+every attribute a GroupContext holds."""
 
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+
+from wrsp.engine import GroupContext
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -122,3 +125,25 @@ def _unreferenced_definitions(src: pathlib.Path) -> list[str]:
 def test_no_definitions_only_tests_reach():
     unreferenced = _unreferenced_definitions(ROOT / "src" / "wrsp")
     assert not unreferenced, unreferenced
+
+
+def _attributes_read(src: pathlib.Path) -> set[str]:
+    """Attribute names the package loads anywhere outside GroupContext.__init__."""
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = {id(n) for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == "GroupContext"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                for n in ast.walk(item)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load) and id(node) not in skip}
+    return read
+
+
+def test_every_context_slot_is_read_by_the_package():
+    # a table that only tests read would still cost every context build
+    read = _attributes_read(ROOT / "src" / "wrsp")
+    unread = [name for name in GroupContext.__slots__ if name not in read]
+    assert not unread, unread
