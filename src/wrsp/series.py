@@ -10,11 +10,19 @@ exact.
 The dimension series follows Lazard's recursion D_i = [D_{i-1}, G] D_m^2,
 m = ceil(i/2).  The square subgroup D^2 = <g^2 : g in D> of any group D
 contains [D, D], because [a, b] = a^-2 (a b^-1)^2 b^2, and D / [D, D] is
-abelian, so D^2 = <u^2 : u in igs(D)> [D, D].  Each term is therefore one
-normal closure of [D_{i-1}, G], the squares of igs(D_m) and [D_m, D_m],
-the last cached per m.  The lower 2-series P_i = [P_{i-1}, G] P_{i-1}^2
-is one normal closure of [P_{i-1}, G] and the squares of igs(P_{i-1}),
-as [P, P] <= [P, G].
+abelian, so D^2 = <u^2 : u in igs(D)> [D, D].  D_m is normal, so
+[D_m, D_m] is the normal closure of the commutators of any generating set
+of D_m, here igs(D_m).  A central member commutes with every member of
+trivial top.  A central row r paired with the top member, of exponent
+t = 2^v, gives (1 + X^t) r = (1 + X)^t r = [r, x, ..(t).., x], X the
+one-step central shift, which lies in [D_(m+t-1), G]; and t >= m, because
+D_m maps onto the m-th dimension subgroup <x^(2^ceil(log2 m))> of the
+cyclic top quotient.  As i <= 2m, [D_(m+t-1), G] <= [D_(i-1), G], which
+the step already holds.  So each term is one normal closure of
+[D_{i-1}, G], the squares of D_m's non-central members and the
+commutators of the unordered pairs of them.  The lower 2-series
+P_i = [P_{i-1}, G] P_{i-1}^2 is one normal closure of [P_{i-1}, G] and
+the squares of igs(P_{i-1}), as [P, P] <= [P, G].
 
 Both steps extend the lower central term gamma_i, which the gamma series
 already holds, instead of re-deriving it.  Let S be either series, so
@@ -98,11 +106,11 @@ from .subgroup import (
     abelian_invariants,
     agemo_mod_derived,
     close,
-    commutator_subgroup,
     commutator_with_group,
     extend,
     full_group,
     layer_shape,
+    noncentral_commutators,
     normal_closure,
     trivial_subgroup,
 )
@@ -216,13 +224,12 @@ def _frattini_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
 
 
 def _dimension_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
-    # D_i = [D_{i-1}, G] D_m^2 with m = ceil(i/2) on top of gamma_i, with
-    # D_m^2 = the squares of igs(D_m) and [D_m, D_m] (module docstring)
+    # D_i = [D_{i-1}, G] D_m^2, m = ceil(i/2), on top of gamma_i; D_m^2 from the
+    # squares and pair commutators of D_m's non-central members (module docstring)
     gamma, seeds = _gamma_and_commutators(ctx, terms)
-    m = (len(terms) + 2) // 2  # ceil(i/2), i = len(terms) + 1
-    dm = terms[m - 1]
-    der = ctx.cached(("dimension_derived", m), lambda: commutator_subgroup(dm, dm))
-    return extend(gamma, seeds + _squares(dm) + list(der.igs), (ctx.x(), ctx.y()))
+    dm = terms[len(terms) // 2]  # D_m, m = ceil(i/2), i = len(terms) + 1
+    seeds += _squares(dm) + list(noncentral_commutators(dm, dm))
+    return extend(gamma, seeds, (ctx.x(), ctx.y()))
 
 
 # kind -> (natural index of the whole group, step from the terms built so

@@ -425,7 +425,7 @@ def _insert_commutator_rows(tail: _Tail, s: Subgroup, t: int) -> None:
                 tail.insert(w)
 
 
-def _commutators(a: Subgroup, b: Subgroup):
+def noncentral_commutators(a: Subgroup, b: Subgroup):
     """The nontrivial [u, v] for the members u of a and v of b outside the
     centre block, the pairs that the closed form of (a) leaves.
 
@@ -456,7 +456,7 @@ def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     _insert_commutator_rows(tail, a, _top_exponent(b))
     if b is not a:
         _insert_commutator_rows(tail, b, _top_exponent(a))
-    return _grow(ctx, None, {}, 0, tail, list(_commutators(a, b)), (ctx.x(), ctx.y()))
+    return _grow(ctx, None, {}, 0, tail, list(noncentral_commutators(a, b)), (ctx.x(), ctx.y()))
 
 
 def commutator_with_group(a: Subgroup) -> Subgroup:
@@ -575,7 +575,7 @@ def layer_shape(s: Subgroup, t: Subgroup) -> tuple[int, ...]:
     if not s.contains_subgroup(t):
         raise ValueError("second subgroup is not contained in the first")
     tail, shift, top_t = t._table()[3], s.ctx.shift_central, _top_exponent(s)
-    if not (all(t.contains(c) for c in _commutators(s, s))
+    if not (all(t.contains(c) for c in noncentral_commutators(s, s))
             and all(not tail.reduce(m.z ^ shift(m.z, top_t))
                     for m in s.igs if m.is_central_block())):
         raise ValueError("quotient is not abelian")

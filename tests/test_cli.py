@@ -355,6 +355,9 @@ def test_presentation_short_generator_list_names_the_next_line():
     ("pcgroup level=02", "level is not a plain decimal integer"),
     ("pcgroup level=0", "level 0 is outside 1..4"),
     ("pcgroup level=9", "level 9 is outside 1..4"),
+    # more digits than int() converts: rejected with the line, not a bare ValueError
+    pytest.param("pcgroup level=" + "1" * 5000, "level is not a plain decimal integer",
+                 id="5000-digits"),
 ])
 def test_presentation_header_level_is_plain_decimal_in_range(header, message):
     with pytest.raises(PresentationError) as err:
@@ -362,7 +365,8 @@ def test_presentation_header_level_is_plain_decimal_in_range(header, message):
     assert str(err.value) == f"line 1: {message}"
 
 
-@pytest.mark.parametrize("exp", ["+2", "-2", "0_2", "02", "\u0662"])
+@pytest.mark.parametrize("exp", ["+2", "-2", "0_2", "02", "\u0662",
+                                 pytest.param("1" * 5000, id="5000-digits")])
 def test_presentation_exponent_is_plain_decimal(exp):
     text = f"pcgroup level=1\ngen x\nrel x^{exp} = 1\n"
     with pytest.raises(PresentationError) as err:

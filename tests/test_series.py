@@ -20,6 +20,8 @@ from wrsp.claims import run_claims
 from wrsp.engine import commutator, get_context
 from wrsp.series import (
     SeriesKind,
+    _gamma_and_commutators,
+    _squares,
     _weight_filtered_closure,
     commutator_identity_checks,
     exact_power_subgroup,
@@ -37,6 +39,7 @@ from wrsp.subgroup import (
     close,
     commutator_subgroup,
     commutator_with_group,
+    extend,
     full_group,
     intersect,
     join,
@@ -300,11 +303,17 @@ def test_series_layer_matches_layer_shape(k):
     assert nonabelian
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_lower2_steps_extend_gamma(k, monkeypatch):
-    # with gamma built, no lower 2-series step derives an [a, G] from
-    # scratch: no call to commutator_with_group, nor to the closed-form
-    # central rows that start every commutator-subgroup build
+STEP_LENGTHS = {SeriesKind.LOWER_P: lambda n: 2 * n - 1, SeriesKind.DIMENSION: lambda n: 2 * n}
+STEP_CASES = [(kind, k) for kind in STEP_LENGTHS for k in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("kind,k", STEP_CASES,
+                         ids=[f"{kind.value}-{k}" for kind, k in STEP_CASES])
+def test_steps_extend_gamma(kind, k, monkeypatch):
+    # with gamma built, no lower 2-series or dimension step derives an
+    # [a, G] or an [a, b] from scratch: no call to commutator_with_group,
+    # nor to the closed-form central rows that start every commutator-subgroup
+    # build
     ctx = engine.GroupContext(k)
     gamma = series(ctx, SeriesKind.GAMMA)
     calls = []
@@ -320,9 +329,56 @@ def test_lower2_steps_extend_gamma(k, monkeypatch):
     counted(wrsp.series, "commutator_with_group")
     counted(wrsp.subgroup, "commutator_with_group")
     counted(wrsp.subgroup, "_insert_commutator_rows")
-    tbl = series(ctx, SeriesKind.LOWER_P)
+    tbl = series(ctx, kind)
     assert calls == []
-    assert tbl.length == gamma.length == 2 * ctx.n - 1
+    assert gamma.length == 2 * ctx.n - 1
+    assert tbl.length == STEP_LENGTHS[kind](ctx.n)
+
+
+def _derived_subgroup_dimension_terms(ctx):
+    # the step that builds [D_m, D_m] as its own normal closure: gamma_i
+    # extended by the [r, x], [r, y] seeds, the squares of D_m and the igs of
+    # commutator_subgroup(D_m, D_m)
+    terms = [full_group(ctx)]  # index 1
+    while not terms[-1].is_trivial():
+        gamma, seeds = _gamma_and_commutators(ctx, terms)
+        dm = terms[len(terms) // 2]  # D_ceil(i/2), i = len(terms) + 1
+        seeds += _squares(dm) + list(commutator_subgroup(dm, dm).igs)
+        terms.append(extend(gamma, seeds, (ctx.x(), ctx.y())))
+    return terms
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_dimension_step_matches_derived_subgroup_step(k):
+    ctx = get_context(k, allow_large=True)
+    got = series(ctx, SeriesKind.DIMENSION).terms
+    want = _derived_subgroup_dimension_terms(ctx)
+    assert [s.igs for s in got] == [s.igs for s in want]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_dimension_step_needs_no_central_top_pairs(k):
+    # the series docstring's argument: D_m has no top member, or its top
+    # exponent t is at least m, and for every central row r of D_m,
+    # r + X^t r = [r, x^t] already lies in [D_(i-1), G], the extension of
+    # gamma_i by the [r, x], [r, y] seeds alone
+    ctx = get_context(k, allow_large=True)
+    terms = series(ctx, SeriesKind.DIMENSION).terms
+    rows = 0
+    for i in range(2, len(terms) + 1):
+        m = (i + 1) // 2
+        dm = terms[m - 1]
+        t = dm.igs[0].t if dm.igs else 0
+        if not t:
+            continue
+        assert t >= m and t & (t - 1) == 0, (i, m, t)
+        gamma, seeds = _gamma_and_commutators(ctx, list(terms[:i - 1]))
+        bracket = extend(gamma, seeds, (ctx.x(), ctx.y()))
+        for r in dm.igs:
+            if r.is_central_block():
+                assert bracket.contains(ctx.central_from_mask(r.z ^ ctx.shift_central(r.z, t)))
+                rows += 1
+    assert rows
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -1,8 +1,8 @@
 """Repository tooling checks: the benchmark tracer in bench/ wraps wrsp
 functions by name from outside the package, so a run under it fails if one
-of those names disappears; no module imports a name it never uses; the
-package defines no function or class that only tests reach; and it reads
-every attribute a GroupContext holds."""
+of those names disappears; no module imports a name it never uses, nor
+another module's private name; the package defines no function or class
+that only tests reach; and it reads every attribute a GroupContext holds."""
 
 import ast
 import os
@@ -101,6 +101,18 @@ def test_no_unused_imports():
     paths = sorted((ROOT / "src" / "wrsp").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = [hit for p in paths if p.name != "__init__.py" for hit in _unused_imports(p)]
     assert not unused, unused
+
+
+def test_no_private_imports_across_modules():
+    # a name one module shares with another is public; the underscore
+    # marks what stays inside its own module
+    hits = []
+    for path in sorted((ROOT / "src" / "wrsp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("wrsp")):
+                hits += [f"{path.relative_to(ROOT)}:{node.lineno} {alias.name}"
+                         for alias in node.names if alias.name.startswith("_")]
+    assert not hits, hits
 
 
 def _unreferenced_definitions(src: pathlib.Path) -> list[str]:
