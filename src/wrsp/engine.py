@@ -422,16 +422,17 @@ def _unhex_le(s: str, nbits: int) -> int:
     return v
 
 
-def plain_decimal(text: str) -> int | None:
+def plain_decimal(text: str, bound: int | None = None) -> int | None:
     """The value of text in the decimal form text() writes, else None;
     int() would also take a sign, underscores, non-ASCII digits and leading
-    zeros, and raises for more digits than the interpreter's conversion
-    limit."""
+    zeros.  int() raises for more digits than the interpreter's conversion
+    limit; such a plain decimal reads as bound, a value the caller rejects
+    as out of range, or as None without a bound."""
     if text.isascii() and text.isdigit() and (text == "0" or text[0] != "0"):
         try:
             return int(text)
         except ValueError:
-            pass
+            return bound
     return None
 
 
@@ -440,7 +441,8 @@ def parse_element(ctx: GroupContext, text: str) -> Element:
     parts = text.strip().split(" ")
     if len(parts) != 4 or not parts[0].startswith("x^"):
         raise ValueError(f"malformed element text: {text!r}")
-    t = plain_decimal(parts[0][2:])
+    top = parts[0][2:]
+    t = plain_decimal(top, ctx.tmod)
     if t is None:
         raise ValueError(f"malformed top exponent in {text!r}")
     fields = {}
@@ -449,7 +451,7 @@ def parse_element(ctx: GroupContext, text: str) -> Element:
             raise ValueError(f"expected field {tag!r} in {text!r}")
         fields[tag] = part[len(tag) + 1:]
     if not 0 <= t < ctx.tmod:
-        raise ValueError(f"top exponent {t} out of range for level {ctx.k}")
+        raise ValueError(f"top exponent {top} out of range for level {ctx.k}")
     a = _unhex_le(fields["y"], ctx.n)
     s = _unhex_le(fields["s"], ctx.n)
     c = _unhex_le(fields["c"], ctx.num_pairs)

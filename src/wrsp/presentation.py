@@ -116,11 +116,12 @@ def parse_presentation(text: str) -> tuple[int, list[str], list[tuple]]:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "pcgroup" or not head[1].startswith("level="):
         raise PresentationError(1, f"bad header {lines[0]!r}")
-    level = plain_decimal(head[1].split("=", 1)[1])
+    field = head[1].split("=", 1)[1]
+    level = plain_decimal(field, DEFAULT_MAX_LEVEL + 1)
     if level is None:
         raise PresentationError(1, "level is not a plain decimal integer")
     if not 1 <= level <= DEFAULT_MAX_LEVEL:
-        raise PresentationError(1, f"level {level} is outside 1..{DEFAULT_MAX_LEVEL}")
+        raise PresentationError(1, f"level {field} is outside 1..{DEFAULT_MAX_LEVEL}")
     want = _gen_names(1 << level)
     gens: list[str] = []
     declared = {"1"}

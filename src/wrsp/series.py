@@ -59,10 +59,15 @@ abelian, normal and centralised by the trivial-top part H.  Then
     (w z)^e = w^e N_{t,e}(z),   N_{t,e}(z) = sum_{j<e} shift^(t j)(z),
 
 and the norm map N_{t,e} is GF(2)-linear, so P_i is the normal closure of
-the powers w^e and the images of N.  The normal closure conjugates by x,
-so a generator list that x permutes needs one member per x-orbit:
+the powers w^e and the images of N.  Over GF(2), with X the one-step
+shift and t = 2^v, (1 + X)^t = 1 + X^t and sum_{j<e} X^j = (1 + X)^(e-1),
+so N_{t,e} = (1 + X^t)^(e-1) = (1 + X)^(t(e-1)), which factors through
+N_{1,e} = (1 + X)^(e-1).  And N_{1,e}(z) = x^-e (x z)^e is a product of
+e-th powers.  So the images of N_{1,e} hold those of every N_{t,e}.  The
+normal closure conjugates by x, so a generator list that x permutes needs
+one member per x-orbit:
 
-- N commutes with the shift, so the images of s_0 and of c_{0,j},
+- N_{1,e} commutes with the shift, so the images of s_0 and of c_{0,j},
   1 <= j <= n/2, give the images of the whole central basis.
 - Conjugating w = (t, a, 0) by x gives (t, rot a, z'), and by a base
   element b gives (t, a + (1 + shift^t) b, z''); their e-th powers differ
@@ -79,7 +84,8 @@ so a generator list that x permutes needs one member per x-orbit:
 - Up to rotation a row of weight 1 is e_0 and a row of weight 2 is
   e_0 + e_w with 1 <= w < n.  The base moves e_0 + e_w to e_0 + e_(w-t)
   and e_0 + e_t to 0, so the t + 1 rows a = 0, 1 and 1 | 1 << w with
-  1 <= w < t give every power w^e.
+  1 <= w < t give every power w^e.  The row a = 0 gives (x^t)^e =
+  (x^e)^t, so x^e stands for it at every t.
 
 For t = 0 the norm vanishes and w lies in H, whose exponent is 4: its
 fourth powers are trivial, and its squares are spanned by the squares
@@ -254,13 +260,16 @@ def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
     exponents t = 2^v, v < k, occur: for odd u, g^e is a power of (g^u)^e,
     and a suitable u makes the top exponent of g^u a power of 2.
 
-    (a) w^e for w = (t, a, 0) with a = 0, 1 and 1 | 1 << w for 1 <= w < t:
-        up to conjugation these are the rows of weight at most 2, and
-        their powers give all the others;
-    (b) N_{t,e}(s_0) and N_{t,e}(c_{0,j}) for 1 <= j <= n/2, from the
-        identity (w z)^e = w^e N_{t,e}(z); they are computed from the
-        central shift tables by doubling, N_{t,2m} = N_{t,m} +
-        shift^(t m) N_{t,m}, without group multiplication;
+    (a) x^e, and w^e for w = (t, a, 0) with a = 1 and 1 | 1 << w for
+        1 <= w < t: up to conjugation these and a = 0, whose power
+        (x^t)^e = (x^e)^t is a power of x^e, are the rows of weight at
+        most 2, and their powers give all the others;
+    (b) N_{1,e}(s_0) and N_{1,e}(c_{0,j}) for 1 <= j <= n/2, from the
+        identity (x z)^e = x^e N_{1,e}(z); N_{t,e} = (1 + X)^(t(e-1)) is
+        N_{1,e} after (1 + X)^((t-1)(e-1)), so these images hold those of
+        every t.  They are computed from the central shift tables by
+        doubling, N_{1,2m} = N_{1,m} + shift^m N_{1,m}, without group
+        multiplication;
     (c) for e = 2 only, (y_0 y_w)^2 for w <= n/2, whose x-conjugates span
         the squares of the trivial-top part; its exponent is 4, so for
         e >= 4 this list is empty.
@@ -268,16 +277,14 @@ def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
     if i < 1:
         raise ValueError("power index must be >= 1")
     e = 1 << i
-    orbit_bits = [0] + [ctx.n + pair_slot(0, j, ctx.n) for j in range(1, ctx.n // 2 + 1)]
-    gens = []
+    gens = [ctx.x() ** e]
+    for b in [0] + [ctx.n + pair_slot(0, j, ctx.n) for j in range(1, ctx.n // 2 + 1)]:
+        img = 1 << b
+        for j in range(i):
+            img ^= ctx.shift_central(img, 1 << j)
+        gens.append(ctx.central_from_mask(img))
     for t in (1 << v for v in range(ctx.k)):
-        rows = [0, 1] + [1 | 1 << w for w in range(1, t)]
-        gens += [ctx.element(t, a, 0) ** e for a in rows]
-        for b in orbit_bits:
-            img = 1 << b
-            for j in range(i):
-                img ^= ctx.shift_central(img, t << j)
-            gens.append(ctx.central_from_mask(img))
+        gens += [ctx.element(t, a, 0) ** e for a in [1] + [1 | 1 << w for w in range(1, t)]]
     if e == 2:
         gens += [ctx.element(0, 1 | 1 << w, 0) ** 2 for w in range(ctx.n // 2 + 1)]
     return normal_closure(gens)
@@ -436,38 +443,46 @@ def power_series(ctx: GroupContext, i: int) -> SandwichReport:
 
 def commutator_identity_checks(ctx: GroupContext) -> dict:
     """Exact element identities: the square-commutator congruence, the
-    2-power shift identity for pair commutators (whose one-step case gives
-    the double-product expansion), and the two power expansion congruences
-    with their normal-closure error terms.  Computed once per level;
-    several claims read the same report."""
+    one-step shift identity for pair commutators (which gives the
+    double-product expansion and the 2-power shift identity), and the two
+    power expansion congruences with their normal-closure error terms.
+    Computed once per level; several claims read the same report."""
     return ctx.cached("identity_checks", lambda: _identity_checks(ctx))
 
 
 def _identity_checks(ctx: GroupContext) -> dict:
-    """Parts (a), (c) and (d) of the report.  Part (b), the double-product
-    expansion
+    """Parts (a), (c) and (d) of the report.  Part (c) checks only the
+    one-step shift identity [z_(i,j), x] = z_(i+1,j) z_(i,j+1) z_(i+1,j+1)
+    for 1 <= i <= j <= n; the comment in part (c) argues it for the pairs
+    with j < i (symmetry) and with max(i, j) > n (both sides are 1).
+
+    Part (b), the double-product expansion
 
         [z_(i,j), x, ..(m).., x] = prod z_(i+m-n', j+m-s+n')^(C(m,s) C(s,n'))
 
-    over 0 <= n' <= s <= m, is not checked: it follows from part (c) at
-    t = 0 for every i, j and m.  The centre block Z is elementary abelian
-    and normal, so on Z the map w -> [w, x] = w^-1 w^x = w shift(w) is
-    GF(2)-linear.  Let A and B act on formal GF(2) sums of index pairs by
-    A(i, j) = (i+1, j) and B(i, j) = (i, j+1), and let zeta be the linear
-    map (i, j) -> z_(i,j).  Part (c) at t = 0 says [zeta(p), x] =
-    zeta(T p), T = A + B + AB, for every pair 1 <= i <= j <= n.  The
-    comment in part (c) argues it for the pairs with j < i (symmetry) and
-    with max(i, j) > n (both sides are 1).  So [., x] zeta = zeta T on
-    every sum, and m steps give zeta T^m.  A and B commute, so the
-    binomial theorem gives
+    over 0 <= n' <= s <= m, follows from it for every i, j and m.  The
+    centre block Z is elementary abelian and normal, so on Z the map
+    w -> [w, x] = w^-1 w^x = w shift(w) is GF(2)-linear.  Let A and B act
+    on formal GF(2) sums of index pairs by A(i, j) = (i+1, j) and
+    B(i, j) = (i, j+1), and let zeta be the linear map (i, j) -> z_(i,j).
+    The one-step identity says [zeta(p), x] = zeta(T p), T = A + B + AB,
+    for every pair, so [., x] zeta = zeta T on every sum, and m steps give
+    zeta T^m.  A and B commute, so the binomial theorem gives
 
         T^m = sum_s C(m,s) (AB)^(m-s) (A+B)^s,
         (A+B)^s = sum_n' C(s,n') A^(s-n') B^n',
 
     and (AB)^(m-s) A^(s-n') B^n' (i, j) = (i+m-n', j+m-s+n'); the image of
     T^m (i, j) under zeta is the double product, with the exponents read
-    mod 2 as the z's are central involutions.  So the lemma-double-product
-    claim reads the t = 0 entries of part (c).
+    mod 2 as the z's are central involutions.
+
+    The 2-power shift identity [z_(i,j), x^(2^t)] = z_(i+2^t,j)
+    z_(i,j+2^t) z_(i+2^t,j+2^t) is part (b) at m = 2^t.  With X the
+    one-step shift, [w, x^m] = (1 + X^m) w and the m-fold commutator is
+    (1 + X)^m w, and these agree for m = 2^t as C(2^t, j) is even for
+    0 < j < 2^t.  By Lucas's theorem C(2^t, s) C(s, n') is odd only at
+    (s, n') = (0, 0), (2^t, 0) and (2^t, 2^t), the three factors.  So the
+    lemma-double-product and cor-zij-shift claims both read part (c).
     """
     k = ctx.k
     n = ctx.n
@@ -483,8 +498,9 @@ def _identity_checks(ctx: GroupContext) -> dict:
     a_ok = lhs.is_identity() and modulus.contains(rhs.inverse() * lhs)
     report["square_commutator"] = a_ok
 
-    # (c) [z_{i,j}, x^(2^t)] = z_{i+2^t, j} z_{i, j+2^t} z_{i+2^t, j+2^t};
-    # checked for i, j <= n only.  Once max(i, j) > n both sides are 1:
+    # (c) [z_{i,j}, x] = z_{i+1, j} z_{i, j+1} z_{i+1, j+1}, which gives the
+    # 2^t-step identity (docstring); checked for i, j <= n only.  Once
+    # max(i, j) > n both sides are 1:
     # c_i has base row (1 + X)^(i-1) e_0 and (1 + X)^n = 1 + X^n = 0 on the
     # cyclic base, so c_i is central-block for i > n and z_{i,j} = 1, and
     # the same holds for every factor on the right, whose indices only grow
@@ -492,19 +508,11 @@ def _identity_checks(ctx: GroupContext) -> dict:
     # Only j >= i: every c_i lies in H, and [H, H] is the pair block, which
     # is elementary abelian, so z_{j,i} = z_{i,j}^-1 = z_{i,j} and the
     # identity for (j, i) is the one for (i, j)
-    c_ok = True
-    x_powers = [x ** (1 << t) for t in range(k + 1)]
-    for ii in range(1, n + 1):
-        for jj in range(ii, n + 1):
-            zij = ctx.zij(ii, jj)
-            for t, xe in enumerate(x_powers):
-                e = 1 << t
-                lhs = commutator(zij, xe)
-                rhs = ctx.zij(ii + e, jj) * ctx.zij(ii, jj + e) * ctx.zij(ii + e, jj + e)
-                if lhs != rhs:
-                    c_ok = False
-                    report.setdefault("shift_failures", []).append([ii, jj, t])
-    report["power_shift"] = c_ok
+    shift_failures = [[ii, jj] for ii in range(1, n + 1) for jj in range(ii, n + 1)
+                      if commutator(ctx.zij(ii, jj), x)
+                      != ctx.zij(ii + 1, jj) * ctx.zij(ii, jj + 1) * ctx.zij(ii + 1, jj + 1)]
+    report["shift_failures"] = shift_failures
+    c_ok = report["power_shift"] = not shift_failures
 
     # (d) the two power expansion congruences at a = x, b = y
     d_ok = True

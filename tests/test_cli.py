@@ -279,6 +279,15 @@ def test_density_seed_file(tmp_path, ctx2):
                             "--target", "seed", "--seed-file", str(signed)])
     assert code == 2 and "line 2" in err and "top exponent" in err
 
+    # more digits than int() converts: a plain decimal out of range
+    long_top = tmp_path / "long_top.txt"
+    long_top.write_text(ctx2.pair_gen(0, 1).text().replace("x^0", "x^" + "1" * 5000) + "\n",
+                        encoding="ascii")
+    code, _, err = run_cli(["density", "--k", "2", "--kind", "m",
+                            "--target", "seed", "--seed-file", str(long_top)])
+    assert code == 2 and "line 1" in err
+    assert f"top exponent {'1' * 5000} out of range for level 2" in err
+
     noncentral = tmp_path / "noncentral.txt"
     noncentral.write_text(ctx2.y().text() + "\n", encoding="ascii")
     code, _, err = run_cli(["density", "--k", "2", "--kind", "m",
@@ -355,8 +364,8 @@ def test_presentation_short_generator_list_names_the_next_line():
     ("pcgroup level=02", "level is not a plain decimal integer"),
     ("pcgroup level=0", "level 0 is outside 1..4"),
     ("pcgroup level=9", "level 9 is outside 1..4"),
-    # more digits than int() converts: rejected with the line, not a bare ValueError
-    pytest.param("pcgroup level=" + "1" * 5000, "level is not a plain decimal integer",
+    # more digits than int() converts: a plain decimal out of range, with the line
+    pytest.param("pcgroup level=" + "1" * 5000, f"level {'1' * 5000} is outside 1..4",
                  id="5000-digits"),
 ])
 def test_presentation_header_level_is_plain_decimal_in_range(header, message):
@@ -378,10 +387,10 @@ def test_presentation_exponent_is_plain_decimal(exp):
 # claim's status and details are pinned byte for byte, so a change to a
 # runner that alters its report must update the digest on purpose
 VERIFY_JSON_SHA256 = {
-    1: "4220f11c3e4944b63ccd5a0f9e69c14c12969fc6e4e276f48b36fa74a0939b83",
-    2: "dd722e769e55400afe0fecc858c0c9a094d2d861fcaf5242db0128dd09bb24dd",
-    3: "b35e58f6b5c0c359fbafe223be0d874c8fff774b7a0aa13d8f2b83c97e65d522",
-    4: "77b19052ac40628382cecf899a90841dda51048034833ef952ae30317e47a5b5",
+    1: "800d45bed8404ad4690787db731a632fc26028aeea7898979dc6422e2f769e5e",
+    2: "87d33985d470afe3c0e24ef5650f2267dead8b10e4edcb3f0b0a0fde67edd637",
+    3: "ec61e6e5a54ca0723274c614144e29f961ed14ed1528ab9423f8dbcf7f05025e",
+    4: "1c17c9349209f663bac7a9a5110e40e466128977b2e5e1d4b201a154203bdb10",
 }
 
 

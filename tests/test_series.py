@@ -410,6 +410,18 @@ def test_power_series_exact_logs(k):
     assert tbl.length == k + 1
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_exponent_claim_builds_no_power_subgroup(k, monkeypatch):
+    # exp(G) divides 2^(k+2) because g^(2^k) lies in H, of exponent 4, so
+    # the claim needs the witness x*y alone
+    def refuse(ctx, i):
+        raise AssertionError("lemma-exponent built a 2-power subgroup")
+
+    monkeypatch.setattr("wrsp.series.exact_power_subgroup", refuse)
+    ok, details = claims.CLAIMS["lemma-exponent"].runner(engine.GroupContext(k, allow_large=True))
+    assert ok and details["max_order"] == 1 << (k + 2)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_power_subgroup_matches_exhaustive_sweep(k):
     # reference: the subgroup generated by every 2**i-th power in the group
@@ -449,6 +461,47 @@ def test_power_subgroup_needs_only_top_exponents_two_to_the_v(k):
     for i in range(1, k + 3):
         want = _power_subgroup_over_all_tops(ctx, i)
         assert exact_power_subgroup(ctx, i).igs == want.igs, (k, i)
+
+
+def _norm_orbit_bits(ctx):
+    """s_0 and c_(0,j), 1 <= j <= n/2: one central basis row per x-orbit."""
+    return [0] + [ctx.n + engine.pair_slot(0, j, ctx.n) for j in range(1, ctx.n // 2 + 1)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_power_subgroup_holds_the_dropped_generators(k):
+    # the closed form once took x^(te) and the images of N_(t,e) for every
+    # t = 2^v; x^(te) = (x^e)^t and N_(t,e) factors through N_(1,e), so
+    # both lie in P_i built from x^e and the N_(1,e) images alone
+    ctx = engine.GroupContext(k, allow_large=True)
+    for i in range(1, k + 3):
+        e = 1 << i
+        sub = exact_power_subgroup(ctx, i)
+        for t in (1 << v for v in range(ctx.k)):
+            assert sub.contains(ctx.element(t, 0, 0) ** e), (k, i, t)
+            for b in _norm_orbit_bits(ctx):
+                img = 1 << b
+                for j in range(i):
+                    img ^= ctx.shift_central(img, t << j)
+                assert sub.contains(ctx.central_from_mask(img)), (k, i, t, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_power_norm_is_a_power_of_one_plus_the_shift(k):
+    # N_(t,e) = sum_(j<e) X^(tj) = (1 + X)^(t(e-1)) for t = 2^v, e = 2^i,
+    # with (1 + X) applied one shift_central(., 1) step at a time
+    ctx = get_context(k)
+    for i in range(1, k + 3):
+        e = 1 << i
+        for t in (1 << v for v in range(ctx.k)):
+            for b in _norm_orbit_bits(ctx):
+                norm = 0
+                for j in range(e):
+                    norm ^= ctx.shift_central(1 << b, t * j)
+                stepped = 1 << b
+                for _ in range(t * (e - 1)):
+                    stepped ^= ctx.shift_central(stepped, 1)
+                assert norm == stepped, (k, i, t, b)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -649,7 +702,7 @@ def _reference_power_shift(ctx):
     return True
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_power_shift_matches_full_range(k):
     ctx = get_context(k)
     assert commutator_identity_checks(ctx)["power_shift"] == _reference_power_shift(ctx)
@@ -718,19 +771,15 @@ def test_double_product_exhaustive(k):
 
 
 def test_double_product_claim_reads_the_one_step_shift(monkeypatch):
-    # the claim rests on the t = 0 entries of the shift identity only
+    # both shift claims rest on the one-step shift identity alone, so one
+    # failing pair fails both and both report it
     real = commutator_identity_checks(get_context(2))
-
-    def run_with_shift_failures(failures):
-        rep = dict(real, ok=False, power_shift=False, shift_failures=failures)
-        monkeypatch.setattr(claims, "commutator_identity_checks", lambda ctx: rep)
-        return run_claims(2, ["cor-zij-shift", "lemma-double-product"])
-
-    shift, double = run_with_shift_failures([[1, 2, 0]])
+    assert real["shift_failures"] == []
+    rep = dict(real, ok=False, power_shift=False, shift_failures=[[1, 2]])
+    monkeypatch.setattr(claims, "commutator_identity_checks", lambda ctx: rep)
+    shift, double = run_claims(2, ["cor-zij-shift", "lemma-double-product"])
     assert not shift.passed and not double.passed
-    assert double.details["failures"] == [[1, 2]]
-    shift, double = run_with_shift_failures([[1, 2, 1]])
-    assert not shift.passed and double.passed
+    assert shift.details["failures"] == double.details["failures"] == [[1, 2]]
 
 
 def test_series_table_indexing(ctx2):

@@ -2,7 +2,8 @@
 functions by name from outside the package, so a run under it fails if one
 of those names disappears; no module imports a name it never uses, nor
 another module's private name; the package defines no function or class
-that only tests reach; and it reads every attribute a GroupContext holds."""
+that only tests reach; it reads every attribute a GroupContext holds; and
+each claim runner builds only the series it reads."""
 
 import ast
 import os
@@ -10,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 
+from wrsp.claims import CLAIMS
 from wrsp.engine import GroupContext
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -78,6 +80,37 @@ def test_bench_tracer_sees_cli_commands():
     proc = _traced(TRACED_CLI_RUN)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split() == ["0", "0", "1", "1"]
+
+
+# the series each claim runner builds, read off the ("series", kind) memo
+# keys of a fresh level-2 context: a runner that starts building a series
+# it does not read shows here
+CLAIM_SERIES = {cid: set() for cid in ("h-generation", "lemma-exp2-ii", "lemma-exponent",
+                                        "oracle-k1", "prop-order", "remark-derived",
+                                        "wreath-quotient")}
+CLAIM_SERIES.update({cid: {"gamma"} for cid in (
+    "cor-zij-shift", "eq-power-expansion", "eq-sq-comm", "lemma-cm2k", "lemma-double-product",
+    "lemma-exp2-i", "lemma-exp2-iii", "lemma-gamma-sq", "prop-lcs-class", "prop-lcs-layers",
+    "remark-index", "zij-table")})
+CLAIM_SERIES.update({
+    "prop-dimension": {"dimension", "gamma"},
+    "prop-lower2": {"gamma", "lowerp"},
+    "thm-f-sandwich": {"frattini", "gamma"},
+    "thm-ld-complement": {"dimension", "gamma", "lowerp"},
+    "thm-m-density": {"m"},
+    "thm-p-power": {"gamma", "power"},
+})
+
+
+def test_each_claim_builds_only_the_series_it_reads():
+    got = {}
+    for cid, spec in CLAIMS.items():
+        ctx = GroupContext(2)
+        ok, _ = spec.runner(ctx)
+        assert ok, cid
+        got[cid] = {key[1].value for key in ctx._memo
+                    if isinstance(key, tuple) and key[0] == "series"}
+    assert got == CLAIM_SERIES
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:
