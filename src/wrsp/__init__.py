@@ -39,6 +39,7 @@ from .series import (
     lcs_generator_check,
     power_series,
     projection_kernel,
+    shift_identity_check,
     stated_gamma_generators,
     expected_gamma_layer,
 )

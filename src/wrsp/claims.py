@@ -25,6 +25,7 @@ from .series import (
     power_series,
     scaffold_heads,
     series,
+    shift_identity_check,
 )
 from .spectra import complement_density, density_sequence
 from .subgroup import (
@@ -261,8 +262,8 @@ def _run_gamma_sq(ctx):
 def _run_shift(ctx, summary: str):
     """Both shift claims read the one-step shift identity: it gives the
     m-fold shift for every m, and the 2-power shift identity is that at
-    m = 2^t (the argument is in series._identity_checks)."""
-    rep = commutator_identity_checks(ctx)
+    m = 2^t (the argument is in series._shift_identity)."""
+    rep = shift_identity_check(ctx)
     return rep["power_shift"], {"summary": summary, "failures": rep["shift_failures"]}
 
 

@@ -174,7 +174,13 @@ class GroupContext:
         """Central deposit from sorting the concatenation of two base rows:
         the squares a_left & a_right, and for each set bit i of a_right the
         pair commutators c_{i,j} of the left-row bits j > i, which land on
-        contiguous bits as (a_left >> (i + 1)) << pair offset of i."""
+        contiguous bits as (a_left >> (i + 1)) << pair offset of i.
+
+        corr is bilinear over GF(2): the squares term a_left & a_right is
+        bilinear, and the pair part is a sum over the bits i of a_right of
+        terms linear in a_left.  The early break skips only terms that are
+        0: once a_left < 2^(i + 1), a_left >> (i' + 1) = 0 for this i and
+        every later, higher bit i' of a_right."""
         res = a_left & a_right
         b = a_right
         off = self._pairoff

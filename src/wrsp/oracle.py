@@ -8,6 +8,18 @@ base and square indices), sort the base letters (an out-of-order swap
 deposits c), let squares fall into the s letters, and cancel involutions.
 No packed arithmetic, shift tables or correction tables are involved, so
 agreement with the fast engine on all 64 x 64 products is a real check.
+
+The multiplication table is built by right multiplication with letters:
+right[l][i] is the index of reduce_word(forms[i] + (l,)), one short
+reduction per form and letter, and table[i][j] follows i through right
+along the letters of forms[j].  This is exact: every rewrite in
+reduce_word replaces a subword with one equal in the presented group, so
+each step, and hence the walk, ends at a canonical word equal to
+forms[i] forms[j] there, just as reduce_word(forms[i] + forms[j]) does.
+Two canonical words equal in the group are the same word once the 64
+forms are distinct elements, and the engine comparison shows they are: it
+maps them one-to-one onto a group of order 64 whose products match the
+table, so the relations hold there.
 """
 
 from __future__ import annotations
@@ -66,8 +78,8 @@ def word_of_form(t: int, a0: int, a1: int, z0: int, z1: int, z2: int) -> tuple[i
 
 
 class OracleGroup:
-    """The 64 canonical forms and their multiplication table, each product
-    reduced from the concatenated words once."""
+    """The 64 canonical forms and their multiplication table, built from one
+    reduction per form and letter (module docstring)."""
 
     def __init__(self):
         gens = [reduce_word([X]), reduce_word([Y0])]
@@ -86,8 +98,26 @@ class OracleGroup:
             frontier = nxt
         self.forms = forms
         self.index = seen
+
+        def index_of(word):
+            prod = reduce_word(word)
+            if prod not in seen:
+                raise RuntimeError(f"letter product {word} reduces to {prod}, "
+                                   "outside the word closure")
+            return seen[prod]
+
+        # right[l][i] is the index of forms[i] l
+        right = [[index_of(w + (l,)) for w in forms] for l in range(6)]
+        # column j: every i followed through right along the letters of forms[j]
+        columns = []
+        for v in forms:
+            col = range(len(forms))
+            for l in v:
+                step = right[l]
+                col = [step[i] for i in col]
+            columns.append(col)
         # table[i][j] is the index of forms[i] forms[j]; index 0 is the identity
-        self.table = [[seen[reduce_word(u + v)] for v in forms] for u in forms]
+        self.table = [list(row) for row in zip(*columns)]
 
     @property
     def order(self) -> int:
@@ -143,20 +173,23 @@ def oracle_index_of(oracle: OracleGroup, g: Element) -> int:
 
 
 def compare_multiplication_tables(ctx: GroupContext, oracle: OracleGroup) -> dict:
-    """Full 64 x 64 comparison of engine products against word reduction:
-    each engine element is mapped to its oracle index once, and a product
-    outside the 64 is a mismatch."""
+    """Full 64 x 64 comparison of engine products against the oracle table:
+    each engine element is mapped to its oracle index once, keyed by its
+    coordinates (t, a, z), and a product outside the 64 is a mismatch."""
     if ctx.k != 1:
         raise ValueError("the oracle only covers level 1")
     elements = list(ctx.all_elements())
-    pos = {g: oracle_index_of(oracle, g) for g in elements}
+    pos = {(g.t, g.a, g.z): oracle_index_of(oracle, g) for g in elements}
     if len(set(pos.values())) != 64:
         return {"ok": False, "reason": "engine forms are not pairwise distinct in the oracle"}
+    columns = [(h, pos[h.t, h.a, h.z]) for h in elements]
+    mul = ctx.mul
     mismatches = []
     for g in elements:
-        row = oracle.table[pos[g]]
-        for h in elements:
-            if row[pos[h]] != pos.get(g * h):
+        row = oracle.table[pos[g.t, g.a, g.z]]
+        for h, j in columns:
+            p = mul(g, h)
+            if row[j] != pos.get((p.t, p.a, p.z)):
                 mismatches.append((g.text(), h.text()))
     return {"ok": not mismatches, "mismatches": mismatches[:4],
             "pairs_checked": len(elements) ** 2}

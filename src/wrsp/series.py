@@ -450,11 +450,18 @@ def commutator_identity_checks(ctx: GroupContext) -> dict:
     return ctx.cached("identity_checks", lambda: _identity_checks(ctx))
 
 
-def _identity_checks(ctx: GroupContext) -> dict:
-    """Parts (a), (c) and (d) of the report.  Part (c) checks only the
-    one-step shift identity [z_(i,j), x] = z_(i+1,j) z_(i,j+1) z_(i+1,j+1)
-    for 1 <= i <= j <= n; the comment in part (c) argues it for the pairs
-    with j < i (symmetry) and with max(i, j) > n (both sides are 1).
+def shift_identity_check(ctx: GroupContext) -> dict:
+    """Part (c) of commutator_identity_checks alone, the keys shift_failures
+    and power_shift.  It reads no series, so the two shift claims, which
+    read only this part, build none.  Computed once per level."""
+    return ctx.cached("shift_identity", lambda: _shift_identity(ctx))
+
+
+def _shift_identity(ctx: GroupContext) -> dict:
+    """Part (c): the one-step shift identity
+    [z_(i,j), x] = z_(i+1,j) z_(i,j+1) z_(i+1,j+1) for 1 <= i <= j <= n;
+    the comment below argues it for the pairs with j < i (symmetry) and
+    with max(i, j) > n (both sides are 1).
 
     Part (b), the double-product expansion
 
@@ -484,6 +491,25 @@ def _identity_checks(ctx: GroupContext) -> dict:
     (s, n') = (0, 0), (2^t, 0) and (2^t, 2^t), the three factors.  So the
     lemma-double-product and cor-zij-shift claims both read part (c).
     """
+    n = ctx.n
+    x = ctx.x()
+    # checked for i, j <= n only.  Once max(i, j) > n both sides are 1:
+    # c_i has base row (1 + X)^(i-1) e_0 and (1 + X)^n = 1 + X^n = 0 on the
+    # cyclic base, so c_i is central-block for i > n and z_{i,j} = 1, and
+    # the same holds for every factor on the right, whose indices only grow
+    # (the zij-table claim certifies z_{i,j} = 1 there through 2n + 1).
+    # Only j >= i: every c_i lies in H, and [H, H] is the pair block, which
+    # is elementary abelian, so z_{j,i} = z_{i,j}^-1 = z_{i,j} and the
+    # identity for (j, i) is the one for (i, j)
+    shift_failures = [[ii, jj] for ii in range(1, n + 1) for jj in range(ii, n + 1)
+                      if commutator(ctx.zij(ii, jj), x)
+                      != ctx.zij(ii + 1, jj) * ctx.zij(ii, jj + 1) * ctx.zij(ii + 1, jj + 1)]
+    return {"shift_failures": shift_failures, "power_shift": not shift_failures}
+
+
+def _identity_checks(ctx: GroupContext) -> dict:
+    """Parts (a), (c) and (d) of the report; part (c) is
+    shift_identity_check."""
     k = ctx.k
     n = ctx.n
     x, y = ctx.x(), ctx.y()
@@ -498,21 +524,9 @@ def _identity_checks(ctx: GroupContext) -> dict:
     a_ok = lhs.is_identity() and modulus.contains(rhs.inverse() * lhs)
     report["square_commutator"] = a_ok
 
-    # (c) [z_{i,j}, x] = z_{i+1, j} z_{i, j+1} z_{i+1, j+1}, which gives the
-    # 2^t-step identity (docstring); checked for i, j <= n only.  Once
-    # max(i, j) > n both sides are 1:
-    # c_i has base row (1 + X)^(i-1) e_0 and (1 + X)^n = 1 + X^n = 0 on the
-    # cyclic base, so c_i is central-block for i > n and z_{i,j} = 1, and
-    # the same holds for every factor on the right, whose indices only grow
-    # (the zij-table claim certifies z_{i,j} = 1 there through 2n + 1).
-    # Only j >= i: every c_i lies in H, and [H, H] is the pair block, which
-    # is elementary abelian, so z_{j,i} = z_{i,j}^-1 = z_{i,j} and the
-    # identity for (j, i) is the one for (i, j)
-    shift_failures = [[ii, jj] for ii in range(1, n + 1) for jj in range(ii, n + 1)
-                      if commutator(ctx.zij(ii, jj), x)
-                      != ctx.zij(ii + 1, jj) * ctx.zij(ii, jj + 1) * ctx.zij(ii + 1, jj + 1)]
-    report["shift_failures"] = shift_failures
-    c_ok = report["power_shift"] = not shift_failures
+    # (c) the one-step shift identity, which gives the 2^t-step identity
+    report.update(shift_identity_check(ctx))
+    c_ok = report["power_shift"]
 
     # (d) the two power expansion congruences at a = x, b = y
     d_ok = True

@@ -1,9 +1,17 @@
 """The level-1 word-reduction oracle and its agreement with the engine."""
 
+import inspect
+import textwrap
+
+import pytest
+
 from conftest import enumerate_elements
+from wrsp import engine
 from wrsp import oracle as oracle_module
+from wrsp.claims import run_claims
 from wrsp.engine import Element, GroupContext
 from wrsp.oracle import (
+    OracleGroup,
     build_oracle,
     compare_multiplication_tables,
     oracle_index_of,
@@ -36,6 +44,65 @@ def test_order_census_and_centre():
     assert census[1] == 1
     assert sum(census.values()) == 64
     assert len(oracle.centre()) == 4
+
+
+def test_letter_walk_table_equals_pairwise_reduction():
+    # reference: today's route, one reduction of each concatenation of two forms
+    oracle = OracleGroup()
+    seen, forms = oracle.index, oracle.forms
+    reference = [[seen[reduce_word(u + v)] for v in forms] for u in forms]
+    assert oracle.table == reference
+
+
+def test_table_needs_one_reduction_per_form_and_letter(monkeypatch):
+    # 2 generators, 64 x 2 closure products, 64 x 6 letter products
+    calls = []
+    reduce = oracle_module.reduce_word
+
+    def counting_reduce(word):
+        calls.append(1)
+        return reduce(word)
+
+    monkeypatch.setattr(oracle_module, "reduce_word", counting_reduce)
+    assert OracleGroup().order == 64
+    assert len(calls) <= 2 + 128 + 384
+
+
+def test_letter_product_outside_the_closure_names_the_word(monkeypatch):
+    # a reducer that leaves c c unreduced: the form c times the letter c
+    # falls outside the closure of x and y0, which never forms c c
+    reduce = oracle_module.reduce_word
+    monkeypatch.setattr(oracle_module, "reduce_word",
+                        lambda word: tuple(word) if tuple(word) == (C, C) else reduce(word))
+    with pytest.raises(RuntimeError, match=r"letter product \(5, 5\)"):
+        OracleGroup()
+
+
+def _mutate_reduce_word(monkeypatch, old, new):
+    """Install reduce_word with one line of its source replaced."""
+    src = textwrap.dedent(inspect.getsource(reduce_word))
+    assert src.count(old) == 1, old
+    namespace = dict(vars(oracle_module))
+    exec(src.replace(old, new), namespace)
+    monkeypatch.setattr(oracle_module, "reduce_word", namespace["reduce_word"])
+
+
+def _oracle_claim_on_a_fresh_context(monkeypatch):
+    monkeypatch.setattr(engine, "_CONTEXTS", {})
+    (res,) = run_claims(1, ["oracle-k1"])
+    return res.status
+
+
+def test_oracle_claim_fails_when_x_fixes_the_squares(monkeypatch):
+    monkeypatch.setitem(oracle_module._X_CONJ, S0, S0)
+    monkeypatch.setitem(oracle_module._X_CONJ, S1, S1)
+    assert _oracle_claim_on_a_fresh_context(monkeypatch) == "fail"
+
+
+def test_oracle_claim_fails_without_the_commutator_deposit(monkeypatch):
+    # y1 y0 = y0 y1 c with the c dropped
+    _mutate_reduce_word(monkeypatch, "[Y0, Y1, C]", "[Y0, Y1]")
+    assert _oracle_claim_on_a_fresh_context(monkeypatch) == "fail"
 
 
 def test_engine_table_equals_oracle_table(ctx1):

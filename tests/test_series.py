@@ -31,6 +31,7 @@ from wrsp.series import (
     power_series,
     projection_kernel,
     series,
+    shift_identity_check,
     stated_gamma_generators,
 )
 from wrsp.subgroup import (
@@ -714,6 +715,10 @@ def test_power_shift_matches_full_range(k):
 
 def test_identity_checks_computed_once_per_level(ctx2):
     assert commutator_identity_checks(ctx2) is commutator_identity_checks(ctx2)
+    assert shift_identity_check(ctx2) is shift_identity_check(ctx2)
+    # the report's part (c) is the shift check's
+    rep, shift = commutator_identity_checks(ctx2), shift_identity_check(ctx2)
+    assert {key: rep[key] for key in shift} == shift
 
 
 def _weight_closure_over_full_quadrant(ctx, weight, include_cij):
@@ -773,10 +778,10 @@ def test_double_product_exhaustive(k):
 def test_double_product_claim_reads_the_one_step_shift(monkeypatch):
     # both shift claims rest on the one-step shift identity alone, so one
     # failing pair fails both and both report it
-    real = commutator_identity_checks(get_context(2))
-    assert real["shift_failures"] == []
-    rep = dict(real, ok=False, power_shift=False, shift_failures=[[1, 2]])
-    monkeypatch.setattr(claims, "commutator_identity_checks", lambda ctx: rep)
+    real = shift_identity_check(get_context(2))
+    assert real == {"shift_failures": [], "power_shift": True}
+    rep = dict(real, power_shift=False, shift_failures=[[1, 2]])
+    monkeypatch.setattr(claims, "shift_identity_check", lambda ctx: rep)
     shift, double = run_claims(2, ["cor-zij-shift", "lemma-double-product"])
     assert not shift.passed and not double.passed
     assert shift.details["failures"] == double.details["failures"] == [[1, 2]]

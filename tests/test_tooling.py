@@ -82,16 +82,33 @@ def test_bench_tracer_sees_cli_commands():
     assert proc.stdout.splitlines()[-1].split() == ["0", "0", "1", "1"]
 
 
+# the benchmark's set-up step: the import and the level 1..4 context builds
+# do no oracle work; the oracle is built on the first oracle_report()
+SETUP_RUN = """
+import wrsp, wrsp.cli
+from wrsp.engine import get_context
+
+for k in range(1, 5):
+    get_context(k)
+print("oracle" in get_context(1)._memo)
+"""
+
+
+def test_setup_builds_no_oracle():
+    proc = _traced(SETUP_RUN)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 # the series each claim runner builds, read off the ("series", kind) memo
 # keys of a fresh level-2 context: a runner that starts building a series
 # it does not read shows here
-CLAIM_SERIES = {cid: set() for cid in ("h-generation", "lemma-exp2-ii", "lemma-exponent",
-                                        "oracle-k1", "prop-order", "remark-derived",
-                                        "wreath-quotient")}
+CLAIM_SERIES = {cid: set() for cid in ("cor-zij-shift", "h-generation", "lemma-double-product",
+                                        "lemma-exp2-ii", "lemma-exponent", "oracle-k1",
+                                        "prop-order", "remark-derived", "wreath-quotient")}
 CLAIM_SERIES.update({cid: {"gamma"} for cid in (
-    "cor-zij-shift", "eq-power-expansion", "eq-sq-comm", "lemma-cm2k", "lemma-double-product",
-    "lemma-exp2-i", "lemma-exp2-iii", "lemma-gamma-sq", "prop-lcs-class", "prop-lcs-layers",
-    "remark-index", "zij-table")})
+    "eq-power-expansion", "eq-sq-comm", "lemma-cm2k", "lemma-exp2-i", "lemma-exp2-iii",
+    "lemma-gamma-sq", "prop-lcs-class", "prop-lcs-layers", "remark-index", "zij-table")})
 CLAIM_SERIES.update({
     "prop-dimension": {"dimension", "gamma"},
     "prop-lower2": {"gamma", "lowerp"},
