@@ -66,19 +66,20 @@ def pair_slot(i: int, j: int, n: int) -> int:
     return i * (n - 1) - i * (i - 1) // 2 + (j - i - 1)
 
 
-def _linear_chunk_tables(bit_images: list[int]) -> list[list[int]]:
-    """Byte-chunk lookup tables for the GF(2)-linear map bit b -> bit_images[b]."""
+def linear_chunk_tables(bit_images: list[int], width: int) -> list[list[int]]:
+    """Lookup tables for the GF(2)-linear map bit b -> bit_images[b], one
+    per chunk of width bits: the image of v is the XOR over chunks c of
+    tabs[c][(v >> (width * c)) & (2**width - 1)]."""
     nbits = len(bit_images)
-    nchunks = max(1, (nbits + 7) // 8)
+    size = 1 << width
     tabs = []
-    for c in range(nchunks):
-        tab = [0] * 256
-        base = 8 * c
-        for byte in range(1, 256):
-            low = byte & -byte
+    for base in range(0, max(1, nbits), width):
+        tab = [0] * size
+        for chunk in range(1, size):
+            low = chunk & -chunk
             src = base + low.bit_length() - 1
             img = bit_images[src] if src < nbits else 0
-            tab[byte] = tab[byte ^ low] ^ img
+            tab[chunk] = tab[chunk ^ low] ^ img
         tabs.append(tab)
     return tabs
 
@@ -90,7 +91,7 @@ class GroupContext:
     __slots__ = (
         "k", "n", "num_pairs", "d", "tmod", "tmask", "amask", "zmask",
         "log_order", "total_positions",
-        "_ztabs", "_pairoff", "_memo",
+        "_ztabs", "_pairoff", "_hex_specs", "_memo",
     )
 
     def __init__(self, k: int, allow_large: bool = False):
@@ -125,12 +126,16 @@ class GroupContext:
         self._ztabs = []
         perm = zshift
         for _ in range(k):
-            self._ztabs.append(_linear_chunk_tables([1 << p for p in perm]))
+            self._ztabs.append(linear_chunk_tables([1 << p for p in perm], 8))
             perm = [perm[p] for p in perm]
 
         # pair part of corr: the pairs (i, j), j > i, fill contiguous bits
         # from this offset on
         self._pairoff = [n + pair_slot(i, i + 1, n) for i in range(n)]
+
+        # Element.text's format specs for a row of n and of num_pairs bits:
+        # one hex digit per nibble, at least one
+        self._hex_specs = tuple(f"0{max(1, (w + 3) // 4)}x" for w in (n, self.num_pairs))
 
         self._memo: dict = {}
 
@@ -396,21 +401,15 @@ class Element:
         return hash((self.ctx.k, self.t, self.a, self.z))
 
     def text(self) -> str:
-        ctx = self.ctx
-        return "x^{} y:{} s:{} c:{}".format(
-            self.t,
-            _hex_le(self.a, ctx.n),
-            _hex_le(self.z & ctx.amask, ctx.n),
-            _hex_le(self.z >> ctx.n, ctx.num_pairs),
-        )
+        """x^t y:... s:... c:..., the base row, the squares and the pairs in
+        hex, one nibble per character, lowest coordinates first."""
+        ctx, z = self.ctx, self.z
+        base, pairs = ctx._hex_specs
+        return (f"x^{self.t} y:{format(self.a, base)[::-1]} "
+                f"s:{format(z & ctx.amask, base)[::-1]} c:{format(z >> ctx.n, pairs)[::-1]}")
 
     def __repr__(self) -> str:
         return self.text()
-
-
-def _hex_le(v: int, nbits: int) -> str:
-    """Hex string, one nibble per character, lowest coordinates first."""
-    return format(v, f"0{max(1, (nbits + 3) // 4)}x")[::-1]
 
 
 def _unhex_le(s: str, nbits: int) -> int:

@@ -11,11 +11,12 @@ agreement with the fast engine on all 64 x 64 products is a real check.
 
 The multiplication table is built by right multiplication with letters:
 right[l][i] is the index of reduce_word(forms[i] + (l,)), one short
-reduction per form and letter, and table[i][j] follows i through right
-along the letters of forms[j].  This is exact: every rewrite in
-reduce_word replaces a subword with one equal in the presented group, so
-each step, and hence the walk, ends at a canonical word equal to
-forms[i] forms[j] there, just as reduce_word(forms[i] + forms[j]) does.
+reduction per form and letter (the closure already forms those for x
+and y0), and table[i][j] follows i through right along the letters of
+forms[j].  This is exact: every rewrite in reduce_word replaces a
+subword with one equal in the presented group, so each step, and hence
+the walk, ends at a canonical word equal to forms[i] forms[j] there,
+just as reduce_word(forms[i] + forms[j]) does.
 Two canonical words equal in the group are the same word once the 64
 forms are distinct elements, and the engine comparison shows they are: it
 maps them one-to-one onto a group of order 64 whose products match the
@@ -82,20 +83,19 @@ class OracleGroup:
     reduction per form and letter (module docstring)."""
 
     def __init__(self):
-        gens = [reduce_word([X]), reduce_word([Y0])]
+        gens = {X: reduce_word([X]), Y0: reduce_word([Y0])}
         seen = {(): 0}
         forms: list[tuple[int, ...]] = [()]
-        frontier = [()]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    prod = reduce_word(w + g)
-                    if prod not in seen:
-                        seen[prod] = len(forms)
-                        forms.append(prod)
-                        nxt.append(prod)
-            frontier = nxt
+        # right[l][i] is the index of forms[i] l; the breadth-first closure
+        # under x and y0 (forms grows while it is read) fills their rows
+        right = {l: [] for l in gens}
+        for w in forms:
+            for l, g in gens.items():
+                prod = reduce_word(w + g)
+                if prod not in seen:
+                    seen[prod] = len(forms)
+                    forms.append(prod)
+                right[l].append(seen[prod])
         self.forms = forms
         self.index = seen
 
@@ -106,8 +106,8 @@ class OracleGroup:
                                    "outside the word closure")
             return seen[prod]
 
-        # right[l][i] is the index of forms[i] l
-        right = [[index_of(w + (l,)) for w in forms] for l in range(6)]
+        for l in (Y1, S0, S1, C):
+            right[l] = [index_of(w + (l,)) for w in forms]
         # column j: every i followed through right along the letters of forms[j]
         columns = []
         for v in forms:

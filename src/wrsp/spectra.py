@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .engine import GroupContext
 from .series import SeriesKind, SeriesTable
-from .subgroup import Subgroup, central_cap_logs, intersect, normal_closure, trivial_subgroup
+from .subgroup import (Subgroup, central_cap_logs, central_flag, intersect, normal_closure,
+                       trivial_subgroup)
 
 
 @dataclass(frozen=True)
@@ -79,15 +80,18 @@ def _term_logs(target: Subgroup, table: SeriesTable) -> list[tuple[int, int, int
     log |target| - log |target ^ S_i|, and den = log2 |G : S_i|.
 
     A target inside the centre block (Z, the trivial group, a seed span)
-    takes one central_cap_logs pass over the whole series; any other target
-    (H, the full group) is a suffix subgroup or G, which intersect() meets
-    with each term by slicing its sequence.
+    reads log |target ^ S_i| for every term off the series' central flag
+    (subgroup module docstring, Central flag), built on first use and kept
+    in the context's memo, one per kind; any other target (H, the full
+    group) is a suffix subgroup or G, which intersect() meets with each
+    term by slicing its sequence.
     """
     ctx = target.ctx
     if ctx.k != table.k:
         raise ValueError("target and series live at different levels")
     if all(m.is_central_block() for m in target.igs):
-        caps = central_cap_logs(target, table.terms)
+        flag = ctx.cached(("central_flag", table.kind), lambda: central_flag(table.terms))
+        caps = central_cap_logs(target, flag)
     else:
         caps = [intersect(target, sub).log_order for sub in table.terms]
     return [(i, target.log_order - cap, ctx.log_order - sub.log_order)

@@ -43,10 +43,25 @@ element of the intersection sifts through L using only those members:
 right multiplication by a member led at p >= s keeps every coordinate
 below p, so the element stays led at s or deeper.  So intersect() reads
 the intersection with a suffix subgroup (or the full group) off L and never
-closes; it raises for any other pair.  For a target T inside the centre
-block Z, T ^ S = T ^ (S ^ Z), and the central tails of a descending chain
-are nested, so central_cap_logs() reads log |T ^ S| for every term of a
-series from one span, seeded with T and grown deepest term first.
+closes; it raises for any other pair.
+
+Central flag.  For a target T inside the centre block Z, T ^ S = T ^ A
+with A = S ^ Z, the central tail of S (suffix lemma).  The tails of a
+descending chain are nested, and so are the pivot sets of their reduced
+forms, so the rows of a tail with pivots new to it, added to the next
+deeper tail, span it.  Taken deepest term first, those rows have distinct
+pivots; completed by the unit vectors at the pivots no tail has, they are
+an echelon basis b_0, b_1, ... of Z in which every tail A is spanned by
+b_0, ..., b_(dim A - 1): a flag adapted to the chain.  A basis row is its
+pivot plus higher bits, so one back-substitution, highest pivot first,
+gives every unit vector's coordinates in the basis, read through chunk
+tables of 4 bits.  In these coordinates A is the set of vectors supported
+on [0, dim A).  Put T's rows, in coordinates, in echelon form keyed by top
+bit: a sum of some of them has the largest of their distinct top bits, so
+it lies in A exactly when each of them has its top bit below dim A, and
+log |T ^ S| is the number of such rows.  central_flag() builds the basis
+once per chain, and central_cap_logs() answers each target with one small
+echelon pass over its rows.
 
 Extension.  extend(B, gens, C) starts close()'s loop from a copy of the
 table of a subgroup B closed under the conjugators C, so it sifts only the
@@ -93,9 +108,11 @@ reduces its row to 0.  Three consequences:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
+from typing import NamedTuple
 
-from .engine import Element, GroupContext, commutator
+from .engine import Element, GroupContext, commutator, linear_chunk_tables
 
 
 class UnsupportedExactIntersection(RuntimeError):
@@ -531,36 +548,74 @@ def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
     )
 
 
-def central_cap_logs(target: Subgroup, terms) -> list[int]:
-    """log2 |target ^ S| for every term S of a descending chain, for a
-    target T inside the centre block Z, in one pass over the chain.
+class CentralFlag(NamedTuple):
+    """A chain's central flag (module docstring, Central flag): chunk
+    tables of 4 bits from a central row to its flag coordinates, and
+    dim(S ^ Z) for every term S of the chain, in chain order."""
 
-    T ^ S = T ^ A with A = S ^ Z, the central tail of S (suffix lemma),
-    and log |T ^ A| = dim T + dim A - dim(T + A).  The tails of a
-    descending chain are nested, and so are the pivot sets of their reduced
-    forms, so the rows of A with pivots new to it, added to the next deeper
-    tail, span A.  One span seeded with T's rows therefore takes, deepest
-    term first, only those rows, and its size is then dim(T + A).  Only
-    that size is read, so the span is never back-substituted.
-    """
-    ctx = target.ctx
-    if not all(m.is_central_block() for m in target.igs):
-        raise ValueError("target does not lie in the centre block")
-    span = _Tail(m.z for m in target.igs)
+    k: int
+    tables: list[list[int]]
+    dims: list[int]
+
+
+def central_flag(terms) -> CentralFlag:
+    """The flag basis of the central tails of a descending chain, deepest
+    term first, completed to a basis of Z by the unit vectors at the
+    pivots no tail has, and the coordinates of every unit vector in it."""
+    ctx = terms[0].ctx
+    basis, dims = [], []
     deeper = 0  # the pivots of the deeper term's tail
-    logs = []
     for sub in reversed(terms):
         if sub.ctx.k != ctx.k:
             raise ValueError("subgroups live at different levels")
         tail = sub._table()[3]
-        for low, row in tail.rows.items():
-            if not low & deeper:
-                row = span.reduce(row)
-                if row:
-                    span.insert(row)
+        basis += [row for low, row in tail.rows.items() if not low & deeper]
         deeper = tail.pivots
-        logs.append(target.log_order + len(tail.rows) - len(span.rows))
-    return logs[::-1]
+        dims.append(len(tail.rows))
+    basis += [1 << q for q in range(ctx.d) if not deeper >> q & 1]
+    # back-substitution, highest pivot first: a basis row is its pivot plus
+    # higher bits, whose coordinates are known by then
+    index = {row & -row: j for j, row in enumerate(basis)}
+    coords = [0] * ctx.d  # coords[q]: the coordinates of unit vector q
+    for q in reversed(range(ctx.d)):
+        j = index[1 << q]
+        c, rest = 1 << j, basis[j] ^ (1 << q)
+        while rest:
+            low = rest & -rest
+            c ^= coords[low.bit_length() - 1]
+            rest ^= low
+        coords[q] = c
+    return CentralFlag(ctx.k, linear_chunk_tables(coords, 4), dims[::-1])
+
+
+def central_cap_logs(target: Subgroup, flag: CentralFlag) -> list[int]:
+    """log2 |target ^ S| for every term S of the chain of flag, for a target
+    T inside the centre block Z: the rows of T's echelon form in flag
+    coordinates, keyed by top bit, whose top bit lies below dim(S ^ Z)
+    (module docstring, Central flag)."""
+    ctx = target.ctx
+    if ctx.k != flag.k:
+        raise ValueError("target and chain live at different levels")
+    if not all(m.is_central_block() for m in target.igs):
+        raise ValueError("target does not lie in the centre block")
+    tables = flag.tables
+    tops = {}  # 1 + top bit -> row, T's echelon form in flag coordinates
+    for m in target.igs:
+        # one table per 4 bits of z, from the 4 that hold its lowest bit
+        c = ((m.z & -m.z).bit_length() - 1) >> 2
+        z, v = m.z >> (4 * c), 0
+        for tab in tables[c:]:
+            if not z:
+                break
+            v ^= tab[z & 15]
+            z >>= 4
+        top = v.bit_length()
+        while top in tops:
+            v ^= tops[top]
+            top = v.bit_length()
+        tops[top] = v
+    bounds = sorted(tops)
+    return [bisect_right(bounds, dim) for dim in flag.dims]
 
 
 def layer_shape(s: Subgroup, t: Subgroup) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import pathlib
+import random
 import sys
 import time
 
@@ -9,7 +10,8 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from wrsp.engine import get_context, pair_slot  # noqa: E402
-from wrsp.subgroup import close  # noqa: E402
+from wrsp.spectra import invariant_subspace  # noqa: E402
+from wrsp.subgroup import _Tail, close  # noqa: E402
 
 _SESSION_T0 = time.time()
 
@@ -127,6 +129,34 @@ def projection_map(ctx, i):
         return out
 
     return pi
+
+
+def seeded_targets(ctx, seed):
+    """The density benchmark's seeded targets: 10 seed spans, the j-th
+    spanned by the x-shifts of 1 + j % 3 random central masks."""
+    rng = random.Random(seed)
+    masks = [[rng.getrandbits(ctx.d) for _ in range(1 + j % 3)] for j in range(10)]
+    return [invariant_subspace(ctx, [ctx.central_from_mask(m) for m in ms]).span for ms in masks]
+
+
+def span_cap_logs(target, terms):
+    """log2 |target ^ S| for every term S of a descending chain, for a target
+    T inside the centre block, by one span seeded with T's rows and grown,
+    deepest term first, by the rows of each term's central tail with pivots
+    new to it: its size is then dim(T + S ^ Z)."""
+    span = _Tail(m.z for m in target.igs)
+    deeper = 0  # the pivots of the deeper term's tail
+    logs = []
+    for sub in reversed(terms):
+        tail = sub._table()[3]
+        for low, row in tail.rows.items():
+            if not low & deeper:
+                row = span.reduce(row)
+                if row:
+                    span.insert(row)
+        deeper = tail.pivots
+        logs.append(target.log_order + len(tail.rows) - len(span.rows))
+    return logs[::-1]
 
 
 def double_product_rhs(ctx, i, j, m):

@@ -332,3 +332,22 @@ def test_wreath_certificate_matches_search(k):
     result = run_claims(k, ["wreath-quotient"])[0]
     assert result.details["image_log"] == len(seen).bit_length() - 1 == k + ctx.n
     assert result.passed == hom_ok
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_text_matches_three_field_format_and_round_trips(k):
+    # the format text() had before its specs were kept per context: each
+    # field in hex, at least one digit, lowest coordinates first (k = 1 has
+    # a base row of 2 bits, narrower than one nibble)
+    def hex_le(v, nbits):
+        return format(v, f"0{max(1, (nbits + 3) // 4)}x")[::-1]
+
+    ctx = get_context(k, allow_large=True)
+    rng = random.Random(k)
+    elements = [random_element(ctx, rng) for _ in range(200)]
+    elements += [ctx.identity(), ctx.element(ctx.tmask, ctx.amask, ctx.zmask)]
+    for g in elements:
+        old = "x^{} y:{} s:{} c:{}".format(g.t, hex_le(g.a, ctx.n), hex_le(g.z & ctx.amask, ctx.n),
+                                           hex_le(g.z >> ctx.n, ctx.num_pairs))
+        assert g.text() == old
+        assert parse_element(ctx, g.text()) == g

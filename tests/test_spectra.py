@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import enumerate_elements, is_normal
-from wrsp.engine import get_context
+from conftest import enumerate_elements, is_normal, seeded_targets
+from wrsp import spectra as spectra_module
+from wrsp.engine import GroupContext, get_context
 from wrsp.series import SeriesKind, series
 from wrsp.spectra import (
     complement_density,
@@ -14,6 +15,7 @@ from wrsp.spectra import (
     invariant_subspace,
 )
 from wrsp.subgroup import (
+    base_and_centre_subgroup,
     centre_block_subgroup,
     close,
     full_group,
@@ -176,3 +178,25 @@ def test_monotone_numerators_in_target(ctx2):
 def test_density_level_mismatch(ctx2, ctx3):
     with pytest.raises(ValueError):
         density_sequence(centre_block_subgroup(ctx3), series(ctx2, SeriesKind.GAMMA))
+
+
+def test_density_sweep_builds_one_flag_per_level_and_kind(monkeypatch):
+    # Z, H and 10 seed spans through both density functions against every
+    # series: the central targets share one flag per (level, kind), kept in
+    # the context's memo; H takes the intersect route
+    built = []
+    build = spectra_module.central_flag
+    monkeypatch.setattr(spectra_module, "central_flag",
+                        lambda terms: built.append(terms) or build(terms))
+    for k in range(1, 5):
+        ctx = GroupContext(k)
+        targets = [centre_block_subgroup(ctx), base_and_centre_subgroup(ctx)]
+        targets += seeded_targets(ctx, k)
+        for kind in SeriesKind:
+            table = series(ctx, kind)
+            for t in targets:
+                density_sequence(t, table)
+                complement_density(t, table)
+        flags = {key[1] for key in ctx._memo if isinstance(key, tuple) and key[0] == "central_flag"}
+        assert flags == set(SeriesKind)
+    assert len(built) == 4 * len(SeriesKind)

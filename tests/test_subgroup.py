@@ -6,7 +6,8 @@ from operator import mul, xor
 
 import pytest
 
-from conftest import enumerate_elements, is_normal, leader_orders, random_element
+from conftest import (enumerate_elements, is_normal, leader_orders, random_element, seeded_targets,
+                      span_cap_logs)
 from wrsp import subgroup as subgroup_module
 from wrsp.engine import GroupContext, commutator, get_context
 from wrsp.series import SeriesKind, series
@@ -19,6 +20,7 @@ from wrsp.subgroup import (
     agemo_mod_derived,
     base_and_centre_subgroup,
     central_cap_logs,
+    central_flag,
     centre_block_subgroup,
     close,
     commutator_subgroup,
@@ -449,12 +451,41 @@ def test_central_cap_logs_match_join_reference(k):
         centrals = [_reference_suffix_intersect(sub, 1 + n) for sub in terms]
         for t in targets:
             want = [t.log_order + a.log_order - join(t, a).log_order for a in centrals]
-            assert central_cap_logs(t, terms) == want
+            assert central_cap_logs(t, central_flag(terms)) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_central_flag_matches_span_reference(k):
+    # the flag route against the span loop it replaced, on every series, on
+    # the benchmark's seeded targets and on chains that are not whole series
+    ctx = get_context(k)
+    rng = random.Random(90 + k)
+    targets = [centre_block_subgroup(ctx), trivial_subgroup(ctx), pair_block_subgroup(ctx)]
+    targets += seeded_targets(ctx, 1) + seeded_targets(ctx, 2)
+    targets += [close([ctx.central_from_mask(rng.getrandbits(ctx.d)) for _ in range(2)])]
+    for kind in SeriesKind:
+        terms = series(ctx, kind).terms
+        for chain in (terms, terms[1:], terms[2:-1]):
+            if chain:
+                flag = central_flag(chain)
+                for t in targets:
+                    assert central_cap_logs(t, flag) == span_cap_logs(t, chain)
+
+
+def test_central_flag_dims_and_levels(ctx2, ctx3):
+    # dims are the tails' dimensions; a target of another level is refused
+    terms = series(ctx3, SeriesKind.GAMMA).terms
+    flag = central_flag(terms)
+    assert flag.dims == [len(sub._table()[3].rows) for sub in terms]
+    assert flag.dims[0] == ctx3.d and flag.dims[-1] == 0
+    with pytest.raises(ValueError):
+        central_cap_logs(centre_block_subgroup(ctx2), flag)
 
 
 def test_central_cap_logs_rejects_non_central(ctx2):
     with pytest.raises(ValueError):
-        central_cap_logs(base_and_centre_subgroup(ctx2), series(ctx2, SeriesKind.GAMMA).terms)
+        central_cap_logs(base_and_centre_subgroup(ctx2),
+                         central_flag(series(ctx2, SeriesKind.GAMMA).terms))
 
 
 def test_central_span_matches_closure(ctx3):

@@ -100,6 +100,23 @@ def test_setup_builds_no_oracle():
     assert proc.stdout.split() == ["False"]
 
 
+# nor do they build a central flag; a density sweep builds one per series
+# on first use
+SETUP_FLAG_RUN = """
+import wrsp, wrsp.cli
+from wrsp.engine import get_context
+
+print(any(isinstance(key, tuple) and key[0] == "central_flag"
+          for k in range(1, 5) for key in get_context(k)._memo))
+"""
+
+
+def test_setup_builds_no_central_flag():
+    proc = _traced(SETUP_FLAG_RUN)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 # the series each claim runner builds, read off the ("series", kind) memo
 # keys of a fresh level-2 context: a runner that starts building a series
 # it does not read shows here
