@@ -37,6 +37,7 @@ from .series import (
     exact_power_subgroup,
     gamma_n_subgroups,
     lcs_generator_check,
+    power_expansion_check,
     power_series,
     projection_kernel,
     shift_identity_check,

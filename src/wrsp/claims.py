@@ -22,6 +22,7 @@ from .series import (
     commutator_identity_checks,
     gamma_n_subgroups,
     lcs_generator_check,
+    power_expansion_check,
     power_series,
     scaffold_heads,
     series,
@@ -38,6 +39,7 @@ from .subgroup import (
     full_group,
     intersect,
     join,
+    noncentral_squares,
     normal_closure,
     pair_block_subgroup,
 )
@@ -108,7 +110,7 @@ def _run_remark_derived(ctx):
     h = base_and_centre_subgroup(ctx)
     hh = commutator_subgroup(h, h)
     ok = (hh == pair_block_subgroup(ctx)
-          and extend(hh, [g ** 2 for g in h.igs if g.a]) == centre_block_subgroup(ctx))
+          and extend(hh, noncentral_squares(h)) == centre_block_subgroup(ctx))
     return ok, {"summary": "squares of the trivial-top part span the centre block, "
                            "[H,Z]=1, exp(H)=4"}
 
@@ -240,7 +242,7 @@ def _run_dimension(ctx):
     ok = tbl.length == 2 * n
     bad = []
     for i in range(2, 2 * n + 1):
-        squares = [g * g for g in gam.term((i + 1) // 2).igs if not g.is_central_block()]
+        squares = noncentral_squares(gam.term((i + 1) // 2))
         if tbl.term(i) != extend(gam.term(i), [x ** (1 << (i - 1).bit_length())] + squares):
             ok = False
             bad.append(i)
@@ -273,7 +275,7 @@ def _run_sq_comm(ctx):
 
 
 def _run_power_expansion(ctx):
-    rep = commutator_identity_checks(ctx)
+    rep = power_expansion_check(ctx)
     return rep["power_expansion"], {
         "summary": "both power expansion congruences, error terms in the "
                    "weight-filtered closure",

@@ -51,6 +51,7 @@ exponent, bit j of z the j-th central coordinate).
 
 from __future__ import annotations
 
+# read by the CLI (with --deep), the claim registry's k_max and the presentation parser, not the engine
 DEFAULT_MAX_LEVEL = 4
 
 
@@ -94,14 +95,9 @@ class GroupContext:
         "_ztabs", "_pairoff", "_hex_specs", "_memo",
     )
 
-    def __init__(self, k: int, allow_large: bool = False):
+    def __init__(self, k: int):
         if k < 1:
             raise ValueError("level k must be a positive integer")
-        if k > DEFAULT_MAX_LEVEL and not allow_large:
-            raise ValueError(
-                f"level k = {k} exceeds the default cap {DEFAULT_MAX_LEVEL}; "
-                "pass allow_large=True to build it anyway"
-            )
         self.k = k
         n = 1 << k
         self.n = n
@@ -245,16 +241,6 @@ class GroupContext:
             raise ValueError("base index out of range")
         return Element(self, 0, 1 << i, 0)
 
-    def square_gen(self, i: int) -> "Element":
-        if not 0 <= i < self.n:
-            raise ValueError("square index out of range")
-        return Element(self, 0, 0, 1 << i)
-
-    def pair_gen(self, i: int, j: int) -> "Element":
-        if i == j or not (0 <= i < self.n and 0 <= j < self.n):
-            raise ValueError("pair indices must be distinct and in range")
-        return Element(self, 0, 0, 1 << (self.n + pair_slot(min(i, j), max(i, j), self.n)))
-
     def central_from_mask(self, zmask: int) -> "Element":
         if zmask & ~self.zmask:
             raise ValueError("central mask out of range")
@@ -314,13 +300,10 @@ class GroupContext:
 _CONTEXTS: dict[int, GroupContext] = {}
 
 
-def get_context(k: int, allow_large: bool = False) -> GroupContext:
-    """The one context of level k, however the call is spelled, so its
-    tables and memo are built once.  allow_large only admits levels above
-    DEFAULT_MAX_LEVEL: such a call without it reaches the constructor, which
-    raises."""
-    if k not in _CONTEXTS or (k > DEFAULT_MAX_LEVEL and not allow_large):
-        _CONTEXTS[k] = GroupContext(k, allow_large)
+def get_context(k: int) -> GroupContext:
+    """The one context of level k, so its tables and memo are built once."""
+    if k not in _CONTEXTS:
+        _CONTEXTS[k] = GroupContext(k)
     return _CONTEXTS[k]
 
 

@@ -34,6 +34,7 @@ from .engine import (
     get_context,
     plain_decimal,
 )
+from .subgroup import full_group
 
 
 def _gen_names(n: int) -> list[str]:
@@ -45,13 +46,9 @@ def _gen_names(n: int) -> list[str]:
 
 
 def _gen_elements(ctx: GroupContext) -> dict[str, Element]:
-    out = {"x": ctx.x(), "1": ctx.identity()}
-    for i in range(ctx.n):
-        out[f"y{i}"] = ctx.base_gen(i)
-        out[f"s{i}"] = ctx.square_gen(i)
-    for i in range(ctx.n):
-        for j in range(i + 1, ctx.n):
-            out[f"c_{i}_{j}"] = ctx.pair_gen(i, j)
+    # the generators are the unit vectors, in the order of the coordinates
+    out = dict(zip(_gen_names(ctx.n), full_group(ctx).igs))
+    out["1"] = ctx.identity()
     return out
 
 

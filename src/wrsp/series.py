@@ -117,6 +117,7 @@ from .subgroup import (
     full_group,
     layer_shape,
     noncentral_commutators,
+    noncentral_squares,
     normal_closure,
     trivial_subgroup,
 )
@@ -198,11 +199,6 @@ def _build_series(ctx: GroupContext, kind: SeriesKind) -> SeriesTable:
     return SeriesTable(kind, ctx.k, first, tuple(terms))
 
 
-def _squares(sub: Subgroup) -> list[Element]:
-    # a central member squares to 1
-    return [g ** 2 for g in sub.igs if not g.is_central_block()]
-
-
 def _gamma_and_commutators(ctx: GroupContext,
                            terms: list[Subgroup]) -> tuple[Subgroup, list[Element]]:
     """gamma_i and the [r, x], [r, y] over the nonidentity reductions r of
@@ -219,7 +215,7 @@ def _gamma_and_commutators(ctx: GroupContext,
 def _lower_p_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
     # P_i = [P_{i-1}, G] P_{i-1}^2 on top of gamma_i (module docstring)
     gamma, seeds = _gamma_and_commutators(ctx, terms)
-    return extend(gamma, seeds + _squares(terms[-1]), (ctx.x(), ctx.y()))
+    return extend(gamma, seeds + noncentral_squares(terms[-1]), (ctx.x(), ctx.y()))
 
 
 def _frattini_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
@@ -234,7 +230,7 @@ def _dimension_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
     # squares and pair commutators of D_m's non-central members (module docstring)
     gamma, seeds = _gamma_and_commutators(ctx, terms)
     dm = terms[len(terms) // 2]  # D_m, m = ceil(i/2), i = len(terms) + 1
-    seeds += _squares(dm) + list(noncentral_commutators(dm, dm))
+    seeds += noncentral_squares(dm) + list(noncentral_commutators(dm, dm))
     return extend(gamma, seeds, (ctx.x(), ctx.y()))
 
 
@@ -507,28 +503,17 @@ def _shift_identity(ctx: GroupContext) -> dict:
     return {"shift_failures": shift_failures, "power_shift": not shift_failures}
 
 
-def _identity_checks(ctx: GroupContext) -> dict:
-    """Parts (a), (c) and (d) of the report; part (c) is
-    shift_identity_check."""
+def power_expansion_check(ctx: GroupContext) -> dict:
+    """Part (d) of commutator_identity_checks alone, the keys power_expansion
+    and power_expansion_details.  It reads no series, so eq-power-expansion,
+    which reads only this part, builds none.  Computed once per level."""
+    return ctx.cached("power_expansion", lambda: _power_expansion(ctx))
+
+
+def _power_expansion(ctx: GroupContext) -> dict:
+    """Part (d): the two power expansion congruences at a = x, b = y."""
     k = ctx.k
-    n = ctx.n
     x, y = ctx.x(), ctx.y()
-    gamma_tbl = series(ctx, SeriesKind.GAMMA)
-    report: dict = {"ok": True}
-
-    # (a) [y, x^(2^k)] agrees with c_{2^(k-1)+1}^2 c_{2^k+1} modulo the
-    # lower central term of index 2^k + 2
-    lhs = commutator(y, x ** n)
-    rhs = (ctx.c(n // 2 + 1) ** 2) * ctx.c(n + 1)
-    modulus = gamma_tbl.term(n + 2)
-    a_ok = lhs.is_identity() and modulus.contains(rhs.inverse() * lhs)
-    report["square_commutator"] = a_ok
-
-    # (c) the one-step shift identity, which gives the 2^t-step identity
-    report.update(shift_identity_check(ctx))
-    c_ok = report["power_shift"]
-
-    # (d) the two power expansion congruences at a = x, b = y
     d_ok = True
     details = []
     for r in range(1, k + 3):
@@ -543,9 +528,8 @@ def _identity_checks(ctx: GroupContext) -> dict:
         ok1 = k1.contains(disc1)
         # second congruence: [x^(2^r), y] against the [x,y,...] chain powers
         lhs2 = commutator(x ** e, y)
-        d_chain = commutator(x, y)
         rhs2 = ctx.identity()
-        term = d_chain
+        term = commutator(x, y)
         for l in range(1, e + 1):
             rhs2 = rhs2 * (term ** comb(e, l))
             term = commutator(term, x)
@@ -555,11 +539,25 @@ def _identity_checks(ctx: GroupContext) -> dict:
         d_ok = d_ok and ok1 and ok2
         details.append({"r": r, "product_form": ok1, "commutator_form": ok2,
                         "error_log_first": k1.log_order, "error_log_second": k2.log_order})
-    report["power_expansion"] = d_ok
-    report["power_expansion_details"] = details
+    return {"power_expansion": d_ok, "power_expansion_details": details}
 
-    report["ok"] = a_ok and c_ok and d_ok
-    return report
+
+def _identity_checks(ctx: GroupContext) -> dict:
+    """Parts (a), (c) and (d) of the report; part (c) is
+    shift_identity_check and part (d) power_expansion_check."""
+    n = ctx.n
+    x, y = ctx.x(), ctx.y()
+    # (a) [y, x^(2^k)] agrees with c_{2^(k-1)+1}^2 c_{2^k+1} modulo the
+    # lower central term of index 2^k + 2
+    lhs = commutator(y, x ** n)
+    rhs = (ctx.c(n // 2 + 1) ** 2) * ctx.c(n + 1)
+    modulus = series(ctx, SeriesKind.GAMMA).term(n + 2)
+    a_ok = lhs.is_identity() and modulus.contains(rhs.inverse() * lhs)
+    # (c) the one-step shift identity, which gives the 2^t-step identity, and
+    # (d) the two power expansion congruences
+    shift, expansion = shift_identity_check(ctx), power_expansion_check(ctx)
+    return {"ok": a_ok and shift["power_shift"] and expansion["power_expansion"],
+            "square_commutator": a_ok, **shift, **expansion}
 
 
 def _weight_filtered_closure(ctx: GroupContext, weight: int, lowest: int) -> Subgroup:

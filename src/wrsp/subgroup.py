@@ -425,6 +425,12 @@ def _noncentral(s: Subgroup) -> list[Element]:
     return [m for m in s.igs if m.t or m.a]
 
 
+def noncentral_squares(s: Subgroup) -> list[Element]:
+    """The squares of s's members outside the centre block; a central
+    member squares to 1."""
+    return [g ** 2 for g in _noncentral(s)]
+
+
 def _top_exponent(s: Subgroup) -> int:
     """The top exponent of s's top member, 0 when it has none."""
     return s.igs[0].t if s.igs else 0
@@ -494,9 +500,9 @@ def agemo_mod_derived(s: Subgroup) -> Subgroup:
     """[s, s] joined with the squares of the members of s.
 
     Equals s^2 [s, s], the Frattini subgroup of s, because s is abelian
-    modulo [s, s].  A central member squares to 1.
+    modulo [s, s].
     """
-    return extend(commutator_subgroup(s, s), [g ** 2 for g in _noncentral(s)])
+    return extend(commutator_subgroup(s, s), noncentral_squares(s))
 
 
 def _suffix_start_of(sub: Subgroup) -> int | None:

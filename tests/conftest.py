@@ -29,6 +29,16 @@ def pair_bit(ctx, i, j):
     return ctx.n + pair_slot(min(i, j), max(i, j), ctx.n)
 
 
+def square_gen(ctx, i):
+    """The square s_i = y_i^2, the i-th central unit vector."""
+    return ctx.central_from_mask(1 << i)
+
+
+def pair_gen(ctx, i, j):
+    """The pair commutator c_{i,j} = [y_i, y_j], i != j, in either order."""
+    return ctx.central_from_mask(1 << pair_bit(ctx, i, j))
+
+
 def leader_orders(sub):
     """Relative order of each member of sub's canonical sequence: 2**k / 2**v
     for a top member x^(2**v) u, 2 for every other."""
@@ -119,13 +129,13 @@ def projection_map(ctx, i):
         z = g.z
         for u in range(ctx.n):
             if (z >> u) & 1:
-                out = out * low.square_gen(u % fold)
+                out = out * square_gen(low, u % fold)
         for u in range(ctx.n):
             for v in range(u + 1, ctx.n):
                 if (z >> pair_bit(ctx, u, v)) & 1:
                     uu, vv = u % fold, v % fold
                     if uu != vv:
-                        out = out * low.pair_gen(uu, vv)
+                        out = out * pair_gen(low, uu, vv)
         return out
 
     return pi

@@ -14,7 +14,7 @@ import random
 import time
 
 from conftest import double_product_rhs, project_to_wreath, random_element, scaffold_t
-from wrsp.claims import run_claims, select_claims
+from wrsp.claims import CLAIMS, run_claims, select_claims
 from wrsp.engine import commutator, get_context
 from wrsp.oracle import build_oracle, compare_multiplication_tables
 from wrsp.series import (
@@ -301,3 +301,18 @@ def test_full_claim_suite_over_all_levels():
         results = run_claims(k, select_claims(None, k))
         bad = [r for r in results if not r.passed]
         assert not bad, [(r.claim_id, r.details) for r in bad]
+
+
+def test_claim_suite_at_level5():
+    # above the CLI's gate the claim runner still runs every claim but the
+    # level-1 oracle (about 2 s); the values are level 5's data points
+    results = {r.claim_id: r for r in run_claims(5, sorted(set(CLAIMS) - {"oracle-k1"}))}
+    bad = [r for r in results.values() if not r.passed]
+    assert not bad, [(r.claim_id, r.details) for r in bad]
+    assert results["remark-index"].details["window"] == 17
+    assert results["thm-m-density"].details["points"][-1]["ratio_exact"] == "528/565"
+    assert results["lemma-exponent"].details["max_order"] == 128
+    assert len(results["zij-table"].details["nonzero"]) == 496
+    ctx = get_context(5)
+    assert series(ctx, SeriesKind.DIMENSION).length == 64
+    assert series(ctx, SeriesKind.LOWER_P).length == 63

@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from conftest import pair_gen
 from wrsp.claims import CLAIMS, run_claims, select_claims
 from wrsp.cli import main
 from wrsp.engine import get_context
@@ -159,6 +160,9 @@ def test_verify_threads_env(monkeypatch):
 def test_usage_errors():
     assert run_cli(["verify", "--k", "2", "--claims", "bogus"])[0] == 2
     assert run_cli(["verify", "--k", "7", "--all"])[0] == 2
+    # the engine builds any level, so the CLI alone refuses level 5, --deep or not
+    assert (run_cli(["verify", "--k", "5", "--deep", "--all"])
+            == (2, "", "error: --k must be in 1..4\n"))
     assert run_cli(["series", "--k", "2"])[0] == 2
     assert run_cli(["series", "--k", "4", "--kind", "power"])[0] == 2
     assert run_cli(["density", "--k", "2", "--kind", "m", "--target", "seed"])[0] == 2
@@ -217,7 +221,7 @@ def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path):
 
 def test_non_ascii_seed_file_names_the_line(tmp_path, ctx2):
     seeds = tmp_path / "seeds.txt"
-    seeds.write_bytes(ctx2.pair_gen(0, 1).text().encode("ascii") + b"\n"
+    seeds.write_bytes(pair_gen(ctx2, 0, 1).text().encode("ascii") + b"\n"
                       + "# caf\u00e9\n".encode("utf-8"))
     result = run_cli(["density", "--k", "2", "--kind", "m",
                       "--target", "seed", "--seed-file", str(seeds)])
@@ -257,7 +261,7 @@ def test_density_csv_and_json():
 
 def test_density_seed_file(tmp_path, ctx2):
     good = tmp_path / "seeds.txt"
-    good.write_text("# a shift orbit seed\n" + ctx2.pair_gen(0, 1).text() + "\n",
+    good.write_text("# a shift orbit seed\n" + pair_gen(ctx2, 0, 1).text() + "\n",
                     encoding="ascii")
     code, out, _ = run_cli(["density", "--k", "2", "--kind", "m",
                             "--target", "seed", "--seed-file", str(good)])
@@ -273,7 +277,7 @@ def test_density_seed_file(tmp_path, ctx2):
 
     signed = tmp_path / "signed.txt"
     signed.write_text("# a sign on the top exponent\n"
-                      + ctx2.pair_gen(0, 1).text().replace("x^0", "x^+0") + "\n",
+                      + pair_gen(ctx2, 0, 1).text().replace("x^0", "x^+0") + "\n",
                       encoding="ascii")
     code, _, err = run_cli(["density", "--k", "2", "--kind", "m",
                             "--target", "seed", "--seed-file", str(signed)])
@@ -281,7 +285,7 @@ def test_density_seed_file(tmp_path, ctx2):
 
     # more digits than int() converts: a plain decimal out of range
     long_top = tmp_path / "long_top.txt"
-    long_top.write_text(ctx2.pair_gen(0, 1).text().replace("x^0", "x^" + "1" * 5000) + "\n",
+    long_top.write_text(pair_gen(ctx2, 0, 1).text().replace("x^0", "x^" + "1" * 5000) + "\n",
                         encoding="ascii")
     code, _, err = run_cli(["density", "--k", "2", "--kind", "m",
                             "--target", "seed", "--seed-file", str(long_top)])
@@ -363,6 +367,7 @@ def test_presentation_short_generator_list_names_the_next_line():
     ("pcgroup level=0_2", "level is not a plain decimal integer"),
     ("pcgroup level=02", "level is not a plain decimal integer"),
     ("pcgroup level=0", "level 0 is outside 1..4"),
+    ("pcgroup level=5", "level 5 is outside 1..4"),
     ("pcgroup level=9", "level 9 is outside 1..4"),
     # more digits than int() converts: a plain decimal out of range, with the line
     pytest.param("pcgroup level=" + "1" * 5000, f"level {'1' * 5000} is outside 1..4",

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import pair_bit, project_to_wreath, random_element
+from conftest import pair_bit, pair_gen, project_to_wreath, random_element
 from wrsp.claims import run_claims
 from wrsp.engine import (
     GroupContext,
@@ -34,7 +34,7 @@ def test_level_one_products_by_hand(ctx1):
     assert (xy ** 8).is_identity()
     assert ctx1.c(2) == ctx1.element(0, 0b11, 0b001)
     assert ctx1.c(3) == ctx1.c(2) ** 2                 # forced by the class bound
-    assert ctx1.cij(2, 1) == ctx1.pair_gen(0, 1)
+    assert ctx1.cij(2, 1) == pair_gen(ctx1, 0, 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -249,24 +249,14 @@ def test_context_mismatch_rejected(ctx1, ctx2):
 def test_level_gate():
     with pytest.raises(ValueError):
         get_context(0)
-    with pytest.raises(ValueError):
-        get_context(5)
-    big = get_context(5, allow_large=True)
-    g = big.x() * big.y()
-    assert ((g * g.inverse())).is_identity()
-    # one context per level however the call is spelled, and the cap still
-    # holds for a level already built
-    ctx = get_context(3)
-    assert get_context(3, False) is ctx and get_context(3, allow_large=True) is ctx
-    with pytest.raises(ValueError):
-        get_context(5)
+    assert get_context(3) is get_context(3)
 
 
 def test_context_memory_level5():
     # one chunk table per shift by 2^v, v < k: about 6 MB at level 5
     tracemalloc.start()
     try:
-        GroupContext(5, allow_large=True)
+        GroupContext(5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -342,7 +332,7 @@ def test_text_matches_three_field_format_and_round_trips(k):
     def hex_le(v, nbits):
         return format(v, f"0{max(1, (nbits + 3) // 4)}x")[::-1]
 
-    ctx = get_context(k, allow_large=True)
+    ctx = get_context(k)
     rng = random.Random(k)
     elements = [random_element(ctx, rng) for _ in range(200)]
     elements += [ctx.identity(), ctx.element(ctx.tmask, ctx.amask, ctx.zmask)]

@@ -11,9 +11,11 @@ from conftest import (
     WreathElement,
     double_product_rhs,
     is_normal,
+    pair_gen,
     projection_map,
     random_element,
     scaffold_t,
+    square_gen,
 )
 from wrsp import claims, engine
 from wrsp.claims import run_claims
@@ -21,13 +23,13 @@ from wrsp.engine import commutator, get_context
 from wrsp.series import (
     SeriesKind,
     _gamma_and_commutators,
-    _squares,
     _weight_filtered_closure,
     commutator_identity_checks,
     exact_power_subgroup,
     expected_gamma_layer,
     gamma_n_subgroups,
     lcs_generator_check,
+    power_expansion_check,
     power_series,
     projection_kernel,
     series,
@@ -45,6 +47,7 @@ from wrsp.subgroup import (
     intersect,
     join,
     layer_shape,
+    noncentral_squares,
     normal_closure,
     trivial_subgroup,
 )
@@ -206,7 +209,7 @@ REFERENCE_CASES = [(kind, k) for kind in REFERENCE_TERMS for k in (1, 2, 3, 4)] 
 @pytest.mark.parametrize("kind,k", REFERENCE_CASES,
                          ids=[f"{kind.value}-{k}" for kind, k in REFERENCE_CASES])
 def test_recurrence_matches_reference(kind, k):
-    ctx = get_context(k, allow_large=True)
+    ctx = get_context(k)
     got = series(ctx, kind).terms
     want = REFERENCE_TERMS[kind](ctx)
     assert [s.igs for s in got] == [s.igs for s in want], (k, kind.value)
@@ -344,14 +347,14 @@ def _derived_subgroup_dimension_terms(ctx):
     while not terms[-1].is_trivial():
         gamma, seeds = _gamma_and_commutators(ctx, terms)
         dm = terms[len(terms) // 2]  # D_ceil(i/2), i = len(terms) + 1
-        seeds += _squares(dm) + list(commutator_subgroup(dm, dm).igs)
+        seeds += noncentral_squares(dm) + list(commutator_subgroup(dm, dm).igs)
         terms.append(extend(gamma, seeds, (ctx.x(), ctx.y())))
     return terms
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_dimension_step_matches_derived_subgroup_step(k):
-    ctx = get_context(k, allow_large=True)
+    ctx = get_context(k)
     got = series(ctx, SeriesKind.DIMENSION).terms
     want = _derived_subgroup_dimension_terms(ctx)
     assert [s.igs for s in got] == [s.igs for s in want]
@@ -363,7 +366,7 @@ def test_dimension_step_needs_no_central_top_pairs(k):
     # exponent t is at least m, and for every central row r of D_m,
     # r + X^t r = [r, x^t] already lies in [D_(i-1), G], the extension of
     # gamma_i by the [r, x], [r, y] seeds alone
-    ctx = get_context(k, allow_large=True)
+    ctx = get_context(k)
     terms = series(ctx, SeriesKind.DIMENSION).terms
     rows = 0
     for i in range(2, len(terms) + 1):
@@ -405,7 +408,7 @@ POWER_LOGS = {
 
 @pytest.mark.parametrize("k", sorted(POWER_LOGS))
 def test_power_series_exact_logs(k):
-    tbl = series(get_context(k, allow_large=True), SeriesKind.POWER)
+    tbl = series(get_context(k), SeriesKind.POWER)
     assert [s.log_order for s in tbl.terms] == POWER_LOGS[k]
     # P_(k+1) is the last nontrivial term, so the exponent is 2^(k+2)
     assert tbl.length == k + 1
@@ -419,7 +422,7 @@ def test_exponent_claim_builds_no_power_subgroup(k, monkeypatch):
         raise AssertionError("lemma-exponent built a 2-power subgroup")
 
     monkeypatch.setattr("wrsp.series.exact_power_subgroup", refuse)
-    ok, details = claims.CLAIMS["lemma-exponent"].runner(engine.GroupContext(k, allow_large=True))
+    ok, details = claims.CLAIMS["lemma-exponent"].runner(engine.GroupContext(k))
     assert ok and details["max_order"] == 1 << (k + 2)
 
 
@@ -474,7 +477,7 @@ def test_power_subgroup_holds_the_dropped_generators(k):
     # the closed form once took x^(te) and the images of N_(t,e) for every
     # t = 2^v; x^(te) = (x^e)^t and N_(t,e) factors through N_(1,e), so
     # both lie in P_i built from x^e and the N_(1,e) images alone
-    ctx = engine.GroupContext(k, allow_large=True)
+    ctx = engine.GroupContext(k)
     for i in range(1, k + 3):
         e = 1 << i
         sub = exact_power_subgroup(ctx, i)
@@ -575,7 +578,7 @@ def test_m_series_kernels(k):
 
 
 def test_m_series_logs_level5():
-    tbl = series(get_context(5, allow_large=True), SeriesKind.M)
+    tbl = series(get_context(5), SeriesKind.M)
     assert [s.log_order for s in tbl.terms] == [565, 559, 549, 518, 409, 0]
 
 
@@ -583,7 +586,7 @@ def test_m_series_logs_level6(monkeypatch):
     # a private context cache, so the level-6 tables are freed afterwards;
     # projection_kernel's order check certifies every term
     monkeypatch.setattr(engine, "_CONTEXTS", {})
-    tbl = series(get_context(6, allow_large=True), SeriesKind.M)
+    tbl = series(get_context(6), SeriesKind.M)
     assert [s.log_order for s in tbl.terms] == [2150, 2144, 2134, 2103, 1994, 1585, 0]
 
 
@@ -595,14 +598,14 @@ def _kernel_from_enumerated_generators(ctx, i):
     gens = [ctx.x() ** fold]
     for u in range(fold, ctx.n):
         gens.append(ctx.base_gen(u) * ctx.base_gen(u % fold).inverse())
-        gens.append(ctx.square_gen(u) * ctx.square_gen(u % fold))
+        gens.append(square_gen(ctx, u) * square_gen(ctx, u % fold))
     for u in range(ctx.n):
         for v in range(u + 1, ctx.n):
             uu, vv = u % fold, v % fold
             if (u, v) == (uu, vv):
                 continue
-            img = ctx.pair_gen(uu, vv) if uu != vv else ctx.identity()
-            gens.append(ctx.pair_gen(u, v) * img)
+            img = pair_gen(ctx, uu, vv) if uu != vv else ctx.identity()
+            gens.append(pair_gen(ctx, u, v) * img)
     return normal_closure(gens)
 
 
@@ -624,15 +627,11 @@ def test_projection_is_homomorphism(ctx3):
 
 
 def test_projection_kernel_above_the_level_cap(monkeypatch):
-    # a context above the cap, built with allow_large, projects onto a
-    # lower level that is itself above the cap: the kernel's expected order
-    # comes from the level formula, not from a context of that level
-    monkeypatch.setattr(engine, "DEFAULT_MAX_LEVEL", 1)
+    # the kernel's expected order comes from the level formula, not from a
+    # context of the lower level: none gets built
     monkeypatch.setattr(engine, "_CONTEXTS", {})
-    with pytest.raises(ValueError):
-        get_context(2)
-    ctx = get_context(3, allow_large=True)
-    assert projection_kernel(ctx, 2).log_order == 47 - 16
+    assert projection_kernel(get_context(3), 2).log_order == 47 - 16
+    assert list(engine._CONTEXTS) == [3]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -716,9 +715,11 @@ def test_power_shift_matches_full_range(k):
 def test_identity_checks_computed_once_per_level(ctx2):
     assert commutator_identity_checks(ctx2) is commutator_identity_checks(ctx2)
     assert shift_identity_check(ctx2) is shift_identity_check(ctx2)
-    # the report's part (c) is the shift check's
-    rep, shift = commutator_identity_checks(ctx2), shift_identity_check(ctx2)
-    assert {key: rep[key] for key in shift} == shift
+    assert power_expansion_check(ctx2) is power_expansion_check(ctx2)
+    # the report's parts (c) and (d) are the shift and power expansion checks
+    rep = commutator_identity_checks(ctx2)
+    for part in (shift_identity_check(ctx2), power_expansion_check(ctx2)):
+        assert {key: rep[key] for key in part} == part
 
 
 def _weight_closure_over_full_quadrant(ctx, weight, include_cij):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import enumerate_elements, is_normal, seeded_targets
+from conftest import enumerate_elements, is_normal, pair_gen, seeded_targets, square_gen
 from wrsp import spectra as spectra_module
 from wrsp.engine import GroupContext, get_context
 from wrsp.series import SeriesKind, series
@@ -119,12 +119,12 @@ def test_complement_density_full_target(ctx2):
 def test_invariant_subspace_basics(ctx2):
     empty = invariant_subspace(ctx2, [], "empty")
     assert empty.span.is_trivial()
-    orb = invariant_subspace(ctx2, [ctx2.pair_gen(0, 1)], "near-pairs")
+    orb = invariant_subspace(ctx2, [pair_gen(ctx2, 0, 1)], "near-pairs")
     assert orb.span.log_order == 4
     assert is_normal(orb.span)
     zfull = invariant_subspace(
         ctx2,
-        [ctx2.square_gen(0)] + [ctx2.pair_gen(i, j)
+        [square_gen(ctx2, 0)] + [pair_gen(ctx2, i, j)
                                 for i in range(4) for j in range(i + 1, 4)],
         "all",
     )
@@ -150,8 +150,8 @@ def test_invariant_subspace_rejects_non_central(ctx2):
 
 
 def test_spectrum_sweep_nested_chain(ctx3):
-    seeds = [ctx3.pair_gen(0, 1), ctx3.pair_gen(0, 2), ctx3.pair_gen(0, 3),
-             ctx3.pair_gen(0, 4), ctx3.square_gen(0)]
+    seeds = [pair_gen(ctx3, 0, 1), pair_gen(ctx3, 0, 2), pair_gen(ctx3, 0, 3),
+             pair_gen(ctx3, 0, 4), square_gen(ctx3, 0)]
     chain = []
     acc = []
     for i, s in enumerate(seeds):
@@ -166,7 +166,7 @@ def test_spectrum_sweep_nested_chain(ctx3):
 
 
 def test_monotone_numerators_in_target(ctx2):
-    small = invariant_subspace(ctx2, [ctx2.pair_gen(0, 1)], "small").span
+    small = invariant_subspace(ctx2, [pair_gen(ctx2, 0, 1)], "small").span
     z = centre_block_subgroup(ctx2)
     gam = series(ctx2, SeriesKind.GAMMA)
     small_seq = density_sequence(small, gam, "small")

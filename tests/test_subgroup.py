@@ -76,7 +76,7 @@ def test_full_group_log_order(k, want):
 def test_full_group_is_the_closure_of_x_and_y(k, monkeypatch):
     # full_group reads the group off the layout: on a fresh context it runs
     # no closure, and it equals the closure of the generators
-    ctx = GroupContext(k, allow_large=True)
+    ctx = GroupContext(k)
     grow, calls = subgroup_module._grow, []
     monkeypatch.setattr(subgroup_module, "_grow",
                         lambda *args: calls.append(args) or grow(*args))

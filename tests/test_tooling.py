@@ -120,11 +120,12 @@ def test_setup_builds_no_central_flag():
 # the series each claim runner builds, read off the ("series", kind) memo
 # keys of a fresh level-2 context: a runner that starts building a series
 # it does not read shows here
-CLAIM_SERIES = {cid: set() for cid in ("cor-zij-shift", "h-generation", "lemma-double-product",
-                                        "lemma-exp2-ii", "lemma-exponent", "oracle-k1",
-                                        "prop-order", "remark-derived", "wreath-quotient")}
+CLAIM_SERIES = {cid: set() for cid in ("cor-zij-shift", "eq-power-expansion", "h-generation",
+                                        "lemma-double-product", "lemma-exp2-ii", "lemma-exponent",
+                                        "oracle-k1", "prop-order", "remark-derived",
+                                        "wreath-quotient")}
 CLAIM_SERIES.update({cid: {"gamma"} for cid in (
-    "eq-power-expansion", "eq-sq-comm", "lemma-cm2k", "lemma-exp2-i", "lemma-exp2-iii",
+    "eq-sq-comm", "lemma-cm2k", "lemma-exp2-i", "lemma-exp2-iii",
     "lemma-gamma-sq", "prop-lcs-class", "prop-lcs-layers", "remark-index", "zij-table")})
 CLAIM_SERIES.update({
     "prop-dimension": {"dimension", "gamma"},
