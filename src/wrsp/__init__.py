@@ -18,7 +18,6 @@ from .subgroup import (
     centre_block_subgroup,
     close,
     commutator_subgroup,
-    commutator_with_group,
     extend,
     full_group,
     intersect,

@@ -7,39 +7,49 @@ terms inside the recurrences are always evaluated modulo a subgroup that
 contains the relevant derived subgroup, so closing generator powers is
 exact.
 
-The dimension series follows Lazard's recursion D_i = [D_{i-1}, G] D_m^2,
-m = ceil(i/2).  The square subgroup D^2 = <g^2 : g in D> of any group D
-contains [D, D], because [a, b] = a^-2 (a b^-1)^2 b^2, and D / [D, D] is
-abelian, so D^2 = <u^2 : u in igs(D)> [D, D].  D_m is normal, so
-[D_m, D_m] is the normal closure of the commutators of any generating set
-of D_m, here igs(D_m).  A central member commutes with every member of
-trivial top.  A central row r paired with the top member, of exponent
-t = 2^v, gives (1 + X^t) r = (1 + X)^t r = [r, x, ..(t).., x], X the
-one-step central shift, which lies in [D_(m+t-1), G]; and t >= m, because
-D_m maps onto the m-th dimension subgroup <x^(2^ceil(log2 m))> of the
-cyclic top quotient.  As i <= 2m, [D_(m+t-1), G] <= [D_(i-1), G], which
-the step already holds.  So each term is one normal closure of
-[D_{i-1}, G], the squares of D_m's non-central members and the
-commutators of the unordered pairs of them.  The lower 2-series
-P_i = [P_{i-1}, G] P_{i-1}^2 is one normal closure of [P_{i-1}, G] and
-the squares of igs(P_{i-1}), as [P, P] <= [P, G].
+Lower central series.  With S_i the stated list of layer i
+(stated_gamma_generators, S_1 = {x, y}), the terms are plain closures
+built bottom-up, C_(2n) = 1 and C_i = <S_i, C_(i+1)>, and the build
+certifies [s, x], [s, y] in C_(i+1) for every s in S_i.  Each member of
+S_i is a left-normed commutator of weight i (c_1 = y, c_j = [c_(j-1), x],
+c_(j,l) = [c_j, y, x, ..(l-1).., x]), so C_i <= gamma_i.  By downward
+induction C_(i+1) is normal, and C_i is generated modulo it by S_i,
+central modulo it as G = <x, y>; so C_i is normal and [C_i, G] <= C_(i+1).
+As C_1 = G, induction on i gives gamma_i <= C_i, so C_i = gamma_i.
 
-Both steps extend the lower central term gamma_i, which the gamma series
-already holds, instead of re-deriving it.  Let S be either series, so
-S_1 = gamma_1 = G and [S_{i-1}, G] <= S_i.  Two facts about normal
-subgroups of G = <x, y>:
+Lower 2- and dimension series.  Each term is its closed form, certified
+by its recurrence, P_i = [P_(i-1), G] P_(i-1)^2 or Lazard's
+D_i = [D_(i-1), G] D_m^2, with m = ceil(i/2) and l the bit length of i - 1:
 
-- [AB, G] = [A, G][B, G]: modulo the normal [A, G][B, G], A and B are
-  central, so AB is too; the other inclusion is plain.
-- For N = <R>^G, [N, G] is the normal closure K of the [r, x], [r, y],
-  r in R: modulo K every r commutes with x and y, so N is central.
+    P_i = gamma_i <x^(2^(i-1)), c_(i-1)^2 for i <= n/2 + 1>^G,
+    D_i = gamma_i <x^(2^l), g^2 : g in gamma_m>^G.
 
-By induction gamma_i = [gamma_{i-1}, G] <= [S_{i-1}, G] <= S_i.  Let R be
-the nonidentity reductions of the members of S_{i-1} modulo gamma_{i-1};
-each member is its reduction times an element of gamma_{i-1}, so
-S_{i-1} = gamma_{i-1} <R>^G and [S_{i-1}, G] = gamma_i <[r, x], [r, y] :
-r in R>^G.  So a step is extend(gamma_i, those commutators and the other
-generators of its recurrence, (x, y)).
+Any group D has D^2 = <g^2 : g in D> >= [D, D], as [a, b] =
+a^-2 (a b^-1)^2 b^2, so D^2 = <u^2 : u in igs(D)> [D, D]; and
+[gamma_m, gamma_m] <= gamma_(2m) <= gamma_i, so the squares of gamma_m's
+non-central members stand for the g^2 (a central one squares to 1).  Let
+C_i be the closed form and R_i the recurrence applied to the C's before
+it.  By induction from C_1 = G, C_i = R_i:
+
+- C_i <= R_i: gamma_i <= [C_(i-1), G], and the other generators are
+  squares of members of C_(i-1) or C_m (x^(2^(l-1)) generates C_m, as
+  m - 1 has bit length l - 1).
+- R_i <= C_i: C_i is normal, and the build certifies that it holds
+  generators of R_i as a normal subgroup.  For normal subgroups of
+  G = <x, y>, [AB, G] = [A, G][B, G], and for N = <R>^G, [N, G] is the
+  normal closure of the [r, x], [r, y], r in R, as N is central modulo
+  it.  With R the nonidentity reductions of the members of C_(i-1) modulo
+  gamma_(i-1), C_(i-1) = gamma_(i-1) <R>^G, so [C_(i-1), G] = gamma_i
+  <[r, x], [r, y] : r in R>^G.  The squares are those of the non-central
+  members of C_(i-1) or C_m.  [C_(i-1), C_(i-1)] <= [C_(i-1), G], and
+  [C_m, C_m] is the normal closure of the commutators of C_m's members.
+  A central member commutes with those of trivial top.  Paired with the
+  top member, of exponent t = 2^v, a central row r gives (1 + X^t) r =
+  (1 + X)^t r = [r, x, ..(t).., x], X the one-step central shift, in
+  [D_(m+t-1), G].  Here t >= m, as the top member of C_m is x^(2^l')
+  times an element of trivial top, l' the bit length of m - 1; and as
+  i <= 2m, [D_(m+t-1), G] <= [D_(i-1), G], which the [r, x], [r, y] put
+  in C_i.  So only the pairs of C_m's non-central members are tested.
 
 Layers.  The gamma, lower 2-, dimension and Frattini recurrences all put
 [S_i, S_i] in S_{i+1}: the first three contain [S_i, G], and Phi(S_i)
@@ -104,6 +114,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 from math import comb
 
 from .engine import Element, GroupContext, commutator, level_log_order, pair_slot
@@ -112,7 +123,6 @@ from .subgroup import (
     abelian_invariants,
     agemo_mod_derived,
     close,
-    commutator_with_group,
     extend,
     full_group,
     layer_shape,
@@ -189,33 +199,62 @@ def series(ctx: GroupContext, kind: SeriesKind) -> SeriesTable:
 
 
 def _build_series(ctx: GroupContext, kind: SeriesKind) -> SeriesTable:
-    first, step, _ = _STEPS[kind]
+    first, build, _ = _STEPS[kind]
     terms = [full_group(ctx)]
-    while not terms[-1].is_trivial():
-        nxt = step(ctx, terms)
+    for nxt in build(ctx, terms):
         if not terms[-1].contains_subgroup(nxt):
             raise RuntimeError(f"{kind.value} series is not descending")
         terms.append(nxt)
+        if nxt.is_trivial():
+            break
     return SeriesTable(kind, ctx.k, first, tuple(terms))
 
 
-def _gamma_and_commutators(ctx: GroupContext,
-                           terms: list[Subgroup]) -> tuple[Subgroup, list[Element]]:
-    """gamma_i and the [r, x], [r, y] over the nonidentity reductions r of
-    the members of S_(i-1) = terms[-1] modulo gamma_(i-1): [S_(i-1), G] is
-    gamma_i extended by these under conjugation (module docstring)."""
-    i = len(terms) + 1  # terms[0] is S_1 = G
-    gamma = series(ctx, SeriesKind.GAMMA)
-    prev = gamma.term(i - 1)
+def _stepwise(step):
+    # the builder of a recurrence: each term from the terms built so far
+    return lambda ctx, terms: (step(ctx, terms) for _ in count())
+
+
+def _gamma_terms(ctx: GroupContext) -> list[Subgroup]:
+    """gamma_2, ..., gamma_(2n) = 1 from the stated lists, bottom-up, each
+    layer certified central (module docstring)."""
     x, y = ctx.x(), ctx.y()
+    built = [trivial_subgroup(ctx)]  # C_(2n)
+    for i in range(2 * ctx.n - 1, 0, -1):
+        gens = stated_gamma_generators(ctx, i)
+        if not all(built[-1].contains(commutator(s, g)) for s in gens for g in (x, y)):
+            raise RuntimeError(f"lower central layer {i} is not central")
+        if i > 1:  # C_1 = <x, y> is G, the first term of every table
+            built.append(extend(built[-1], gens))
+    return built[::-1]
+
+
+def _bracket_generators(ctx: GroupContext, terms: list[Subgroup]) -> list[Element]:
+    """The [r, x], [r, y] over the nonidentity reductions r of terms[-1]'s
+    members modulo gamma_(i-1), which with gamma_i generate [terms[-1], G]."""
+    prev = series(ctx, SeriesKind.GAMMA).term(len(terms))
     reps = [r for r in map(prev.reduce, terms[-1].igs) if not r.is_identity()]
-    return gamma.term(i), [commutator(r, g) for r in reps for g in (x, y)]
+    return [commutator(r, g) for r in reps for g in (ctx.x(), ctx.y())]
 
 
-def _lower_p_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
-    # P_i = [P_{i-1}, G] P_{i-1}^2 on top of gamma_i (module docstring)
-    gamma, seeds = _gamma_and_commutators(ctx, terms)
-    return extend(gamma, seeds + noncentral_squares(terms[-1]), (ctx.x(), ctx.y()))
+def _certified(ctx: GroupContext, terms: list[Subgroup], heads: list[Element],
+               owed: list[Element]) -> Subgroup:
+    """gamma_i <heads>^G, i = len(terms) + 1, once it holds the bracket
+    generators and the rest owed by its recurrence (module docstring)."""
+    i = len(terms) + 1
+    term = extend(series(ctx, SeriesKind.GAMMA).term(i), heads, (ctx.x(), ctx.y()))
+    if not all(map(term.contains, _bracket_generators(ctx, terms) + owed)):
+        raise RuntimeError(f"closed form {i} misses a generator of its recurrence")
+    return term
+
+
+def _lower_2_term(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
+    # P_i over gamma_i, certified by [P_(i-1), G] P_(i-1)^2
+    i = len(terms) + 1
+    heads = [ctx.x() ** (1 << (i - 1))]
+    if i <= ctx.n // 2 + 1:
+        heads.append(ctx.c(i - 1) ** 2)
+    return _certified(ctx, terms, heads, noncentral_squares(terms[-1]))
 
 
 def _frattini_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
@@ -225,26 +264,27 @@ def _frattini_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
     return agemo_mod_derived(terms[-1])
 
 
-def _dimension_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
-    # D_i = [D_{i-1}, G] D_m^2, m = ceil(i/2), on top of gamma_i; D_m^2 from the
-    # squares and pair commutators of D_m's non-central members (module docstring)
-    gamma, seeds = _gamma_and_commutators(ctx, terms)
-    dm = terms[len(terms) // 2]  # D_m, m = ceil(i/2), i = len(terms) + 1
-    seeds += noncentral_squares(dm) + list(noncentral_commutators(dm, dm))
-    return extend(gamma, seeds, (ctx.x(), ctx.y()))
+def _dimension_term(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
+    # D_i over gamma_i, certified by [D_(i-1), G] D_m^2, m = ceil(i/2)
+    i, dm = len(terms) + 1, terms[len(terms) // 2]
+    heads = [ctx.x() ** (1 << (i - 1).bit_length())]
+    heads += noncentral_squares(series(ctx, SeriesKind.GAMMA).term((i + 1) // 2))
+    owed = noncentral_squares(dm) + list(noncentral_commutators(dm, dm))
+    return _certified(ctx, terms, heads, owed)
 
 
-# kind -> (natural index of the whole group, step from the terms built so
-# far to the next term, whether the recurrence makes every layer abelian)
+# kind -> (natural index of the whole group, builder of the terms after it
+# from the list of terms built so far, whether the recurrence makes every
+# layer abelian)
 _STEPS = {
-    SeriesKind.GAMMA: (1, lambda ctx, terms: commutator_with_group(terms[-1]), True),
-    SeriesKind.LOWER_P: (1, _lower_p_step, True),
-    SeriesKind.FRATTINI: (0, _frattini_step, True),
-    SeriesKind.DIMENSION: (1, _dimension_step, True),
-    SeriesKind.POWER: (0, lambda ctx, terms: exact_power_subgroup(ctx, len(terms)), False),
-    SeriesKind.M: (0, lambda ctx, terms: (projection_kernel(ctx, len(terms))
-                                         if len(terms) < ctx.k else trivial_subgroup(ctx)),
-                   False),
+    SeriesKind.GAMMA: (1, lambda ctx, terms: _gamma_terms(ctx), True),
+    SeriesKind.LOWER_P: (1, _stepwise(_lower_2_term), True),
+    SeriesKind.FRATTINI: (0, _stepwise(_frattini_step), True),
+    SeriesKind.DIMENSION: (1, _stepwise(_dimension_term), True),
+    SeriesKind.POWER: (0, lambda ctx, terms: (exact_power_subgroup(ctx, i) for i in count(1)),
+                       False),
+    SeriesKind.M: (0, lambda ctx, terms: [*(projection_kernel(ctx, i) for i in range(1, ctx.k)),
+                                          trivial_subgroup(ctx)], False),
 }
 
 
@@ -350,36 +390,25 @@ def expected_gamma_layer(k: int, i: int) -> tuple[int, ...]:
 
 
 def lcs_generator_check(ctx: GroupContext) -> dict:
-    """Check every stated generator list and layer shape of the lower
-    central series, and that the layer log orders sum to the group's."""
+    """Check every layer shape of the lower central series, and that the
+    layer log orders sum to the group's; the stated generator lists hold by
+    construction, as the series is built from them."""
     table = series(ctx, SeriesKind.GAMMA)
     n = ctx.n
     per_index = []
-    ok = True
-    total = 0
     for i in range(1, 2 * n + 1):
-        cur = table.term(i)
-        nxt = table.term(i + 1)
-        gens = stated_gamma_generators(ctx, i)
-        regen = extend(nxt, gens)
-        gens_ok = regen == cur
-        shape = table.layer(i)
-        want = expected_gamma_layer(ctx.k, i)
-        shape_ok = shape == want
-        total += cur.log_order - nxt.log_order
-        ok = ok and gens_ok and shape_ok
+        shape, want = table.layer(i), expected_gamma_layer(ctx.k, i)
         per_index.append({
             "i": i,
-            "generators_match": gens_ok,
             "shape": list(shape),
             "shape_expected": list(want),
-            "shape_match": shape_ok,
-            "layer_log": cur.log_order - nxt.log_order,
+            "shape_match": shape == want,
+            "layer_log": table.term(i).log_order - table.term(i + 1).log_order,
         })
-    sum_ok = total == ctx.log_order
-    class_ok = table.length == 2 * n - 1
+    total = sum(row["layer_log"] for row in per_index)
+    shapes_ok = all(row["shape_match"] for row in per_index)
     return {
-        "ok": ok and sum_ok and class_ok,
+        "ok": shapes_ok and total == ctx.log_order and table.length == 2 * n - 1,
         "class": table.length,
         "class_expected": 2 * n - 1,
         "layer_log_sum": total,

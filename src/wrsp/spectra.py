@@ -77,25 +77,31 @@ class DensitySequence:
 
 def _term_logs(target: Subgroup, table: SeriesTable) -> list[tuple[int, int, int]]:
     """(i, num, den) per term S_i: num = log2 |target S_i : S_i|, which is
-    log |target| - log |target ^ S_i|, and den = log2 |G : S_i|.
+    log |target| - log |target ^ S_i|, and den = log2 |G : S_i|.  Computed
+    once per target and series kind and kept in the context's memo, so
+    density_sequence and complement_density share one pass.
 
     A target inside the centre block (Z, the trivial group, a seed span)
     reads log |target ^ S_i| for every term off the series' central flag
     (subgroup module docstring, Central flag), built on first use and kept
-    in the context's memo, one per kind; any other target (H, the full
-    group) is a suffix subgroup or G, which intersect() meets with each
-    term by slicing its sequence.
+    in the memo too, one per kind; any other target (H, the full group) is
+    a suffix subgroup or G, which intersect() meets with each term by
+    slicing its sequence.
     """
     ctx = target.ctx
     if ctx.k != table.k:
         raise ValueError("target and series live at different levels")
-    if all(m.is_central_block() for m in target.igs):
-        flag = ctx.cached(("central_flag", table.kind), lambda: central_flag(table.terms))
-        caps = central_cap_logs(target, flag)
-    else:
-        caps = [intersect(target, sub).log_order for sub in table.terms]
-    return [(i, target.log_order - cap, ctx.log_order - sub.log_order)
-            for (i, sub), cap in zip(table.indexed_terms(), caps)]
+
+    def build():
+        if all(m.is_central_block() for m in target.igs):
+            flag = ctx.cached(("central_flag", table.kind), lambda: central_flag(table.terms))
+            caps = central_cap_logs(target, flag)
+        else:
+            caps = [intersect(target, sub).log_order for sub in table.terms]
+        return [(i, target.log_order - cap, ctx.log_order - sub.log_order)
+                for (i, sub), cap in zip(table.indexed_terms(), caps)]
+
+    return ctx.cached(("term_logs", target, table.kind), build)
 
 
 def density_sequence(target: Subgroup, table: SeriesTable,

@@ -89,9 +89,9 @@ reduces its row to 0.  Three consequences:
     X^(t(j-1))), [A, b] = (1 + X^t)A: the span of r + X^t r over the rows
     r of A, one shift and one reduce per row.  X commutes with 1 + X^t, so
     the span is X-invariant, and y centralises it: it is a normal subgroup
-    whose leaders owe a closure nothing.  commutator_subgroup and
-    commutator_with_group start close()'s loop from it and sift only the
-    commutators among members outside Z.
+    whose leaders owe a closure nothing.  commutator_subgroup starts
+    close()'s loop from it and sifts only the commutators among members
+    outside Z.
 (b) In a closure under a conjugator x^c with c odd, each central leader
     queues its conjugate X^c r, and X^c generates the group that X does (X
     has order n = 2^k on Z).  So when the queue is empty the span V of the
@@ -480,20 +480,6 @@ def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     if b is not a:
         _insert_commutator_rows(tail, b, _top_exponent(a))
     return _grow(ctx, None, {}, 0, tail, list(noncentral_commutators(a, b)), (ctx.x(), ctx.y()))
-
-
-def commutator_with_group(a: Subgroup) -> Subgroup:
-    """[a, G] for normal a: the normal closure of the [u, x] and [u, y] over
-    the members u of a.  [a ^ Z, G] = (1 + X)(a ^ Z) goes into the central
-    rows in closed form (module docstring, (a)), so only the commutators of
-    a's top and base members are sifted."""
-    ctx = a.ctx
-    x, y = ctx.x(), ctx.y()
-    tail = _Tail()
-    _insert_commutator_rows(tail, a, 1)
-    seeds = [c for u in _noncentral(a) for c in (commutator(u, x), commutator(u, y))
-             if not c.is_identity()]
-    return _grow(ctx, None, {}, 0, tail, seeds, (x, y))
 
 
 def agemo_mod_derived(s: Subgroup) -> Subgroup:

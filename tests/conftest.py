@@ -9,9 +9,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from wrsp.engine import get_context, pair_slot  # noqa: E402
+from wrsp.engine import commutator, get_context, pair_slot  # noqa: E402
 from wrsp.spectra import invariant_subspace  # noqa: E402
-from wrsp.subgroup import _Tail, close  # noqa: E402
+from wrsp.subgroup import _Tail, close, normal_closure  # noqa: E402
 
 _SESSION_T0 = time.time()
 
@@ -60,6 +60,13 @@ def enumerate_elements(sub):
                 cur = cur * m
         els = nxt
     return els
+
+
+def commutator_with_group(a):
+    """Reference [a, G] for a normal a other than the trivial group: the
+    normal closure of the [u, x] and [u, y] over the members u of a."""
+    ctx = a.ctx
+    return normal_closure([commutator(u, g) for u in a.igs for g in (ctx.x(), ctx.y())])
 
 
 def is_normal(sub):

@@ -68,8 +68,7 @@ def test_criterion_03_lower_central_series():
     for k in (1, 2, 3):
         rep = lcs_generator_check(get_context(k))
         assert rep["class"] == rep["class_expected"] == (1 << (k + 1)) - 1
-        assert rep["ok"], [r for r in rep["per_index"]
-                           if not (r["generators_match"] and r["shape_match"])]
+        assert rep["ok"], [r for r in rep["per_index"] if not r["shape_match"]]
         assert rep["layer_log_sum"] == rep["log_order"]
     elapsed = time.time() - t0
     assert elapsed < 300.0

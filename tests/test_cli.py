@@ -392,10 +392,10 @@ def test_presentation_exponent_is_plain_decimal(exp):
 # claim's status and details are pinned byte for byte, so a change to a
 # runner that alters its report must update the digest on purpose
 VERIFY_JSON_SHA256 = {
-    1: "800d45bed8404ad4690787db731a632fc26028aeea7898979dc6422e2f769e5e",
-    2: "87d33985d470afe3c0e24ef5650f2267dead8b10e4edcb3f0b0a0fde67edd637",
-    3: "ec61e6e5a54ca0723274c614144e29f961ed14ed1528ab9423f8dbcf7f05025e",
-    4: "1c17c9349209f663bac7a9a5110e40e466128977b2e5e1d4b201a154203bdb10",
+    1: "4b2af64a13691349e10202e6d71bd1fb170c1069d58715a388e7da5d4710bd4e",
+    2: "30f853effd066678287eaa274389955b132226bd3c4407f82c4c97a75a3d8f36",
+    3: "2d11607ea1011cf37068368e7055aa62c5de41f790343785ea03a75bd841114e",
+    4: "345297f24e5c7b822db891b6ae570be2c083c833d488ebf9af8facfdd54d3d15",
 }
 
 

@@ -1,5 +1,6 @@
 """Filtration series: lengths, closed forms, scaffolds and identities."""
 
+import functools
 import random
 import sys
 
@@ -9,6 +10,7 @@ import wrsp
 
 from conftest import (
     WreathElement,
+    commutator_with_group,
     double_product_rhs,
     is_normal,
     pair_gen,
@@ -22,7 +24,7 @@ from wrsp.claims import run_claims
 from wrsp.engine import commutator, get_context
 from wrsp.series import (
     SeriesKind,
-    _gamma_and_commutators,
+    _bracket_generators,
     _weight_filtered_closure,
     commutator_identity_checks,
     exact_power_subgroup,
@@ -41,7 +43,6 @@ from wrsp.subgroup import (
     centre_block_subgroup,
     close,
     commutator_subgroup,
-    commutator_with_group,
     extend,
     full_group,
     intersect,
@@ -307,48 +308,116 @@ def test_series_layer_matches_layer_shape(k):
     assert nonabelian
 
 
-STEP_LENGTHS = {SeriesKind.LOWER_P: lambda n: 2 * n - 1, SeriesKind.DIMENSION: lambda n: 2 * n}
+STEP_LENGTHS = {SeriesKind.GAMMA: lambda n: 2 * n - 1, SeriesKind.LOWER_P: lambda n: 2 * n - 1,
+                SeriesKind.DIMENSION: lambda n: 2 * n}
 STEP_CASES = [(kind, k) for kind in STEP_LENGTHS for k in (2, 3, 4)]
 
 
 @pytest.mark.parametrize("kind,k", STEP_CASES,
                          ids=[f"{kind.value}-{k}" for kind, k in STEP_CASES])
 def test_steps_extend_gamma(kind, k, monkeypatch):
-    # with gamma built, no lower 2-series or dimension step derives an
-    # [a, G] or an [a, b] from scratch: no call to commutator_with_group,
-    # nor to the closed-form central rows that start every commutator-subgroup
-    # build
+    # gamma is built from its stated generator lists, and the lower
+    # 2-series and dimension terms from their closed forms over gamma_i:
+    # no build derives an [a, G] or an [a, b], so none calls
+    # commutator_subgroup or the closed-form central rows that start it
     ctx = engine.GroupContext(k)
-    gamma = series(ctx, SeriesKind.GAMMA)
     calls = []
 
-    def counted(module, name):
-        orig = getattr(module, name)
+    def counted(name):
+        orig = getattr(wrsp.subgroup, name)
 
         def wrapper(*args):
             calls.append(name)
             return orig(*args)
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(wrsp.subgroup, name, wrapper)
 
-    counted(wrsp.series, "commutator_with_group")
-    counted(wrsp.subgroup, "commutator_with_group")
-    counted(wrsp.subgroup, "_insert_commutator_rows")
+    counted("commutator_subgroup")
+    counted("_insert_commutator_rows")
+    gamma = series(ctx, SeriesKind.GAMMA)
     tbl = series(ctx, kind)
     assert calls == []
     assert gamma.length == 2 * ctx.n - 1
     assert tbl.length == STEP_LENGTHS[kind](ctx.n)
 
 
+def test_series_claims_build_no_subgroup(monkeypatch):
+    # the stated lists and the closed forms are the series themselves, so
+    # once the series and their layer shapes are known these claims close
+    # no subgroup of their own
+    ctx = engine.GroupContext(3)
+    ids = ("prop-lcs-layers", "prop-lower2", "prop-dimension")
+    monkeypatch.setattr(wrsp.series, "abelian_invariants",
+                        functools.cache(wrsp.series.abelian_invariants))
+    assert all(claims.CLAIMS[cid].runner(ctx)[0] for cid in ids)
+    grown = []
+    grow = wrsp.subgroup._grow
+    monkeypatch.setattr(wrsp.subgroup, "_grow", lambda *args: grown.append(1) or grow(*args))
+    assert all(claims.CLAIMS[cid].runner(ctx)[0] for cid in ids)
+    assert grown == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_gamma_matches_reference_route(k):
+    # every term is [a, G] of the one before, the normal closure of the
+    # commutators of a's members with x and y
+    terms = series(get_context(k), SeriesKind.GAMMA).terms
+    for i, (prev, cur) in enumerate(zip(terms, terms[1:]), start=2):
+        assert cur.igs == commutator_with_group(prev).igs, (k, i)
+
+
+def test_gamma_certificate_catches_a_missing_generator(monkeypatch):
+    # without c_5 the fifth layer is short, and c_4, in the fourth layer,
+    # no longer commutes with x modulo it
+    stated = wrsp.series.stated_gamma_generators
+    monkeypatch.setattr(wrsp.series, "stated_gamma_generators",
+                        lambda ctx, i: [g for g in stated(ctx, i) if g != ctx.c(5)])
+    with pytest.raises(RuntimeError, match="lower central layer 4 is not central"):
+        series(engine.GroupContext(2), SeriesKind.GAMMA)
+
+
+def _patch_heads(monkeypatch, heads_at):
+    """Build every closed form from heads_at(ctx, i, heads) instead."""
+    certified = wrsp.series._certified
+
+    def patched(ctx, terms, heads, owed):
+        return certified(ctx, terms, heads_at(ctx, len(terms) + 1, heads), owed)
+    monkeypatch.setattr(wrsp.series, "_certified", patched)
+
+
+@pytest.mark.parametrize("k,i", [(2, 3), (3, 3), (3, 5)])
+def test_lower2_certificate_catches_a_missing_square(k, i, monkeypatch):
+    _patch_heads(monkeypatch, lambda ctx, j, heads: [h for h in heads
+                                                     if j != i or h != ctx.c(i - 1) ** 2])
+    with pytest.raises(RuntimeError, match=f"closed form {i} misses a generator"):
+        series(engine.GroupContext(k), SeriesKind.LOWER_P)
+
+
+def test_dimension_certificate_catches_missing_squares(monkeypatch):
+    # the closed forms with x^(2^l) alone
+    _patch_heads(monkeypatch, lambda ctx, i, heads: heads[:1])
+    with pytest.raises(RuntimeError, match="closed form 2 misses a generator"):
+        series(engine.GroupContext(2), SeriesKind.DIMENSION)
+
+
+def test_lcs_claims_level6(monkeypatch):
+    # a private context cache, so the level-6 tables are freed afterwards
+    monkeypatch.setattr(engine, "_CONTEXTS", {})
+    results = run_claims(6, ["prop-lcs-class", "prop-lcs-layers"])
+    assert [r.status for r in results] == ["pass", "pass"], [r.details for r in results]
+    assert results[1].details["layer_log_sum"] == 2150
+
+
 def _derived_subgroup_dimension_terms(ctx):
     # the step that builds [D_m, D_m] as its own normal closure: gamma_i
     # extended by the [r, x], [r, y] seeds, the squares of D_m and the igs of
     # commutator_subgroup(D_m, D_m)
+    gamma = series(ctx, SeriesKind.GAMMA)
     terms = [full_group(ctx)]  # index 1
     while not terms[-1].is_trivial():
-        gamma, seeds = _gamma_and_commutators(ctx, terms)
+        seeds = _bracket_generators(ctx, terms)
         dm = terms[len(terms) // 2]  # D_ceil(i/2), i = len(terms) + 1
         seeds += noncentral_squares(dm) + list(commutator_subgroup(dm, dm).igs)
-        terms.append(extend(gamma, seeds, (ctx.x(), ctx.y())))
+        terms.append(extend(gamma.term(len(terms) + 1), seeds, (ctx.x(), ctx.y())))
     return terms
 
 
@@ -376,8 +445,8 @@ def test_dimension_step_needs_no_central_top_pairs(k):
         if not t:
             continue
         assert t >= m and t & (t - 1) == 0, (i, m, t)
-        gamma, seeds = _gamma_and_commutators(ctx, list(terms[:i - 1]))
-        bracket = extend(gamma, seeds, (ctx.x(), ctx.y()))
+        seeds = _bracket_generators(ctx, list(terms[:i - 1]))
+        bracket = extend(series(ctx, SeriesKind.GAMMA).term(i), seeds, (ctx.x(), ctx.y()))
         for r in dm.igs:
             if r.is_central_block():
                 assert bracket.contains(ctx.central_from_mask(r.z ^ ctx.shift_central(r.z, t)))

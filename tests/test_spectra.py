@@ -200,3 +200,21 @@ def test_density_sweep_builds_one_flag_per_level_and_kind(monkeypatch):
         flags = {key[1] for key in ctx._memo if isinstance(key, tuple) and key[0] == "central_flag"}
         assert flags == set(SeriesKind)
     assert len(built) == 4 * len(SeriesKind)
+
+
+def test_density_and_complement_share_one_central_pass(monkeypatch):
+    # one central_cap_logs call per (target, series kind), whichever of the
+    # two density functions asks first
+    ctx = GroupContext(3)
+    calls = []
+    cap_logs = spectra_module.central_cap_logs
+    monkeypatch.setattr(spectra_module, "central_cap_logs",
+                        lambda *args: calls.append(1) or cap_logs(*args))
+    targets = [centre_block_subgroup(ctx)] + seeded_targets(ctx, 1)[:3]
+    for target in targets:
+        for kind in SeriesKind:
+            table = series(ctx, kind)
+            seq = density_sequence(target, table)
+            comp = dict(complement_density(target, table))
+            assert all(comp[p.i] == p.den - p.num for p in seq.points)
+    assert len(calls) == len(targets) * len(SeriesKind)

@@ -24,7 +24,6 @@ from wrsp.subgroup import (
     centre_block_subgroup,
     close,
     commutator_subgroup,
-    commutator_with_group,
     extend,
     full_group,
     intersect,
@@ -142,8 +141,10 @@ def test_normal_closure_of_identity(ctx2):
 
 
 def test_normal_closure_matches_commutator_route(ctx2):
+    # [G, G] is the normal closure of [y, x], and gamma_2 is built from
+    # the stated generator lists
     lhs = normal_closure([commutator(ctx2.y(), ctx2.x())])
-    rhs = commutator_with_group(full_group(ctx2))
+    rhs = series(ctx2, SeriesKind.GAMMA).term(2)
     assert lhs == rhs
 
 
@@ -161,8 +162,7 @@ def _ordered_pair_commutator_subgroup(a, b):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_unordered_pairs_and_two_conjugators_match_references(k):
-    # commutator_subgroup(s, s) visits each unordered pair once,
-    # commutator_with_group builds [s ^ Z, G] in closed form and
+    # commutator_subgroup(s, s) visits each unordered pair once and
     # normal_closure conjugates by x and y only; on every term of every
     # series each must give what the ordered pairs and x, x^-1, y give
     ctx = get_context(k)
@@ -172,8 +172,7 @@ def test_unordered_pairs_and_two_conjugators_match_references(k):
                 continue
             assert commutator_subgroup(s, s) == _ordered_pair_commutator_subgroup(s, s)
             seeds = [commutator(u, c) for u in s.igs for c in (ctx.x(), ctx.y())]
-            assert commutator_with_group(s) == normal_closure(seeds) \
-                == _three_conjugator_closure(seeds)
+            assert normal_closure(seeds) == _three_conjugator_closure(seeds)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -203,7 +202,8 @@ def test_mixed_pair_commutator_subgroups_match_reference(k):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_central_gamma_terms_close_without_sifting(k, monkeypatch):
     # [a, G] for a lower central term inside the centre block is (1 + X)a,
-    # built by shifting and reducing central rows: no _reduce call
+    # which commutator_subgroup builds by shifting and reducing central
+    # rows: no _reduce call
     ctx = get_context(k)
     calls = []
     sift = subgroup_module._reduce
@@ -218,7 +218,7 @@ def test_central_gamma_terms_close_without_sifting(k, monkeypatch):
     monkeypatch.setattr(subgroup_module, "_reduce", counted)
     for s in terms:
         del calls[:]
-        got = commutator_with_group(s)
+        got = commutator_subgroup(s, full_group(ctx))
         assert not calls, (s, len(calls))
         assert got == normal_closure([commutator(u, ctx.x()) for u in s.igs])
 
@@ -608,10 +608,10 @@ def test_flat_intersection_exactness_invariant(ctx3):
 def test_layer_shape_basics(ctx1, ctx2):
     g1 = full_group(ctx1)
     assert layer_shape(g1, g1) == ()
-    gam2_1 = commutator_with_group(g1)
+    gam2_1 = series(ctx1, SeriesKind.GAMMA).term(2)
     assert layer_shape(g1, gam2_1) == (4, 2)
     g2 = full_group(ctx2)
-    gam2_2 = commutator_with_group(g2)
+    gam2_2 = series(ctx2, SeriesKind.GAMMA).term(2)
     assert layer_shape(g2, gam2_2) == (4, 4)
     shape = layer_shape(g2, gam2_2)
     assert sum(q.bit_length() - 1 for q in shape) == g2.log_order - gam2_2.log_order
