@@ -38,6 +38,8 @@ class _OutError(Exception):
 
 def _check_out(path: str) -> None:
     """Raise _OutError when --out PATH cannot be written, before any work."""
+    if not path:
+        raise _OutError("--out needs a path")
     if os.path.isdir(path):
         raise _OutError(f"--out {path} is a directory")
     parent = os.path.dirname(path) or "."
@@ -46,7 +48,7 @@ def _check_out(path: str) -> None:
 
 
 def _write(text: str, out: str | None) -> None:
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
     try:
@@ -131,7 +133,7 @@ def _load_seed_target(ctx, path: str):
 def cmd_density(args) -> int:
     ctx = get_context(args.k)
     if args.target in TARGETS:
-        if args.seed_file:
+        if args.seed_file is not None:
             print(f"error: --seed-file needs --target seed, not --target {args.target}",
                   file=sys.stderr)
             return USAGE_ERROR
@@ -250,7 +252,7 @@ def main(argv=None) -> int:
             print(f"error: --k must be in 1..{cap}{hint}", file=sys.stderr)
             return USAGE_ERROR
     try:
-        if args.out:
+        if args.out is not None:
             _check_out(args.out)
         return args.func(args)
     except _OutError as exc:

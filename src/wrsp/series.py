@@ -38,9 +38,9 @@ it.  By induction from C_1 = G, C_i = R_i:
   generators of R_i as a normal subgroup.  For normal subgroups of
   G = <x, y>, [AB, G] = [A, G][B, G], and for N = <R>^G, [N, G] is the
   normal closure of the [r, x], [r, y], r in R, as N is central modulo
-  it.  With R the nonidentity reductions of the members of C_(i-1) modulo
-  gamma_(i-1), C_(i-1) = gamma_(i-1) <R>^G, so [C_(i-1), G] = gamma_i
-  <[r, x], [r, y] : r in R>^G.  The squares are those of the non-central
+  it.  C_(i-1) = gamma_(i-1) <H>^G, H its heads (shown after gamma), so
+  [C_(i-1), G] = gamma_i <[h, x], [h, y] : h in H>^G (at i = 2, C_1 = G
+  and these lie in gamma_2).  The squares are those of the non-central
   members of C_(i-1) or C_m.  [C_(i-1), C_(i-1)] <= [C_(i-1), G], and
   [C_m, C_m] is the normal closure of the commutators of C_m's members.
   A central member commutes with those of trivial top.  Paired with the
@@ -48,7 +48,7 @@ it.  By induction from C_1 = G, C_i = R_i:
   (1 + X)^t r = [r, x, ..(t).., x], X the one-step central shift, in
   [D_(m+t-1), G].  Here t >= m, as the top member of C_m is x^(2^l')
   times an element of trivial top, l' the bit length of m - 1; and as
-  i <= 2m, [D_(m+t-1), G] <= [D_(i-1), G], which the [r, x], [r, y] put
+  i <= 2m, [D_(m+t-1), G] <= [D_(i-1), G], which the [h, x], [h, y] put
   in C_i.  So only the pairs of C_m's non-central members are tested.
 
 Layers.  The gamma, lower 2-, dimension and Frattini recurrences all put
@@ -229,32 +229,26 @@ def _gamma_terms(ctx: GroupContext) -> list[Subgroup]:
     return built[::-1]
 
 
-def _bracket_generators(ctx: GroupContext, terms: list[Subgroup]) -> list[Element]:
-    """The [r, x], [r, y] over the nonidentity reductions r of terms[-1]'s
-    members modulo gamma_(i-1), which with gamma_i generate [terms[-1], G]."""
-    prev = series(ctx, SeriesKind.GAMMA).term(len(terms))
-    reps = [r for r in map(prev.reduce, terms[-1].igs) if not r.is_identity()]
-    return [commutator(r, g) for r in reps for g in (ctx.x(), ctx.y())]
-
-
-def _certified(ctx: GroupContext, terms: list[Subgroup], heads: list[Element],
-               owed: list[Element]) -> Subgroup:
-    """gamma_i <heads>^G, i = len(terms) + 1, once it holds the bracket
-    generators and the rest owed by its recurrence (module docstring)."""
-    i = len(terms) + 1
-    term = extend(series(ctx, SeriesKind.GAMMA).term(i), heads, (ctx.x(), ctx.y()))
-    if not all(map(term.contains, _bracket_generators(ctx, terms) + owed)):
+def _certified(ctx: GroupContext, terms: list[Subgroup], heads, owed: list[Element]) -> Subgroup:
+    """gamma_i <heads(ctx, i)>^G, i = len(terms) + 1, once it holds the
+    [h, x], [h, y] over heads(ctx, i - 1) and the rest owed by its
+    recurrence (module docstring)."""
+    i, x, y = len(terms) + 1, ctx.x(), ctx.y()
+    term = extend(series(ctx, SeriesKind.GAMMA).term(i), heads(ctx, i), (x, y))
+    brackets = [commutator(h, g) for h in heads(ctx, i - 1) for g in (x, y)]
+    if not all(map(term.contains, brackets + owed)):
         raise RuntimeError(f"closed form {i} misses a generator of its recurrence")
     return term
 
 
+def _lower_2_heads(ctx: GroupContext, i: int) -> list[Element]:
+    squares = [ctx.c(i - 1) ** 2] if 1 < i <= ctx.n // 2 + 1 else []
+    return [ctx.x() ** (1 << (i - 1))] + squares
+
+
 def _lower_2_term(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
     # P_i over gamma_i, certified by [P_(i-1), G] P_(i-1)^2
-    i = len(terms) + 1
-    heads = [ctx.x() ** (1 << (i - 1))]
-    if i <= ctx.n // 2 + 1:
-        heads.append(ctx.c(i - 1) ** 2)
-    return _certified(ctx, terms, heads, noncentral_squares(terms[-1]))
+    return _certified(ctx, terms, _lower_2_heads, noncentral_squares(terms[-1]))
 
 
 def _frattini_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
@@ -264,13 +258,16 @@ def _frattini_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
     return agemo_mod_derived(terms[-1])
 
 
+def _dimension_heads(ctx: GroupContext, i: int) -> list[Element]:
+    gamma_m = series(ctx, SeriesKind.GAMMA).term((i + 1) // 2)
+    return [ctx.x() ** (1 << (i - 1).bit_length())] + noncentral_squares(gamma_m)
+
+
 def _dimension_term(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
     # D_i over gamma_i, certified by [D_(i-1), G] D_m^2, m = ceil(i/2)
-    i, dm = len(terms) + 1, terms[len(terms) // 2]
-    heads = [ctx.x() ** (1 << (i - 1).bit_length())]
-    heads += noncentral_squares(series(ctx, SeriesKind.GAMMA).term((i + 1) // 2))
+    dm = terms[len(terms) // 2]
     owed = noncentral_squares(dm) + list(noncentral_commutators(dm, dm))
-    return _certified(ctx, terms, heads, owed)
+    return _certified(ctx, terms, _dimension_heads, owed)
 
 
 # kind -> (natural index of the whole group, builder of the terms after it

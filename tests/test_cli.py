@@ -209,6 +209,28 @@ def test_out_path_checked_before_work(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_empty_path_values_are_usage_errors(monkeypatch):
+    # an empty --out is no path at all, not a request for stdout, and an
+    # empty --seed-file is still a seed file given with a named target
+    import wrsp.cli as cli
+
+    def refuse(*_):
+        raise AssertionError("the command ran before --out was checked")
+
+    for name in ("run_claims", "series", "export_presentation", "oracle_report"):
+        monkeypatch.setattr(cli, name, refuse)
+    for argv in (["verify", "--k", "1", "--all"],
+                 ["series", "--k", "1", "--kind", "m"],
+                 ["density", "--k", "1", "--kind", "m", "--target", "Z"],
+                 ["export-presentation", "--k", "1"],
+                 ["oracle"]):
+        assert run_cli(argv + ["--out", ""]) == (2, "", "error: --out needs a path\n"), argv
+    result = run_cli(["density", "--k", "1", "--kind", "gamma", "--target", "Z",
+                      "--seed-file", ""])
+    _assert_usage_error(result)
+    assert "--seed-file needs --target seed" in result[2]
+
+
 def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path):
     # the directory exists, so the pre-check passes and the open itself fails
     # (ENAMETOOLONG, whatever the user's permissions)

@@ -1,5 +1,6 @@
 """Filtration series: lengths, closed forms, scaffolds and identities."""
 
+import dataclasses
 import functools
 import random
 import sys
@@ -24,7 +25,8 @@ from wrsp.claims import run_claims
 from wrsp.engine import commutator, get_context
 from wrsp.series import (
     SeriesKind,
-    _bracket_generators,
+    _dimension_heads,
+    _lower_2_heads,
     _weight_filtered_closure,
     commutator_identity_checks,
     exact_power_subgroup,
@@ -376,11 +378,12 @@ def test_gamma_certificate_catches_a_missing_generator(monkeypatch):
 
 
 def _patch_heads(monkeypatch, heads_at):
-    """Build every closed form from heads_at(ctx, i, heads) instead."""
+    """Build and certify every closed form from heads_at(ctx, i, heads(ctx, i))
+    instead of heads(ctx, i)."""
     certified = wrsp.series._certified
 
     def patched(ctx, terms, heads, owed):
-        return certified(ctx, terms, heads_at(ctx, len(terms) + 1, heads), owed)
+        return certified(ctx, terms, lambda c, i: heads_at(c, i, heads(c, i)), owed)
     monkeypatch.setattr(wrsp.series, "_certified", patched)
 
 
@@ -399,6 +402,64 @@ def test_dimension_certificate_catches_missing_squares(monkeypatch):
         series(engine.GroupContext(2), SeriesKind.DIMENSION)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_lower2_certificate_brackets_catch_a_short_gamma(k, monkeypatch):
+    # every closed form built over gamma_(i+1) in place of gamma_i: P_2 then
+    # lacks [x, y], a bracket of the heads of P_1, yet holds the squares of
+    # G's members, so only the bracket part of the certificate sees it
+    built = wrsp.series.series
+
+    def shifted(ctx, kind):
+        tbl = built(ctx, kind)
+        if kind != SeriesKind.GAMMA:
+            return tbl
+        return dataclasses.replace(tbl, terms=tbl.terms[1:])
+    monkeypatch.setattr(wrsp.series, "series", shifted)
+    with pytest.raises(RuntimeError, match="closed form 2 misses a generator"):
+        series(engine.GroupContext(k), SeriesKind.LOWER_P)
+
+
+HEADS = {SeriesKind.LOWER_P: _lower_2_heads, SeriesKind.DIMENSION: _dimension_heads}
+
+
+def _member_brackets(ctx, terms):
+    """The [r, x], [r, y] over the nonidentity reductions r of terms[-1]'s
+    members modulo gamma_(i-1), i = len(terms) + 1: with gamma_i they
+    generate [terms[-1], G], whatever generators built terms[-1]."""
+    prev = series(ctx, SeriesKind.GAMMA).term(len(terms))
+    reps = [r for r in map(prev.reduce, terms[-1].igs) if not r.is_identity()]
+    return [commutator(r, g) for r in reps for g in (ctx.x(), ctx.y())]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_head_brackets_match_member_brackets(k):
+    # the series docstring's argument: the brackets of the heads of
+    # C_(i-1) generate [C_(i-1), G] modulo gamma_i, as the brackets of all
+    # of its members do
+    ctx = get_context(k)
+    x, y = ctx.x(), ctx.y()
+    gamma = series(ctx, SeriesKind.GAMMA)
+    for kind, heads in HEADS.items():
+        terms = series(ctx, kind).terms
+        for i in range(2, len(terms) + 1):
+            by_heads = [commutator(h, g) for h in heads(ctx, i - 1) for g in (x, y)]
+            by_members = _member_brackets(ctx, list(terms[:i - 1]))
+            assert extend(gamma.term(i), by_heads, (x, y)) \
+                == extend(gamma.term(i), by_members, (x, y)), (kind.value, i)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_closed_forms_are_plain_products(k):
+    # the paper's product gamma_i <heads> is already normal: a plain closure
+    # without conjugators gives every built term (k <= 3 in
+    # test_lower2_closed_forms and test_dimension_closed_form_and_product_form)
+    ctx = get_context(k)
+    gamma = series(ctx, SeriesKind.GAMMA)
+    for kind, heads in HEADS.items():
+        for i, term in series(ctx, kind).indexed_terms()[1:]:
+            assert extend(gamma.term(i), heads(ctx, i)) == term, (kind.value, i)
+
+
 def test_lcs_claims_level6(monkeypatch):
     # a private context cache, so the level-6 tables are freed afterwards
     monkeypatch.setattr(engine, "_CONTEXTS", {})
@@ -414,7 +475,7 @@ def _derived_subgroup_dimension_terms(ctx):
     gamma = series(ctx, SeriesKind.GAMMA)
     terms = [full_group(ctx)]  # index 1
     while not terms[-1].is_trivial():
-        seeds = _bracket_generators(ctx, terms)
+        seeds = _member_brackets(ctx, terms)
         dm = terms[len(terms) // 2]  # D_ceil(i/2), i = len(terms) + 1
         seeds += noncentral_squares(dm) + list(commutator_subgroup(dm, dm).igs)
         terms.append(extend(gamma.term(len(terms) + 1), seeds, (ctx.x(), ctx.y())))
@@ -445,7 +506,7 @@ def test_dimension_step_needs_no_central_top_pairs(k):
         if not t:
             continue
         assert t >= m and t & (t - 1) == 0, (i, m, t)
-        seeds = _bracket_generators(ctx, list(terms[:i - 1]))
+        seeds = _member_brackets(ctx, list(terms[:i - 1]))
         bracket = extend(series(ctx, SeriesKind.GAMMA).term(i), seeds, (ctx.x(), ctx.y()))
         for r in dm.igs:
             if r.is_central_block():
@@ -710,6 +771,16 @@ def test_scaffold_squares_descend(k):
         cur = gamma_n_subgroups(ctx, n)
         nxt = gamma_n_subgroups(ctx, n + 1)
         assert nxt.contains_subgroup(agemo_mod_derived(cur))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_scaffolds_are_dimension_terms(k):
+    # two independent builds: the scaffold extends gamma_(2^n) by its own
+    # heads, the dimension series comes from its closed forms
+    ctx = get_context(k)
+    dim = series(ctx, SeriesKind.DIMENSION)
+    for n in range(1, k + 2):
+        assert gamma_n_subgroups(ctx, n) == dim.term(1 << n), n
 
 
 def test_scaffold_intersection_values(ctx2, ctx3):
