@@ -115,27 +115,26 @@ def _run_remark_derived(ctx):
                            "[H,Z]=1, exp(H)=4"}
 
 
-def _run_exp2(ctx, item: str):
+def _run_exp2_i(ctx):
     n = ctx.n
-    bad = []
-    if item == "i":
-        gam = series(ctx, SeriesKind.GAMMA)
-        for i in range(n // 2 + 1, 2 * n + 1):
-            if not gam.term(i + 1).contains(ctx.c(i) ** 2):
-                bad.append(i)
-        summary = f"c_i^2 in the next lower central term for i >= {n // 2 + 1}"
-    elif item == "ii":
-        for i in range(n + 1, 2 * n + 2):
-            if not (ctx.c(i) ** 2).is_identity():
-                bad.append(i)
-        summary = f"c_i^2 = 1 for i >= {n + 1}"
-    else:
-        gam = series(ctx, SeriesKind.GAMMA)
-        for i in range(n + n // 2 + 1, 2 * n + 1):
-            if not gam.term(i + 1).contains(ctx.c(i)):
-                bad.append(i)
-        summary = f"c_i in the next lower central term for i >= {n + n // 2 + 1}"
-    return not bad, {"summary": summary, "failures": bad}
+    gam = series(ctx, SeriesKind.GAMMA)
+    bad = [i for i in range(n // 2 + 1, 2 * n + 1) if not gam.term(i + 1).contains(ctx.c(i) ** 2)]
+    return not bad, {"summary": f"c_i^2 in the next lower central term for i >= {n // 2 + 1}",
+                     "failures": bad}
+
+
+def _run_exp2_ii(ctx):
+    n = ctx.n
+    bad = [i for i in range(n + 1, 2 * n + 2) if not (ctx.c(i) ** 2).is_identity()]
+    return not bad, {"summary": f"c_i^2 = 1 for i >= {n + 1}", "failures": bad}
+
+
+def _run_exp2_iii(ctx):
+    n = ctx.n
+    gam = series(ctx, SeriesKind.GAMMA)
+    bad = [i for i in range(n + n // 2 + 1, 2 * n + 1) if not gam.term(i + 1).contains(ctx.c(i))]
+    return not bad, {"summary": f"c_i in the next lower central term for i >= {n + n // 2 + 1}",
+                     "failures": bad}
 
 
 def _run_cm2k(ctx):
@@ -403,9 +402,9 @@ def _register(claim_id, statement, runner, k_min=1, k_max=DEFAULT_MAX_LEVEL):
 _register("prop-order", "log2 order equals k + 2^(k+1) + C(2^k, 2)", _run_prop_order)
 _register("oracle-k1", "packed arithmetic equals word reduction on all 64x64 products", _run_oracle, k_max=1)
 _register("remark-derived", "squares of the trivial-top part span the centre block; its exponent is 4", _run_remark_derived)
-_register("lemma-exp2-i", "c_i^2 falls into the next lower central term from half the base width on", lambda ctx: _run_exp2(ctx, "i"))
-_register("lemma-exp2-ii", "c_i^2 vanishes beyond the base width", lambda ctx: _run_exp2(ctx, "ii"))
-_register("lemma-exp2-iii", "c_i falls into the next lower central term beyond 1.5x the base width", lambda ctx: _run_exp2(ctx, "iii"))
+_register("lemma-exp2-i", "c_i^2 falls into the next lower central term from half the base width on", _run_exp2_i)
+_register("lemma-exp2-ii", "c_i^2 vanishes beyond the base width", _run_exp2_ii)
+_register("lemma-exp2-iii", "c_i falls into the next lower central term beyond 1.5x the base width", _run_exp2_iii)
 _register("lemma-cm2k", "the double chain c_(m, 2^k) lies 2^k + m + 1 deep for even m", _run_cm2k)
 _register("prop-lcs-class", "nilpotency class is 2^(k+1) - 1", _run_lcs_class)
 _register("prop-lcs-layers", "stated generator lists and layer shapes; layer logs sum to the group log", _run_lcs_layers)

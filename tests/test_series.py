@@ -820,12 +820,12 @@ def test_frattini_sandwich(s, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_identity_checks(k):
-    rep = commutator_identity_checks(get_context(k))
-    assert rep["square_commutator"]
+    ctx = get_context(k)
+    assert commutator_identity_checks(ctx)["square_commutator"]
     assert run_claims(k, ["lemma-double-product"])[0].passed
-    assert rep["power_shift"], rep.get("shift_failures")
-    assert rep["power_expansion"], rep.get("power_expansion_details")
-    assert rep["ok"]
+    shift, expansion = shift_identity_check(ctx), power_expansion_check(ctx)
+    assert shift["power_shift"], shift["shift_failures"]
+    assert expansion["power_expansion"], expansion["power_expansion_details"]
 
 
 def _reference_power_shift(ctx):
@@ -845,7 +845,7 @@ def _reference_power_shift(ctx):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_power_shift_matches_full_range(k):
     ctx = get_context(k)
-    assert commutator_identity_checks(ctx)["power_shift"] == _reference_power_shift(ctx)
+    assert shift_identity_check(ctx)["power_shift"] == _reference_power_shift(ctx)
     # the pairs the report skips are trivial on both sides
     for ii in range(1, 2 * ctx.n + 1):
         for jj in range(ctx.n + 1, 2 * ctx.n + 1):
@@ -856,10 +856,8 @@ def test_identity_checks_computed_once_per_level(ctx2):
     assert commutator_identity_checks(ctx2) is commutator_identity_checks(ctx2)
     assert shift_identity_check(ctx2) is shift_identity_check(ctx2)
     assert power_expansion_check(ctx2) is power_expansion_check(ctx2)
-    # the report's parts (c) and (d) are the shift and power expansion checks
-    rep = commutator_identity_checks(ctx2)
-    for part in (shift_identity_check(ctx2), power_expansion_check(ctx2)):
-        assert {key: rep[key] for key in part} == part
+    # each check holds its own keys only
+    assert commutator_identity_checks(ctx2) == {"square_commutator": True}
 
 
 def _weight_closure_over_full_quadrant(ctx, weight, include_cij):
@@ -926,6 +924,17 @@ def test_double_product_claim_reads_the_one_step_shift(monkeypatch):
     shift, double = run_claims(2, ["cor-zij-shift", "lemma-double-product"])
     assert not shift.passed and not double.passed
     assert shift.details["failures"] == double.details["failures"] == [[1, 2]]
+
+
+def test_square_commutator_claim_reads_its_own_check(monkeypatch):
+    # eq-sq-comm alone reads the square-commutator check, so a failing
+    # congruence fails it and leaves the shift and power expansion claims
+    monkeypatch.setattr(claims, "commutator_identity_checks",
+                        lambda ctx: {"square_commutator": False})
+    passed = {r.claim_id: r.passed for r in run_claims(
+        2, ["cor-zij-shift", "eq-power-expansion", "eq-sq-comm", "lemma-double-product"])}
+    assert passed == {"cor-zij-shift": True, "eq-power-expansion": True,
+                      "eq-sq-comm": False, "lemma-double-product": True}
 
 
 def test_series_table_indexing(ctx2):

@@ -3,7 +3,8 @@ functions by name from outside the package, so a run under it fails if one
 of those names disappears; no module imports a name it never uses, nor
 another module's private name; the package defines no function or class
 that only tests reach; it reads every attribute a GroupContext holds; and
-each claim runner builds only the series it reads."""
+each claim runner builds only the series it reads and computes only the
+commutator identity check it states."""
 
 import ast
 import os
@@ -137,15 +138,39 @@ CLAIM_SERIES.update({
 })
 
 
-def test_each_claim_builds_only_the_series_it_reads():
-    got = {}
+def _memo_keys_per_claim() -> dict:
+    """The memo keys each claim runner leaves on a fresh level-2 context."""
+    keys = {}
     for cid, spec in CLAIMS.items():
         ctx = GroupContext(2)
         ok, _ = spec.runner(ctx)
         assert ok, cid
-        got[cid] = {key[1].value for key in ctx._memo
-                    if isinstance(key, tuple) and key[0] == "series"}
+        keys[cid] = set(ctx._memo)
+    return keys
+
+
+def test_each_claim_builds_only_the_series_it_reads():
+    got = {cid: {key[1].value for key in keys if isinstance(key, tuple) and key[0] == "series"}
+           for cid, keys in _memo_keys_per_claim().items()}
     assert got == CLAIM_SERIES
+
+
+# the commutator identity checks each claim runner computes, by memo key:
+# the square-commutator, shift and power expansion checks stand alone, so a
+# claim that starts computing one it does not state shows here
+IDENTITY_CHECKS = {"identity_checks", "shift_identity", "power_expansion"}
+CLAIM_IDENTITY_CHECKS = {cid: set() for cid in CLAIMS}
+CLAIM_IDENTITY_CHECKS.update({
+    "eq-sq-comm": {"identity_checks"},
+    "cor-zij-shift": {"shift_identity"},
+    "lemma-double-product": {"shift_identity"},
+    "eq-power-expansion": {"power_expansion"},
+})
+
+
+def test_each_claim_computes_only_the_identity_check_it_states():
+    got = {cid: keys & IDENTITY_CHECKS for cid, keys in _memo_keys_per_claim().items()}
+    assert got == CLAIM_IDENTITY_CHECKS
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:
