@@ -29,7 +29,6 @@ from .subgroup import (
 )
 # the function series() is not re-exported: wrsp.series stays the submodule
 from .series import (
-    SandwichReport,
     SeriesKind,
     SeriesTable,
     commutator_identity_checks,

@@ -318,12 +318,13 @@ def _run_p_power(ctx):
     ok = tbl.term(k + 2).is_trivial() and ctx.log_order - tbl.term(1).log_order >= 2
     sandwiches = []
     for i in range(1, k + 1):
-        rep = power_series(ctx, i)
-        sandwiches.append({"i": i, "lower_log": rep.lower.log_order,
-                           "exact_log": rep.exact.log_order,
-                           "upper_log": rep.upper.log_order,
-                           "verified": rep.verified})
-        ok = ok and sandwiches[-1]["verified"]
+        lower, exact, upper = power_series(ctx, i)
+        verified = exact.contains_subgroup(lower) and upper.contains_subgroup(exact)
+        sandwiches.append({"i": i, "lower_log": lower.log_order,
+                           "exact_log": exact.log_order,
+                           "upper_log": upper.log_order,
+                           "verified": verified})
+        ok = ok and verified
     # scaffold-intersection indices: limit formula within the faithful window
     indices = []
     for s in range(1, k + 1):

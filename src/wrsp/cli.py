@@ -77,7 +77,7 @@ def cmd_verify(args) -> int:
     if args.claims and args.all:
         print("error: choose either --claims or --all", file=sys.stderr)
         return USAGE_ERROR
-    selectors = [s for chunk in args.claims for s in chunk.split(",") if s]
+    selectors = [s.strip() for chunk in args.claims for s in chunk.split(",") if s.strip()]
     if args.claims and not selectors:
         print("error: --claims names no claim", file=sys.stderr)
         return USAGE_ERROR

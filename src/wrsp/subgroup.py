@@ -74,7 +74,7 @@ close() is the canonical sequence of the subgroup generated by everything
 it queues, whatever order it works through the queue in; taken first,
 those obligations sift to the identity through B's table and change
 nothing.  So B's leaders owe each other nothing, and extend's run is the
-rest of close's.
+rest of close's; close(gens, C) itself is extend from the trivial group.
 
 Central rows in closed form.  Write X for the one-step central shift, so
 that a central row r = (0, 0, r) has r^x = X r.  The trivial-top part H
@@ -166,10 +166,14 @@ class Subgroup:
 
     __slots__ = ("ctx", "igs", "log_order", "_tab")
 
-    def __init__(self, ctx: GroupContext, igs: tuple[Element, ...], log_order: int):
+    def __init__(self, ctx: GroupContext, igs: tuple[Element, ...]):
+        """igs is a canonical sequence, so it fixes the order: a top member,
+        of exponent t = 2^v, has relative order 2^(k - v), every other
+        member 2."""
         self.ctx = ctx
         self.igs = igs
-        self.log_order = log_order
+        top = igs[0].t if igs else 0
+        self.log_order = len(igs) + (ctx.k - _v2(top) - 1 if top else 0)
         self._tab = None
 
     # internal: the reduced echelon table (module docstring): top member or
@@ -279,15 +283,12 @@ def close(gens, conjugators=()) -> Subgroup:
 
     With conjugators given, the result is additionally closed under
     conjugation by them (pass the group generators to get normal closures).
+    It is extend from the trivial group (module docstring, Extension).
     """
     gens = list(gens)
     if not gens:
         raise ValueError("close needs at least one generator")
-    ctx = gens[0].ctx
-    for g in gens:
-        if g.ctx.k != ctx.k:
-            raise ValueError("generators live at different levels")
-    return _grow(ctx, None, {}, 0, _Tail(), gens, conjugators)
+    return extend(trivial_subgroup(gens[0].ctx), gens, conjugators)
 
 
 def extend(base: Subgroup, gens, conjugators=()) -> Subgroup:
@@ -348,16 +349,14 @@ def _grow(ctx, top, base, pivots, tail, gens, conjugators) -> Subgroup:
         base[q] = _reduce(ctx, None, base, deeper, tail, base[q])
         deeper |= q
     members = [base[q] for q in sorted(base)]
-    log = len(members) + len(rows)
     if top is not None:
         members.insert(0, _reduce(ctx, None, base, pivots, tail, top))
-        log += ctx.k - _v2(top.t)
     members += [Element(ctx, 0, 0, rows[q]) for q in sorted(rows)]
-    return Subgroup(ctx, tuple(members), log)
+    return Subgroup(ctx, tuple(members))
 
 
 def trivial_subgroup(ctx: GroupContext) -> Subgroup:
-    return Subgroup(ctx, (), 0)
+    return Subgroup(ctx, ())
 
 
 def full_group(ctx: GroupContext) -> Subgroup:
@@ -378,7 +377,7 @@ def _suffix_subgroup(ctx: GroupContext, start: int, cache_key: str) -> Subgroup:
                 gens.append(ctx.base_gen(p - 1))
             else:
                 gens.append(ctx.central_from_mask(1 << (p - 1 - ctx.n)))
-        return Subgroup(ctx, tuple(gens), len(gens) + (ctx.k - 1 if start == 0 else 0))
+        return Subgroup(ctx, tuple(gens))
 
     return ctx.cached(cache_key, build)
 
@@ -512,7 +511,7 @@ def _suffix_part(sub: Subgroup, start: int) -> Subgroup:
     cut = 0
     while cut < len(igs) and _lead(sub.ctx, igs[cut]) < start:
         cut += 1
-    return Subgroup(sub.ctx, igs[cut:], len(igs) - cut)
+    return Subgroup(sub.ctx, igs[cut:])
 
 
 def intersect(a: Subgroup, b: Subgroup) -> Subgroup:

@@ -185,6 +185,18 @@ def test_usage_errors():
         assert want in result[2] and "unknown" not in result[2]
 
 
+def test_claim_selectors_are_stripped():
+    # a space after a comma is not part of the selector, and a list of
+    # blanks names no claim
+    code, out, _ = run_cli(["verify", "--k", "2", "--claims", "prop-order, lemma-exp2"])
+    assert code == 0
+    assert out.count("PASS") == 4 and "prop-order" in out
+    for selector in (" ", " , "):
+        result = run_cli(["verify", "--k", "1", "--claims", selector])
+        _assert_usage_error(result)
+        assert result[2] == "error: --claims names no claim\n"
+
+
 def _assert_usage_error(result):
     code, out, err = result
     assert code == 2 and out == ""

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import random
 import sys
+from math import comb
 
 import pytest
 
@@ -671,11 +672,11 @@ def test_random_powers_lie_in_power_subgroups(k):
 
 @pytest.mark.parametrize("i", [1, 2, 3])
 def test_power_sandwich_level3(ctx3, i):
-    rep = power_series(ctx3, i)
-    assert rep.lower == series(ctx3, SeriesKind.GAMMA).term(1 << (i + 1))
-    assert rep.exact.contains_subgroup(rep.lower)
-    assert rep.upper.contains_subgroup(rep.exact)
-    assert rep.verified
+    lower, exact, upper = power_series(ctx3, i)
+    assert lower == series(ctx3, SeriesKind.GAMMA).term(1 << (i + 1))
+    assert exact == series(ctx3, SeriesKind.POWER).term(i)
+    assert exact.contains_subgroup(lower)
+    assert upper.contains_subgroup(exact)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -858,6 +859,84 @@ def test_identity_checks_computed_once_per_level(ctx2):
     assert power_expansion_check(ctx2) is power_expansion_check(ctx2)
     # each check holds its own keys only
     assert commutator_identity_checks(ctx2) == {"square_commutator": True}
+
+
+def _reference_square_commutator(ctx):
+    """The square-commutator check as first written, its left side
+    [y, x^(2^k)] formed and compared."""
+    n = ctx.n
+    lhs = commutator(ctx.y(), ctx.x() ** n)
+    rhs = (ctx.c(n // 2 + 1) ** 2) * ctx.c(n + 1)
+    modulus = series(ctx, SeriesKind.GAMMA).term(n + 2)
+    return {"square_commutator": lhs.is_identity() and modulus.contains(rhs.inverse() * lhs)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_square_commutator_matches_reference(k):
+    ctx = get_context(k)
+    assert commutator_identity_checks(ctx) == _reference_square_commutator(ctx)
+
+
+def _reference_error_span(ctx, weight, lowest):
+    """The power expansion error span from every z_(u,v) with
+    lowest <= u < v <= 2n + 1."""
+    top = 2 * ctx.n + 1
+    gens = [ctx.zij(u, v) for u in range(lowest, top + 1)
+            for v in range(max(u + 1, weight - u), top + 1)]
+    return close(gens) if gens else trivial_subgroup(ctx)
+
+
+def _reference_power_expansion(ctx):
+    """The power expansion check as first written: both right sides as the
+    full binomial products over l <= e, each error span from every z_(u,v)
+    up to 2n + 1."""
+    x, y = ctx.x(), ctx.y()
+    d_ok = True
+    details = []
+    for r in range(1, ctx.k + 3):
+        e = 1 << r
+        lhs1 = (x * y) ** e
+        rhs1 = (x ** e) * (y ** e)
+        for l in range(2, e + 1):
+            rhs1 = rhs1 * (ctx.c(l) ** comb(e, l))
+        k1 = _reference_error_span(ctx, e, 1)
+        ok1 = k1.contains(rhs1.inverse() * lhs1)
+        lhs2 = commutator(x ** e, y)
+        rhs2 = ctx.identity()
+        term = commutator(x, y)
+        for l in range(1, e + 1):
+            rhs2 = rhs2 * (term ** comb(e, l))
+            term = commutator(term, x)
+        k2 = _reference_error_span(ctx, e + 2, 2)
+        ok2 = k2.contains(rhs2.inverse() * lhs2)
+        d_ok = d_ok and ok1 and ok2
+        details.append({"r": r, "product_form": ok1, "commutator_form": ok2,
+                        "error_log_first": k1.log_order, "error_log_second": k2.log_order})
+    return {"power_expansion": d_ok, "power_expansion_details": details}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_power_expansion_matches_reference(k):
+    ctx = get_context(k)
+    assert power_expansion_check(ctx) == _reference_power_expansion(ctx)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_normal_form_facts_behind_the_identity_checks(k):
+    # x^(2^k) = 1, so [y, x^(2^k)] = 1; c_v is central-block for v > n, so
+    # z_(u,v) = 1 there
+    ctx = get_context(k)
+    n = ctx.n
+    assert (ctx.x() ** n).is_identity()
+    for v in range(n + 1, 2 * n + 2):
+        assert ctx.c(v).is_central_block(), (k, v)
+        for u in range(1, 2 * n + 2):
+            assert ctx.zij(u, v).is_identity(), (k, u, v)
+    # Kummer: C(2^r, l) mod 4 is 2 at l = 2^(r-1), 1 at l = 2^r, else 0
+    for r in range(1, k + 3):
+        e = 1 << r
+        assert {l: comb(e, l) % 4 for l in range(1, e + 1) if comb(e, l) % 4} == {
+            e // 2: 2, e: 1}, r
 
 
 def _weight_closure_over_full_quadrant(ctx, weight, include_cij):
