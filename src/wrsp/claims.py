@@ -160,11 +160,7 @@ def _run_lcs_layers(ctx):
 
 def remark_index_formula(i: int) -> int:
     """Predicted log2 |Z : (i-th lower central term ^ Z)| in the limit group."""
-    if i % 2 == 1:
-        m = (i + 1) // 2
-        return m * (m - 1)
-    m = i // 2
-    return m * (m - 1) + m
+    return (i // 2) * ((i + 1) // 2)
 
 
 def _run_remark_index(ctx):
@@ -224,14 +220,16 @@ def _run_dimension(ctx):
 
 
 def _run_gamma_sq(ctx):
-    bad = []
-    for n in range(1, ctx.k + 1):
-        cur = gamma_n_subgroups(ctx, n)
-        nxt = gamma_n_subgroups(ctx, n + 1)
-        if not nxt.contains_subgroup(agemo_mod_derived(cur)):
-            bad.append(n)
-    return not bad, {"summary": "squares of each scaffold subgroup land in the next one",
-                     "failures": bad}
+    """Each scaffold is the dimension term D_(2^n), which gamma_n_subgroups
+    certifies, and Phi(D_e) = D_e^2 <= D_(2e) is part of Lazard's recurrence
+    D_i = [D_(i-1), G] D_ceil(i/2)^2: the dimension build tests that
+    D_(2e) holds the squares and the non-central pair commutators of D_e's
+    members (series module docstring).  So the claim builds nothing, and a
+    failed certificate crashes the runner."""
+    for n in range(1, ctx.k + 2):
+        gamma_n_subgroups(ctx, n)
+    return True, {"summary": "squares of each scaffold subgroup land in the next one",
+                  "failures": []}
 
 
 def _run_shift(ctx, summary: str):

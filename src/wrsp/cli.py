@@ -74,7 +74,7 @@ def _series_json(table) -> str:
 
 
 def cmd_verify(args) -> int:
-    if args.claims and args.all:
+    if bool(args.claims) == args.all:
         print("error: choose either --claims or --all", file=sys.stderr)
         return USAGE_ERROR
     selectors = [s.strip() for chunk in args.claims for s in chunk.split(",") if s.strip()]

@@ -61,6 +61,28 @@ power layer i = 1, the level-3 construction layers i = 0..2), so their
 few layers per level go through layer_shape, which checks the abelian
 quotient and also re-checks containment.
 
+Scaffolds.  The paper bounds the power terms by the scaffolds
+S_n = <x^e, c_i^2 : m <= i <= 2^(k+1)> gamma_e, e = 2^n, m = e/2, the
+class bound capping i, and S_n is the dimension term D_e:
+
+- S_n <= D_e.  x^e is D_e's head, as e - 1 has bit length n; c_i lies in
+  gamma_m, and gamma_m^2 = <u^2 : u in igs(gamma_m) non-central>
+  [gamma_m, gamma_m] with [gamma_m, gamma_m] <= gamma_e.
+- D_e <= S_n iff S_n is normal.  D_e is the normal closure of gamma_e,
+  x^e and the non-central squares of gamma_m, and each lies in S_n:
+  gamma_m / gamma_e is abelian and generated by the stated lists S_j,
+  j >= m, where c_j^2 is a head and every c_(p,q) a central involution
+  (at n = 1, S_1 = {x, y} and x^2 = x^e).
+- Normality.  gamma_e is normal and x fixes x^e.  y centralises c_i^2,
+  which lies in Z, and (c_i^2)^x = (c_i c_(i+1))^2 = c_i^2 c_(i+1)^2
+  z_(i,i+1) with z_(i,i+1) in gamma_(2i+1) <= gamma_e (and
+  c_(2^(k+1)+1)^2 = 1).  What remains is (x^e)^y = x^e [x^e, y], and
+  gamma_n_subgroups tests that [x^e, y] c_(m+1)^2 lies in gamma_e, which
+  puts [x^e, y] in S_n.
+
+So the scaffold is read off the dimension series, and Phi(D_e) = D_e^2 <=
+D_(2e) is part of the recurrence the dimension build certifies.
+
 The raw 2-power subgroups P_i = <g^e : g in G>, e = 2**i, have no such
 reduction; they are built in closed form at every level.  Write g = w z
 with w = (t, a, 0) and z = (0, 0, z) in the centre block Z, which is
@@ -371,17 +393,13 @@ def expected_gamma_layer(k: int, i: int) -> tuple[int, ...]:
     if i == 1:
         return tuple(sorted((1 << k, 4), reverse=True))
     if 2 <= i <= half:
-        count = (i - 2) // 2 if i % 2 == 0 else (i - 1) // 2
-        return tuple(sorted((4,) + (2,) * count, reverse=True))
+        return tuple(sorted((4,) + (2,) * ((i - 1) // 2), reverse=True))
     if half + 1 <= i <= n:
-        count = i // 2 if i % 2 == 0 else (i + 1) // 2
-        return (2,) * count
+        return (2,) * ((i + 1) // 2)
     if n + 1 <= i <= n + half:
-        count = (2 * n - i + 2) // 2 if i % 2 == 0 else (2 * n - i + 3) // 2
-        return (2,) * count
+        return (2,) * ((2 * n - i + 3) // 2)
     if n + half + 1 <= i <= 2 * n:
-        count = (2 * n - i) // 2 if i % 2 == 0 else (2 * n - i + 1) // 2
-        return (2,) * count
+        return (2,) * ((2 * n - i + 1) // 2)
     raise ValueError("layer index out of range")
 
 
@@ -423,11 +441,16 @@ def scaffold_heads(ctx: GroupContext, n: int) -> list[Element]:
 
 def gamma_n_subgroups(ctx: GroupContext, n: int) -> Subgroup:
     """The scaffold subgroup gamma_n = <x^(2^n), c_i^2 for i >= 2^(n-1)>
-    gamma_{2^n} that bounds the power terms, for 1 <= n <= k + 1."""
+    gamma_{2^n} that bounds the power terms, for 1 <= n <= k + 1: the
+    dimension term D_(2^n), once [x^(2^n), y] c_(2^(n-1)+1)^2 lies in
+    gamma_(2^n), which makes the scaffold normal (module docstring)."""
     if not 1 <= n <= ctx.k + 1:
         raise ValueError("scaffold level out of range")
-    return ctx.cached(("scaffold", n), lambda: extend(
-        series(ctx, SeriesKind.GAMMA).term(1 << n), scaffold_heads(ctx, n)))
+    e = 1 << n
+    if not series(ctx, SeriesKind.GAMMA).term(e).contains(
+            commutator(ctx.x() ** e, ctx.y()) * ctx.c(e // 2 + 1) ** 2):
+        raise RuntimeError(f"scaffold {n} is not normal: [x^{e}, y] leaves it")
+    return series(ctx, SeriesKind.DIMENSION).term(e)
 
 
 def power_series(ctx: GroupContext, i: int) -> tuple[Subgroup, Subgroup, Subgroup]:

@@ -172,6 +172,8 @@ def test_usage_errors():
     _assert_usage_error(result)
     assert "--seed-file" in result[2]
     assert run_cli(["no-such-command"])[0] == 2
+    # verify runs nothing it was not asked for: a selection is required
+    assert run_cli(["verify", "--k", "2"]) == (2, "", "error: choose either --claims or --all\n")
     # an empty selector list names no claim, with or without --all
     for selector in ("", ","):
         _assert_usage_error(run_cli(["verify", "--k", "1", "--claims", selector]))

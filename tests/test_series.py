@@ -22,6 +22,8 @@ from conftest import (
     square_gen,
 )
 from wrsp import claims, engine
+from wrsp import series as series_module
+from wrsp import subgroup as subgroup_module
 from wrsp.claims import run_claims
 from wrsp.engine import commutator, get_context
 from wrsp.series import (
@@ -37,6 +39,7 @@ from wrsp.series import (
     power_expansion_check,
     power_series,
     projection_kernel,
+    scaffold_heads,
     series,
     shift_identity_check,
     stated_gamma_generators,
@@ -112,6 +115,48 @@ def test_stated_generators_level2_examples(ctx2):
     assert ctx2.cij(6, 2).is_identity()
     assert expected_gamma_layer(2, 5) == (2, 2, 2)
     assert expected_gamma_layer(2, 1) == (4, 4)
+
+
+def _reference_gamma_layer(k, i):
+    # the piecewise form, one branch per parity: the reference for the
+    # floor expressions of expected_gamma_layer
+    n = 1 << k
+    half = n // 2
+    if i == 1:
+        return tuple(sorted((1 << k, 4), reverse=True))
+    if 2 <= i <= half:
+        count = (i - 2) // 2 if i % 2 == 0 else (i - 1) // 2
+        return tuple(sorted((4,) + (2,) * count, reverse=True))
+    if half + 1 <= i <= n:
+        count = i // 2 if i % 2 == 0 else (i + 1) // 2
+        return (2,) * count
+    if n + 1 <= i <= n + half:
+        count = (2 * n - i + 2) // 2 if i % 2 == 0 else (2 * n - i + 3) // 2
+        return (2,) * count
+    if n + half + 1 <= i <= 2 * n:
+        count = (2 * n - i) // 2 if i % 2 == 0 else (2 * n - i + 1) // 2
+        return (2,) * count
+    raise ValueError("layer index out of range")
+
+
+def _reference_remark_index(i):
+    # m(m - 1) for odd i = 2m - 1, m(m - 1) + m for even i = 2m
+    if i % 2 == 1:
+        m = (i + 1) // 2
+        return m * (m - 1)
+    m = i // 2
+    return m * (m - 1) + m
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_closed_forms_match_piecewise_references(k):
+    n = 1 << k
+    for i in range(1, 2 * n + 1):
+        assert expected_gamma_layer(k, i) == _reference_gamma_layer(k, i), i
+        assert claims.remark_index_formula(i) == _reference_remark_index(i), i
+    for i in (0, 2 * n + 1):
+        with pytest.raises(ValueError):
+            expected_gamma_layer(k, i)
 
 
 @pytest.mark.parametrize("k,want", [(1, 3), (2, 7), (3, 15)])
@@ -765,8 +810,10 @@ def test_projection_kernel_above_the_level_cap(monkeypatch):
     assert list(engine._CONTEXTS) == [3]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_scaffold_squares_descend(k):
+    # the Phi route, which lemma-gamma-sq leaves to the dimension build's
+    # certificate of Lazard's recurrence
     ctx = get_context(k)
     for n in range(1, k + 1):
         cur = gamma_n_subgroups(ctx, n)
@@ -776,12 +823,54 @@ def test_scaffold_squares_descend(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_scaffolds_are_dimension_terms(k):
-    # two independent builds: the scaffold extends gamma_(2^n) by its own
-    # heads, the dimension series comes from its closed forms
+    # two independent builds: the scaffold from its definition, gamma_(2^n)
+    # extended by its heads, and the dimension series from its closed forms;
+    # gamma_n_subgroups returns the dimension term itself
     ctx = get_context(k)
     dim = series(ctx, SeriesKind.DIMENSION)
     for n in range(1, k + 2):
-        assert gamma_n_subgroups(ctx, n) == dim.term(1 << n), n
+        scaffold = extend(series(ctx, SeriesKind.GAMMA).term(1 << n), scaffold_heads(ctx, n))
+        assert scaffold == dim.term(1 << n), n
+        assert gamma_n_subgroups(ctx, n) is dim.term(1 << n), n
+    assert not any(isinstance(key, tuple) and key[0] == "scaffold" for key in ctx._memo)
+
+
+def test_scaffold_normality_failure_is_named(monkeypatch):
+    # a conjugate [x^e, y] outside c_(m+1)^2 gamma_e leaves the scaffold
+    # not normal: gamma_n_subgroups refuses, and the claims reading it crash
+    monkeypatch.setattr(engine, "_CONTEXTS", {})
+    ctx = get_context(3)
+    for kind in (SeriesKind.GAMMA, SeriesKind.DIMENSION, SeriesKind.POWER):
+        series(ctx, kind)
+    monkeypatch.setattr(series_module, "commutator", lambda a, b: commutator(a, b) * ctx.x())
+    for n in range(1, 5):
+        with pytest.raises(RuntimeError, match=f"scaffold {n} "):
+            gamma_n_subgroups(ctx, n)
+    for res in run_claims(3, ["lemma-gamma-sq", "thm-p-power"]):
+        assert not res.passed
+        assert res.details["summary"].startswith("error: RuntimeError: scaffold 1 ")
+        assert "wrsp/series.py:" in res.details["summary"]
+
+
+def test_scaffolds_and_gamma_sq_build_nothing(monkeypatch):
+    # once the dimension series exists the scaffolds are lookups and
+    # lemma-gamma-sq reads the dimension build's certificate
+    monkeypatch.setattr(engine, "_CONTEXTS", {})
+    ctx = get_context(3)
+    series(ctx, SeriesKind.DIMENSION)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a subgroup was built")
+
+    for module in (series_module, claims, subgroup_module):
+        for name in ("extend", "close", "normal_closure", "agemo_mod_derived",
+                     "commutator_subgroup"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for n in range(1, 5):
+        gamma_n_subgroups(ctx, n)
+    assert claims._run_gamma_sq(ctx) == (True, {
+        "summary": "squares of each scaffold subgroup land in the next one", "failures": []})
 
 
 def test_scaffold_intersection_values(ctx2, ctx3):

@@ -127,14 +127,15 @@ CLAIM_SERIES = {cid: set() for cid in ("cor-zij-shift", "eq-power-expansion", "h
                                         "wreath-quotient")}
 CLAIM_SERIES.update({cid: {"gamma"} for cid in (
     "eq-sq-comm", "lemma-cm2k", "lemma-exp2-i", "lemma-exp2-iii",
-    "lemma-gamma-sq", "prop-lcs-class", "prop-lcs-layers", "remark-index", "zij-table")})
+    "prop-lcs-class", "prop-lcs-layers", "remark-index", "zij-table")})
 CLAIM_SERIES.update({
+    "lemma-gamma-sq": {"dimension", "gamma"},
     "prop-dimension": {"dimension", "gamma"},
     "prop-lower2": {"gamma", "lowerp"},
-    "thm-f-sandwich": {"frattini", "gamma"},
+    "thm-f-sandwich": {"dimension", "frattini", "gamma"},
     "thm-ld-complement": {"dimension", "gamma", "lowerp"},
     "thm-m-density": {"m"},
-    "thm-p-power": {"gamma", "power"},
+    "thm-p-power": {"dimension", "gamma", "power"},
 })
 
 
@@ -150,9 +151,13 @@ def _memo_keys_per_claim() -> dict:
 
 
 def test_each_claim_builds_only_the_series_it_reads():
-    got = {cid: {key[1].value for key in keys if isinstance(key, tuple) and key[0] == "series"}
-           for cid, keys in _memo_keys_per_claim().items()}
+    keys = _memo_keys_per_claim()
+    got = {cid: {key[1].value for key in ks if isinstance(key, tuple) and key[0] == "series"}
+           for cid, ks in keys.items()}
     assert got == CLAIM_SERIES
+    # the scaffolds are the dimension terms D_(2^n), read off that series
+    heads = {str(key[0] if isinstance(key, tuple) else key) for ks in keys.values() for key in ks}
+    assert not [head for head in heads if head.startswith("scaffold")]
 
 
 # the commutator identity checks each claim runner computes, by memo key:
