@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import DEFAULT_MAX_LEVEL, get_context
+from .engine import get_context
 from .oracle import oracle_index_of, oracle_report
 from .series import (
     SeriesKind,
@@ -39,6 +39,7 @@ from .subgroup import (
     full_group,
     intersect,
     join,
+    noncentral_commutators,
     noncentral_squares,
     normal_closure,
     pair_block_subgroup,
@@ -70,11 +71,11 @@ class ClaimSpec:
     claim_id: str
     statement: str
     k_min: int
-    k_max: int
+    k_max: int | None  # None: no upper level
     runner: object
 
     def supports(self, k: int) -> bool:
-        return self.k_min <= k <= self.k_max
+        return self.k_min <= k <= (self.k_max or k)
 
 
 # -- individual runners: the level's context -> (ok, details) ---------------
@@ -206,30 +207,29 @@ def _run_lower2(ctx):
 
 
 def _run_dimension(ctx):
-    """The series is built from the closed forms gamma_i <x^(2^l), g^2 : g
-    in gamma_ceil(i/2)>, l = bit length of i - 1, each certified by the
-    recurrence (series module docstring), so only the length is left to
-    check.  The paper's product form, which adds y^(2^l) and the 2^m-th
-    powers of gamma_ceil(i/2^m) for m >= 2 while that index is at least 2,
-    equals the closed form, so it is not built: y and those gamma terms lie
-    in the trivial-top part H, of exponent 4, so only y^2 (l = 1, i = 2) is
-    not trivial, and it is the square of y, a member of gamma_1."""
+    """The build certifies each closed form by Lazard's formula (series
+    module docstring), so only the length is left to check.  The paper's
+    product form, which adds y^(2^l) and the 2^m-th powers of
+    gamma_ceil(i/2^m) for m >= 2 while that index is at least 2, equals the
+    closed form, so it is not built: y and those gamma terms lie in the
+    trivial-top part H, of exponent 4, so only y^2 (l = 1, i = 2) is not
+    trivial, and it is the square of y, a member of gamma_1."""
     tbl = series(ctx, SeriesKind.DIMENSION)
     return tbl.length == 2 * ctx.n, {
         "summary": f"length {tbl.length}; recurrence = closed form"}
 
 
 def _run_gamma_sq(ctx):
-    """Each scaffold is the dimension term D_(2^n), which gamma_n_subgroups
-    certifies, and Phi(D_e) = D_e^2 <= D_(2e) is part of Lazard's recurrence
-    D_i = [D_(i-1), G] D_ceil(i/2)^2: the dimension build tests that
-    D_(2e) holds the squares and the non-central pair commutators of D_e's
-    members (series module docstring).  So the claim builds nothing, and a
-    failed certificate crashes the runner."""
-    for n in range(1, ctx.k + 2):
-        gamma_n_subgroups(ctx, n)
-    return True, {"summary": "squares of each scaffold subgroup land in the next one",
-                  "failures": []}
+    """Phi(S_n) <= S_(n+1) for the scaffolds S_n = D_(2^n), by membership
+    in the normal S_(n+1).  A central member r squares to 1 and commutes
+    with the members of trivial top (H centralises Z), and with the top
+    member x^e h, e = 2^n, h in H, [r, x^e h] = (1 + X)^e r (X the central
+    shift) is [r, x, ..(e).., x], in D_(2e) as [D_j, G] <= D_(j+1)."""
+    scaffolds = [gamma_n_subgroups(ctx, n) for n in range(1, ctx.k + 2)]
+    bad = [n for n, (cur, nxt) in enumerate(zip(scaffolds, scaffolds[1:]), start=1)
+           if not all(map(nxt.contains, noncentral_squares(cur) + list(noncentral_commutators(cur, cur))))]
+    return not bad, {"summary": "squares of each scaffold subgroup land in the next one",
+                     "failures": bad}
 
 
 def _run_shift(ctx, summary: str):
@@ -394,7 +394,7 @@ def _run_h_generation(ctx):
 CLAIMS: dict[str, ClaimSpec] = {}
 
 
-def _register(claim_id, statement, runner, k_min=1, k_max=DEFAULT_MAX_LEVEL):
+def _register(claim_id, statement, runner, k_min=1, k_max=None):
     CLAIMS[claim_id] = ClaimSpec(claim_id, statement, k_min, k_max, runner)
 
 
@@ -452,7 +452,7 @@ def select_claims(selectors: list[str] | None, k: int) -> list[str]:
             raise KeyError(sel)
         supported = [cid for cid in matched if CLAIMS[cid].supports(k)]
         if not supported:
-            ranges = ", ".join(f"{cid} supports k = {CLAIMS[cid].k_min}..{CLAIMS[cid].k_max}"
+            ranges = ", ".join(f"{cid} supports k = {CLAIMS[cid].k_min}..{CLAIMS[cid].k_max or ''}"
                                for cid in matched)
             raise ValueError(f"no claim matching {sel!r} runs at level {k}: {ranges}")
         out.update(supported)

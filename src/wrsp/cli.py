@@ -13,9 +13,9 @@ import os
 import sys
 
 from .claims import run_claims, select_claims
-from .engine import DEFAULT_MAX_LEVEL, get_context, parse_element
+from .engine import get_context, parse_element
 from .oracle import oracle_report
-from .presentation import export_presentation, verify_presentation
+from .presentation import DEFAULT_MAX_LEVEL, export_presentation, verify_presentation
 from .series import SeriesKind, series
 from .spectra import density_sequence, invariant_subspace
 from .subgroup import (base_and_centre_subgroup, centre_block_subgroup,

@@ -51,9 +51,6 @@ exponent, bit j of z the j-th central coordinate).
 
 from __future__ import annotations
 
-# read by the CLI (with --deep), the claim registry's k_max and the presentation parser, not the engine
-DEFAULT_MAX_LEVEL = 4
-
 
 def level_log_order(k: int) -> int:
     """log2 of the order of level k: k top bits, n base and d central

@@ -27,7 +27,6 @@ writes (no sign, underscore or leading zero), and the level only in
 from __future__ import annotations
 
 from .engine import (
-    DEFAULT_MAX_LEVEL,
     Element,
     GroupContext,
     commutator,
@@ -35,6 +34,9 @@ from .engine import (
     plain_decimal,
 )
 from .subgroup import full_group
+
+# the highest level the parser reads, and the CLI admits with --deep
+DEFAULT_MAX_LEVEL = 4
 
 
 def _gen_names(n: int) -> list[str]:

@@ -17,42 +17,43 @@ induction C_(i+1) is normal, and C_i is generated modulo it by S_i,
 central modulo it as G = <x, y>; so C_i is normal and [C_i, G] <= C_(i+1).
 As C_1 = G, induction on i gives gamma_i <= C_i, so C_i = gamma_i.
 
-Lower 2- and dimension series.  Each term is its closed form, certified
-by its recurrence, P_i = [P_(i-1), G] P_(i-1)^2 or Lazard's
-D_i = [D_(i-1), G] D_m^2, with m = ceil(i/2) and l the bit length of i - 1:
+Lower 2- and dimension series.  Each term is its closed form, with
+m = ceil(i/2) and l the bit length of i - 1:
 
     P_i = gamma_i <x^(2^(i-1)), c_(i-1)^2 for i <= n/2 + 1>^G,
     D_i = gamma_i <x^(2^l), g^2 : g in gamma_m>^G.
 
 Any group D has D^2 = <g^2 : g in D> >= [D, D], as [a, b] =
-a^-2 (a b^-1)^2 b^2, so D^2 = <u^2 : u in igs(D)> [D, D]; and
-[gamma_m, gamma_m] <= gamma_(2m) <= gamma_i, so the squares of gamma_m's
-non-central members stand for the g^2 (a central one squares to 1).  Let
-C_i be the closed form and R_i the recurrence applied to the C's before
-it.  By induction from C_1 = G, C_i = R_i:
+a^-2 (a b^-1)^2 b^2, so D^2 = <u^2 : u in igs(D)> [D, D], and a central
+member squares to 1.
+
+P_i is certified by its recurrence [P_(i-1), G] P_(i-1)^2.  Let C_i be the
+closed form and R_i the recurrence applied to the C's before it.  By
+induction from C_1 = G, C_i = R_i:
 
 - C_i <= R_i: gamma_i <= [C_(i-1), G], and the other generators are
-  squares of members of C_(i-1) or C_m (x^(2^(l-1)) generates C_m, as
-  m - 1 has bit length l - 1).
+  squares of members of C_(i-1).
 - R_i <= C_i: C_i is normal, and the build certifies that it holds
   generators of R_i as a normal subgroup.  For normal subgroups of
   G = <x, y>, [AB, G] = [A, G][B, G], and for N = <R>^G, [N, G] is the
   normal closure of the [r, x], [r, y], r in R, as N is central modulo
   it.  C_(i-1) = gamma_(i-1) <H>^G, H its heads (shown after gamma), so
   [C_(i-1), G] = gamma_i <[h, x], [h, y] : h in H>^G (at i = 2, C_1 = G
-  and these lie in gamma_2).  The squares are those of the non-central
-  members of C_(i-1) or C_m.  [C_(i-1), C_(i-1)] <= [C_(i-1), G], and
-  [C_m, C_m] is the normal closure of the commutators of C_m's members.
-  A central member commutes with those of trivial top.  Paired with the
-  top member, of exponent t = 2^v, a central row r gives (1 + X^t) r =
-  (1 + X)^t r = [r, x, ..(t).., x], X the one-step central shift, in
-  [D_(m+t-1), G].  Here t >= m, as the top member of C_m is x^(2^l')
-  times an element of trivial top, l' the bit length of m - 1; and as
-  i <= 2m, [D_(m+t-1), G] <= [D_(i-1), G], which the [h, x], [h, y] put
-  in C_i.  So only the pairs of C_m's non-central members are tested.
+  and these lie in gamma_2).  [C_(i-1), C_(i-1)] <= [C_(i-1), G], so the
+  squares are those of the non-central members of C_(i-1).
 
-Layers.  The gamma, lower 2-, dimension and Frattini recurrences all put
-[S_i, S_i] in S_{i+1}: the first three contain [S_i, G], and Phi(S_i)
+D_i is certified by Lazard's formula D_i = prod_(j 2^h >= i) gamma_j^(2^h)
+(Lazard 1954; Dixon, du Sautoy, Mann and Segal, Analytic pro-p groups,
+ch. 11), here D_i = gamma_i gamma_m^2 G^(2^l), as gamma_j, j >= 2, lies in
+the trivial-top part H, of exponent 4.  The closed form holds the first
+two factors ([gamma_m, gamma_m] <= gamma_(2m) <= gamma_i) and lies in the
+product.  It holds G^(2^l) once D_(2^l), the last term with that l, holds
+_power_generators(ctx, l) (argued below), as the terms descend.  The build
+tests that where 2^l is in the table, and at its trivial last term D_T for
+the l of T (k + 2 here), which makes G^(2^l) = 1 from that l on.
+
+Layers.  The gamma, lower 2-, dimension and Frattini series all put
+[S_i, S_i] in S_{i+1}: the first three are central series, and Phi(S_i)
 contains [S_i, S_i].  Those layers S_i / S_{i+1} are abelian, and
 _build_series certifies S_{i+1} <= S_i for every kind, so
 SeriesTable.layer reads their invariants without checking either fact.
@@ -65,9 +66,8 @@ Scaffolds.  The paper bounds the power terms by the scaffolds
 S_n = <x^e, c_i^2 : m <= i <= 2^(k+1)> gamma_e, e = 2^n, m = e/2, the
 class bound capping i, and S_n is the dimension term D_e:
 
-- S_n <= D_e.  x^e is D_e's head, as e - 1 has bit length n; c_i lies in
-  gamma_m, and gamma_m^2 = <u^2 : u in igs(gamma_m) non-central>
-  [gamma_m, gamma_m] with [gamma_m, gamma_m] <= gamma_e.
+- S_n <= D_e = gamma_e gamma_m^2 G^e: c_i lies in gamma_m, and x^e in
+  G^e.
 - D_e <= S_n iff S_n is normal.  D_e is the normal closure of gamma_e,
   x^e and the non-central squares of gamma_m, and each lies in S_n:
   gamma_m / gamma_e is abelian and generated by the stated lists S_j,
@@ -80,8 +80,8 @@ class bound capping i, and S_n is the dimension term D_e:
   gamma_n_subgroups tests that [x^e, y] c_(m+1)^2 lies in gamma_e, which
   puts [x^e, y] in S_n.
 
-So the scaffold is read off the dimension series, and Phi(D_e) = D_e^2 <=
-D_(2e) is part of the recurrence the dimension build certifies.
+So the scaffold is read off the dimension series, whose build tests
+G^e <= D_e, the upper inclusion of the power sandwich.
 
 The raw 2-power subgroups P_i = <g^e : g in G>, e = 2**i, have no such
 reduction; they are built in closed form at every level.  Write g = w z
@@ -147,7 +147,6 @@ from .subgroup import (
     extend,
     full_group,
     layer_shape,
-    noncentral_commutators,
     noncentral_squares,
     normal_closure,
     trivial_subgroup,
@@ -250,18 +249,6 @@ def _gamma_terms(ctx: GroupContext) -> list[Subgroup]:
     return built[::-1]
 
 
-def _certified(ctx: GroupContext, terms: list[Subgroup], heads, owed: list[Element]) -> Subgroup:
-    """gamma_i <heads(ctx, i)>^G, i = len(terms) + 1, once it holds the
-    [h, x], [h, y] over heads(ctx, i - 1) and the rest owed by its
-    recurrence (module docstring)."""
-    i, x, y = len(terms) + 1, ctx.x(), ctx.y()
-    term = extend(series(ctx, SeriesKind.GAMMA).term(i), heads(ctx, i), (x, y))
-    brackets = [commutator(h, g) for h in heads(ctx, i - 1) for g in (x, y)]
-    if not all(map(term.contains, brackets + owed)):
-        raise RuntimeError(f"closed form {i} misses a generator of its recurrence")
-    return term
-
-
 def _lower_2_heads(ctx: GroupContext, i: int) -> list[Element]:
     squares = [ctx.c(i - 1) ** 2] if 1 < i <= ctx.n // 2 + 1 else []
     return [ctx.x() ** (1 << (i - 1))] + squares
@@ -269,7 +256,12 @@ def _lower_2_heads(ctx: GroupContext, i: int) -> list[Element]:
 
 def _lower_2_term(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
     # P_i over gamma_i, certified by [P_(i-1), G] P_(i-1)^2
-    return _certified(ctx, terms, _lower_2_heads, noncentral_squares(terms[-1]))
+    i, x, y = len(terms) + 1, ctx.x(), ctx.y()
+    term = extend(series(ctx, SeriesKind.GAMMA).term(i), _lower_2_heads(ctx, i), (x, y))
+    brackets = [commutator(h, g) for h in _lower_2_heads(ctx, i - 1) for g in (x, y)]
+    if not all(map(term.contains, brackets + noncentral_squares(terms[-1]))):
+        raise RuntimeError(f"closed form {i} misses a generator of its recurrence")
+    return term
 
 
 def _frattini_step(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
@@ -284,11 +276,15 @@ def _dimension_heads(ctx: GroupContext, i: int) -> list[Element]:
     return [ctx.x() ** (1 << (i - 1).bit_length())] + noncentral_squares(gamma_m)
 
 
-def _dimension_term(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
-    # D_i over gamma_i, certified by [D_(i-1), G] D_m^2, m = ceil(i/2)
-    dm = terms[len(terms) // 2]
-    owed = noncentral_squares(dm) + list(noncentral_commutators(dm, dm))
-    return _certified(ctx, terms, _dimension_heads, owed)
+def _lazard_term(ctx: GroupContext, terms: list[Subgroup]) -> Subgroup:
+    # D_i over gamma_i, certified by Lazard's formula at i = 2^l and at the
+    # trivial last term, l the bit length of i - 1
+    i, l, x, y = len(terms) + 1, len(terms).bit_length(), ctx.x(), ctx.y()
+    term = extend(series(ctx, SeriesKind.GAMMA).term(i), _dimension_heads(ctx, i), (x, y))
+    if (i == 1 << l or term.is_trivial()) \
+            and not all(map(term.contains, _power_generators(ctx, l))):
+        raise RuntimeError(f"closed form {i} misses a generator of G^{1 << l}")
+    return term
 
 
 # kind -> (natural index of the whole group, builder of the terms after it
@@ -298,7 +294,7 @@ _STEPS = {
     SeriesKind.GAMMA: (1, lambda ctx, terms: _gamma_terms(ctx), True),
     SeriesKind.LOWER_P: (1, _stepwise(_lower_2_term), True),
     SeriesKind.FRATTINI: (0, _stepwise(_frattini_step), True),
-    SeriesKind.DIMENSION: (1, _stepwise(_dimension_term), True),
+    SeriesKind.DIMENSION: (1, _stepwise(_lazard_term), True),
     SeriesKind.POWER: (0, lambda ctx, terms: (exact_power_subgroup(ctx, i) for i in count(1)),
                        False),
     SeriesKind.M: (0, lambda ctx, terms: [*(projection_kernel(ctx, i) for i in range(1, ctx.k)),
@@ -307,12 +303,15 @@ _STEPS = {
 
 
 def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
-    """The subgroup generated by all 2**i-th powers, in closed form.
+    """The subgroup generated by all 2**i-th powers, in closed form."""
+    return normal_closure(_power_generators(ctx, i))
 
-    With e = 2**i it is the normal closure of three lists with one member
-    per x-orbit (see the module docstring for the argument).  Only the top
-    exponents t = 2^v, v < k, occur: for odd u, g^e is a power of (g^u)^e,
-    and a suitable u makes the top exponent of g^u a power of 2.
+
+def _power_generators(ctx: GroupContext, i: int) -> list[Element]:
+    """Generators of P_i = <g^e : g in G>, e = 2**i, as a normal subgroup:
+    three lists with one member per x-orbit (module docstring).  Only the
+    top exponents t = 2^v, v < k, occur: for odd u, g^e is a power of
+    (g^u)^e, and a suitable u makes the top exponent of g^u a power of 2.
 
     (a) x^e, and w^e for w = (t, a, 0) with a = 1 and 1 | 1 << w for
         1 <= w < t: up to conjugation these and a = 0, whose power
@@ -341,7 +340,7 @@ def exact_power_subgroup(ctx: GroupContext, i: int) -> Subgroup:
         gens += [ctx.element(t, a, 0) ** e for a in [1] + [1 | 1 << w for w in range(1, t)]]
     if e == 2:
         gens += [ctx.element(0, 1 | 1 << w, 0) ** 2 for w in range(ctx.n // 2 + 1)]
-    return normal_closure(gens)
+    return gens
 
 
 def projection_kernel(ctx: GroupContext, i: int) -> Subgroup:

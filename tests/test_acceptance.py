@@ -246,6 +246,20 @@ def test_criterion_09b_remark_index_full_range_as_stated(ctx3):
     )
 
 
+def test_remark_index_window_is_where_adjacent_levels_agree():
+    """Why 9b fails, as a measured fact: the level-k and level-(k+1)
+    remark-index tables agree exactly on the claim's faithful window
+    i <= 2^(k-1) + 1 and differ at the next index, so a level-k value past
+    the window is not yet the limit's."""
+    tables = {k: [row["log_index"] for row in run_claims(k, ["remark-index"])[0].details["table"]]
+              for k in (2, 3, 4, 5)}
+    for k in (2, 3, 4):
+        window = (1 << (k - 1)) + 1
+        low, high = tables[k], tables[k + 1]
+        assert low[:window] == high[:window], k
+        assert low[window] != high[window], k
+
+
 def _shuffle_family(k):
     ctx = get_context(k)
     subs = [base_and_centre_subgroup(ctx), centre_block_subgroup(ctx)]

@@ -60,7 +60,11 @@ def test_registry_completeness():
     assert set(CLAIMS) == set(REQUIRED_CLAIM_IDS)
     for spec in CLAIMS.values():
         assert spec.statement
-        assert 1 <= spec.k_min <= spec.k_max <= 4
+        assert spec.k_min >= 1 and spec.supports(spec.k_min)
+    # no claim repeats the CLI's level gate: only two have a range of their own
+    assert {cid: (spec.k_min, spec.k_max) for cid, spec in CLAIMS.items()
+            if (spec.k_min, spec.k_max) != (1, None)} == {"oracle-k1": (1, 1),
+                                                          "thm-f-sandwich": (2, None)}
 
 
 def test_selector_semantics():
@@ -181,7 +185,7 @@ def test_usage_errors():
     # a registered claim asked for at a level it does not support is named
     # with its level range, not reported as unknown
     for k, selector, want in (("2", "oracle", "oracle-k1 supports k = 1..1"),
-                              ("1", "thm-f", "thm-f-sandwich supports k = 2..4")):
+                              ("1", "thm-f", "thm-f-sandwich supports k = 2..")):
         result = run_cli(["verify", "--k", k, "--claims", selector])
         _assert_usage_error(result)
         assert want in result[2] and "unknown" not in result[2]

@@ -423,29 +423,56 @@ def test_gamma_certificate_catches_a_missing_generator(monkeypatch):
         series(engine.GroupContext(2), SeriesKind.GAMMA)
 
 
-def _patch_heads(monkeypatch, heads_at):
-    """Build and certify every closed form from heads_at(ctx, i, heads(ctx, i))
-    instead of heads(ctx, i)."""
-    certified = wrsp.series._certified
-
-    def patched(ctx, terms, heads, owed):
-        return certified(ctx, terms, lambda c, i: heads_at(c, i, heads(c, i)), owed)
-    monkeypatch.setattr(wrsp.series, "_certified", patched)
+def _patch_heads(monkeypatch, name, heads_at):
+    """Build every closed form from heads_at(ctx, i, heads(ctx, i)) in place
+    of heads(ctx, i), heads the series module's function of that name."""
+    heads = getattr(wrsp.series, name)
+    monkeypatch.setattr(wrsp.series, name, lambda ctx, i: heads_at(ctx, i, heads(ctx, i)))
 
 
 @pytest.mark.parametrize("k,i", [(2, 3), (3, 3), (3, 5)])
 def test_lower2_certificate_catches_a_missing_square(k, i, monkeypatch):
-    _patch_heads(monkeypatch, lambda ctx, j, heads: [h for h in heads
-                                                     if j != i or h != ctx.c(i - 1) ** 2])
+    _patch_heads(monkeypatch, "_lower_2_heads",
+                 lambda ctx, j, heads: [h for h in heads if j != i or h != ctx.c(i - 1) ** 2])
     with pytest.raises(RuntimeError, match=f"closed form {i} misses a generator"):
         series(engine.GroupContext(k), SeriesKind.LOWER_P)
 
 
 def test_dimension_certificate_catches_missing_squares(monkeypatch):
-    # the closed forms with x^(2^l) alone
-    _patch_heads(monkeypatch, lambda ctx, i, heads: heads[:1])
-    with pytest.raises(RuntimeError, match="closed form 2 misses a generator"):
-        series(engine.GroupContext(2), SeriesKind.DIMENSION)
+    # the closed forms with x^(2^l) alone miss y^2, a generator of G^2
+    _patch_heads(monkeypatch, "_dimension_heads", lambda ctx, i, heads: heads[:1])
+    for k in (2, 3, 4):
+        with pytest.raises(RuntimeError, match="closed form 2 misses a generator of G\\^2$"):
+            series(engine.GroupContext(k), SeriesKind.DIMENSION)
+
+
+def test_dimension_certificate_catches_a_missing_power_of_x(monkeypatch):
+    # without x^(2^l), D_2 still holds x^2 as the square of x, a member of
+    # gamma_1, but D_4 misses x^4, a generator of G^4; at level 2 x^4 = 1,
+    # so there the mutation changes no term
+    def igs_texts():
+        terms = series(engine.GroupContext(2), SeriesKind.DIMENSION).terms
+        return [[m.text() for m in sub.igs] for sub in terms]
+
+    want = igs_texts()
+    _patch_heads(monkeypatch, "_dimension_heads", lambda ctx, i, heads: heads[1:])
+    assert igs_texts() == want
+    for k in (3, 4):
+        with pytest.raises(RuntimeError, match="closed form 4 misses a generator of G\\^4$"):
+            series(engine.GroupContext(k), SeriesKind.DIMENSION)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_dimension_build_forms_no_pair_commutators(k, monkeypatch):
+    # Lazard's formula certifies the closed forms by membership alone: no
+    # [D_m, D_m] is owed
+    def refuse(*_args):
+        raise AssertionError("the dimension build formed pair commutators")
+
+    for module in (series_module, subgroup_module):
+        if hasattr(module, "noncentral_commutators"):
+            monkeypatch.setattr(module, "noncentral_commutators", refuse)
+    assert series(engine.GroupContext(k), SeriesKind.DIMENSION).length == 2 << k
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -479,9 +506,9 @@ def _member_brackets(ctx, terms):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_head_brackets_match_member_brackets(k):
-    # the series docstring's argument: the brackets of the heads of
-    # C_(i-1) generate [C_(i-1), G] modulo gamma_i, as the brackets of all
-    # of its members do
+    # the series docstring's argument for lower-2, which holds for the
+    # dimension heads too: the brackets of the heads of C_(i-1) generate
+    # [C_(i-1), G] modulo gamma_i, as the brackets of all of its members do
     ctx = get_context(k)
     x, y = ctx.x(), ctx.y()
     gamma = series(ctx, SeriesKind.GAMMA)
@@ -538,10 +565,11 @@ def test_dimension_step_matches_derived_subgroup_step(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_dimension_step_needs_no_central_top_pairs(k):
-    # the series docstring's argument: D_m has no top member, or its top
-    # exponent t is at least m, and for every central row r of D_m,
-    # r + X^t r = [r, x^t] already lies in [D_(i-1), G], the extension of
-    # gamma_i by the [r, x], [r, y] seeds alone
+    # D_m has no top member, or its top exponent t is at least m, and for
+    # every central row r of D_m, r + X^t r = [r, x^t] already lies in
+    # [D_(i-1), G], the extension of gamma_i by the [r, x], [r, y] seeds
+    # alone: lemma-gamma-sq argues the same way for the scaffolds' central
+    # rows against their top members
     ctx = get_context(k)
     terms = series(ctx, SeriesKind.DIMENSION).terms
     rows = 0
@@ -812,8 +840,7 @@ def test_projection_kernel_above_the_level_cap(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_scaffold_squares_descend(k):
-    # the Phi route, which lemma-gamma-sq leaves to the dimension build's
-    # certificate of Lazard's recurrence
+    # the Phi route, a reference for lemma-gamma-sq's membership test
     ctx = get_context(k)
     for n in range(1, k + 1):
         cur = gamma_n_subgroups(ctx, n)
@@ -853,8 +880,8 @@ def test_scaffold_normality_failure_is_named(monkeypatch):
 
 
 def test_scaffolds_and_gamma_sq_build_nothing(monkeypatch):
-    # once the dimension series exists the scaffolds are lookups and
-    # lemma-gamma-sq reads the dimension build's certificate
+    # once the dimension series exists the scaffolds are lookups, and
+    # lemma-gamma-sq tests its statement by membership alone
     monkeypatch.setattr(engine, "_CONTEXTS", {})
     ctx = get_context(3)
     series(ctx, SeriesKind.DIMENSION)
@@ -871,6 +898,18 @@ def test_scaffolds_and_gamma_sq_build_nothing(monkeypatch):
         gamma_n_subgroups(ctx, n)
     assert claims._run_gamma_sq(ctx) == (True, {
         "summary": "squares of each scaffold subgroup land in the next one", "failures": []})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gamma_sq_names_a_scaffold_that_is_too_deep(n, monkeypatch):
+    # with S_n one dimension term too deep, D_(2^n + 1), the squares of
+    # S_(n-1) miss it: the claim fails and names n - 1, without crashing
+    ctx = get_context(3)
+    dim = series(ctx, SeriesKind.DIMENSION)
+    monkeypatch.setattr(claims, "gamma_n_subgroups", lambda c, m: dim.term((1 << m) + (m == n)))
+    [res] = run_claims(3, ["lemma-gamma-sq"])
+    assert not res.passed
+    assert res.details["failures"] == [n - 1]
 
 
 def test_scaffold_intersection_values(ctx2, ctx3):
