@@ -12,8 +12,8 @@ for deterministic output.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .engine import get_context
 from .oracle import oracle_index_of, oracle_report
@@ -49,12 +49,11 @@ PASS = "pass"
 FAIL = "fail"
 
 
-@dataclass
-class VerificationResult:
+class VerificationResult(NamedTuple):
     claim_id: str
     k: int
     status: str
-    details: dict = field(default_factory=dict)
+    details: dict
 
     @property
     def passed(self) -> bool:
@@ -66,13 +65,18 @@ class VerificationResult:
         return f"{mark:5s}  {self.claim_id:24s} k={self.k}  {summary}"
 
 
-@dataclass(frozen=True)
 class ClaimSpec:
-    claim_id: str
-    statement: str
-    k_min: int
-    k_max: int | None  # None: no upper level
-    runner: object
+    """A registered claim.  A slotted class, not a NamedTuple, because
+    bench/tracer.py wraps each runner in place."""
+
+    __slots__ = ("claim_id", "statement", "k_min", "k_max", "runner")
+
+    def __init__(self, claim_id: str, statement: str, k_min: int, k_max: int | None, runner):
+        self.claim_id = claim_id
+        self.statement = statement
+        self.k_min = k_min
+        self.k_max = k_max  # None: no upper level
+        self.runner = runner
 
     def supports(self, k: int) -> bool:
         return self.k_min <= k <= (self.k_max or k)

@@ -134,9 +134,9 @@ of t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import count
+from typing import NamedTuple
 
 from .engine import Element, GroupContext, commutator, level_log_order, pair_slot
 from .subgroup import (
@@ -162,8 +162,7 @@ class SeriesKind(str, Enum):
     M = "m"
 
 
-@dataclass(frozen=True)
-class SeriesTable:
+class SeriesTable(NamedTuple):
     kind: SeriesKind
     k: int
     first_index: int

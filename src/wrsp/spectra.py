@@ -14,8 +14,8 @@ separately.  Everything is exact integer and Fraction arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .engine import GroupContext
 from .series import SeriesKind, SeriesTable
@@ -23,8 +23,7 @@ from .subgroup import (Subgroup, central_cap_logs, central_flag, intersect, norm
                        trivial_subgroup)
 
 
-@dataclass(frozen=True)
-class DensityPoint:
+class DensityPoint(NamedTuple):
     i: int          # natural series index of the term
     num: int        # log2 |target S_i : S_i|
     den: int        # log2 |G : S_i|
@@ -40,8 +39,7 @@ class DensityPoint:
         }
 
 
-@dataclass(frozen=True)
-class DensitySequence:
+class DensitySequence(NamedTuple):
     kind: SeriesKind
     k: int
     target_label: str
@@ -126,8 +124,7 @@ def complement_density(target: Subgroup, table: SeriesTable) -> list[tuple[int, 
     return [(i, den - num) for i, num, den in _term_logs(target, table)]
 
 
-@dataclass(frozen=True)
-class InvariantSubspace:
+class InvariantSubspace(NamedTuple):
     """A shift-stable subspace of the centre block, automatically normal."""
 
     label: str

@@ -260,6 +260,30 @@ def test_remark_index_window_is_where_adjacent_levels_agree():
         assert low[window] != high[window], k
 
 
+def test_ld_complement_windows_are_where_the_law_holds():
+    """The thm-ld-complement windows, as measured facts: log2 |G : S_j Z| =
+    2(j - 1) holds for j <= k + 1 along the lower 2-series and for j <= 3
+    along the dimension series, and fails at the next index at every level.
+    The adjacent-level tables agree for j <= k + 1 (lower 2) and
+    j <= 2^k (dimension), and differ at the next index, so the lower-2 law
+    stops where the level-k table stops being the limit's, and the
+    dimension law stops at j = 4 whatever the level: the claim's window
+    min(3, k + 1) is the law's, not a level artefact."""
+    tables = {k: {kind: [v for _, v in rows]
+                  for kind, rows in run_claims(k, ["thm-ld-complement"])[0].details["values"].items()}
+              for k in (2, 3, 4, 5)}
+    for k in (2, 3, 4, 5):
+        for kind, window in (("lowerp", k + 1), ("dimension", 3)):
+            vals = tables[k][kind]
+            assert vals[:window] == [2 * j for j in range(window)], (kind, k)
+            assert vals[window] != 2 * window, (kind, k)
+    for k in (2, 3, 4):
+        for kind, agree in (("lowerp", k + 1), ("dimension", 1 << k)):
+            low, high = tables[k][kind], tables[k + 1][kind]
+            assert low[:agree] == high[:agree], (kind, k)
+            assert low[agree] != high[agree], (kind, k)
+
+
 def _shuffle_family(k):
     ctx = get_context(k)
     subs = [base_and_centre_subgroup(ctx), centre_block_subgroup(ctx)]

@@ -1,6 +1,5 @@
 """Filtration series: lengths, closed forms, scaffolds and identities."""
 
-import dataclasses
 import functools
 import random
 import sys
@@ -30,6 +29,7 @@ from wrsp.series import (
     SeriesKind,
     _dimension_heads,
     _lower_2_heads,
+    _power_generators,
     _weight_filtered_closure,
     commutator_identity_checks,
     exact_power_subgroup,
@@ -180,6 +180,22 @@ def test_lower2_closed_forms(k):
         want = close(gens + list(gam.term(i).igs)) if (gens or gam.term(i).igs) \
             else trivial_subgroup(ctx)
         assert tbl.term(i) == want, (k, i)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_lower2_product_form(k):
+    """The lower exponent-2 central series in product form,
+    lambda_i = prod_(j <= i) gamma_j^(2^(i-j)), agrees with the built terms
+    for every i >= 2.  For 2 <= j <= i - 2 the factor is trivial, as
+    gamma_j lies in the trivial-top part, of exponent 4.  The factor
+    gamma_(i-1)^2 is gamma_i-modulo the squares of an igs, as
+    [gamma_(i-1), gamma_(i-1)] <= gamma_i, and G^(2^(i-1)) is the normal
+    closure of _power_generators(ctx, i - 1)."""
+    ctx = get_context(k)
+    gam, tbl = series(ctx, SeriesKind.GAMMA), series(ctx, SeriesKind.LOWER_P)
+    for i in range(2, tbl.length + 2):
+        gens = [u ** 2 for u in gam.term(i - 1).igs] + _power_generators(ctx, i - 1)
+        assert extend(gam.term(i), gens, (ctx.x(), ctx.y())).igs == tbl.term(i).igs, i
 
 
 @pytest.mark.parametrize("k,want", [(1, 4), (2, 8), (3, 16)])
@@ -486,7 +502,7 @@ def test_lower2_certificate_brackets_catch_a_short_gamma(k, monkeypatch):
         tbl = built(ctx, kind)
         if kind != SeriesKind.GAMMA:
             return tbl
-        return dataclasses.replace(tbl, terms=tbl.terms[1:])
+        return tbl._replace(terms=tbl.terms[1:])
     monkeypatch.setattr(wrsp.series, "series", shifted)
     with pytest.raises(RuntimeError, match="closed form 2 misses a generator"):
         series(engine.GroupContext(k), SeriesKind.LOWER_P)

@@ -2,9 +2,12 @@
 functions by name from outside the package, so a run under it fails if one
 of those names disappears; no module imports a name it never uses, nor
 another module's private name; the package defines no function or class
-that only tests reach; it reads every attribute a GroupContext holds; and
+that only tests reach; it reads every attribute a GroupContext holds;
 each claim runner builds only the series it reads and computes only the
-commutator identity check it states."""
+commutator identity check it states; importing the package loads none of
+the modules dataclasses pulls in; and the record classes are immutable
+with their field order kept, while a claim's runner can still be swapped
+in place as the tracer does."""
 
 import ast
 import os
@@ -12,8 +15,14 @@ import pathlib
 import subprocess
 import sys
 
-from wrsp.claims import CLAIMS
-from wrsp.engine import GroupContext
+import pytest
+
+from wrsp.claims import CLAIMS, ClaimSpec, VerificationResult, run_claims
+from wrsp.engine import GroupContext, get_context
+from wrsp.series import SeriesKind, SeriesTable, series
+from wrsp.spectra import (DensityPoint, DensitySequence, InvariantSubspace, density_sequence,
+                          invariant_subspace)
+from wrsp.subgroup import centre_block_subgroup
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -116,6 +125,63 @@ def test_setup_builds_no_central_flag():
     proc = _traced(SETUP_FLAG_RUN)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+# the package's import, measured against the modules the interpreter had
+# already loaded (site differs between hosts): dataclasses, with the
+# inspect, ast and dis it pulls in, is the largest part of a cold set-up
+IMPORT_RUN = """
+import sys
+before = set(sys.modules)
+import wrsp, wrsp.cli
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_import_loads_no_dataclasses():
+    proc = _traced(IMPORT_RUN)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "wrsp.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis"}, sorted(added)
+
+
+def _records():
+    ctx = get_context(2)
+    z = centre_block_subgroup(ctx)
+    seq = density_sequence(z, series(ctx, SeriesKind.GAMMA), "Z")
+    return {
+        SeriesTable: (series(ctx, SeriesKind.GAMMA), ("kind", "k", "first_index", "terms")),
+        DensityPoint: (seq.points[0], ("i", "num", "den", "ratio")),
+        DensitySequence: (seq, ("kind", "k", "target_label", "points", "tail_window",
+                                "liminf_estimate", "tail_spread")),
+        InvariantSubspace: (invariant_subspace(ctx, z.igs[:1], "s"), ("label", "span")),
+        VerificationResult: (run_claims(1, ["prop-order"])[0],
+                             ("claim_id", "k", "status", "details")),
+    }
+
+
+@pytest.mark.parametrize("cls", [SeriesTable, DensityPoint, DensitySequence, InvariantSubspace,
+                                 VerificationResult], ids=lambda cls: cls.__name__)
+def test_records_are_immutable_in_their_field_order(cls):
+    record, fields = _records()[cls]
+    assert cls._fields == fields
+    assert cls(*(getattr(record, name) for name in fields)) == record
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_claim_runner_can_be_swapped_in_place():
+    # bench/tracer.py wraps every registered runner this way
+    spec = ClaimSpec("c", "statement", 2, None, lambda ctx: (True, {}))
+
+    def wrapped(ctx):
+        return False, {}
+    object.__setattr__(spec, "runner", wrapped)
+    assert spec.runner is wrapped
+    assert (spec.claim_id, spec.statement, spec.k_min, spec.k_max) == ("c", "statement", 2, None)
+    assert spec.supports(9) and not spec.supports(1)
 
 
 # the series each claim runner builds, read off the ("series", kind) memo
